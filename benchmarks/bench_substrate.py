@@ -84,7 +84,7 @@ SNAPSHOT_MIN_SPEEDUP = 5.0
 # Gate workloads.
 #
 # Each maker builds the device and buffers once and returns a
-# ``run(fastpath)`` closure that only launches — so a measurement times the
+# ``run(engine)`` closure that only launches — so a measurement times the
 # interpreter, not the setup.  The kernels drive the raw event ISA with
 # loop-invariant index tuples hoisted, keeping kernel-side Python cost (paid
 # identically by both engines) from diluting the engine comparison.
@@ -108,9 +108,9 @@ def make_streaming():
             yield Store(y, ii, (2.0 * v,))
             i += step
 
-    def run(fastpath):
+    def run(engine):
         t0 = time.perf_counter()
-        kc = dev.launch(k, 4, 128, args=(x, y), fastpath=fastpath)
+        kc = dev.launch(k, 4, 128, args=(x, y), engine=engine)
         dt = time.perf_counter() - t0
         assert np.array_equal(y.to_numpy(), 2.0 * np.arange(n))
         return kc, dt
@@ -172,9 +172,9 @@ def make_generic_simd():
             if lane0:
                 yield AtomicOp(acc, 0, "add", 1)
 
-    def run(fastpath):
+    def run(engine):
         t0 = time.perf_counter()
-        kc = dev.launch(k, 2, 128, args=(x, out, acc), fastpath=fastpath)
+        kc = dev.launch(k, 2, 128, args=(x, out, acc), engine=engine)
         dt = time.perf_counter() - t0
         return kc, dt
 
@@ -338,10 +338,10 @@ def measure_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
     best_fast = best_instr = float("inf")
     kc_fast = kc_instr = None
     for _ in range(reps):
-        kc, dt = run(None)  # auto-selects the fast engine (no hooks)
+        kc, dt = run("auto")  # auto-selects the fast engine (no hooks)
         if dt < best_fast:
             best_fast, kc_fast = dt, kc
-        kc, dt = run(False)  # force the instrumented engine
+        kc, dt = run("instrumented")
         if dt < best_instr:
             best_instr, kc_instr = dt, kc
     assert kc_fast.identical(kc_instr), (
@@ -414,7 +414,7 @@ def test_scheduler_throughput_streaming(benchmark):
     """Streaming triad under the fast round engine."""
     run = make_streaming()
 
-    kc, _ = benchmark(run, None)
+    kc, _ = benchmark(run, "auto")
     benchmark.extra_info["rounds"] = kc.rounds
     benchmark.extra_info["cycles"] = kc.cycles
     benchmark.extra_info["lane_steps"] = kc.total("lane_steps")
@@ -425,7 +425,7 @@ def test_scheduler_throughput_streaming_instrumented(benchmark):
     """Streaming triad forced onto the instrumented engine (reference leg)."""
     run = make_streaming()
 
-    kc, _ = benchmark(run, False)
+    kc, _ = benchmark(run, "instrumented")
     benchmark.extra_info["rounds"] = kc.rounds
     benchmark.extra_info["lane_steps"] = kc.total("lane_steps")
 
@@ -435,7 +435,7 @@ def test_scheduler_throughput_generic_simd(benchmark):
     """Generic-mode SIMD workload under the fast round engine."""
     run = make_generic_simd()
 
-    kc, _ = benchmark(run, None)
+    kc, _ = benchmark(run, "auto")
     benchmark.extra_info["rounds"] = kc.rounds
     benchmark.extra_info["lane_steps"] = kc.total("lane_steps")
 

@@ -157,14 +157,10 @@ class LaunchPlan:
     deadline: Optional[float] = None
     #: Optional worker-pool :class:`~repro.exec.pool.RetryPolicy`.
     retry: object = None
-    #: Round-engine preference (see :mod:`repro.gpu.block`): None lets the
-    #: block auto-select (fast when hook-free), False forces the
-    #: instrumented engine — the differential suite's reference.  Hooks
-    #: always force instrumented regardless of this field.
-    fastpath: Optional[bool] = None
     #: Resolved round-engine name (``"instrumented"``/``"fast"``/``"jit"``;
-    #: None falls back to ``fastpath``).  ``Device.launch`` resolves the
-    #: kwarg/env/hook ladder before building the plan.
+    #: None lets the block auto-select, fast when hook-free).  Hooks always
+    #: force instrumented.  ``Device.launch`` resolves the kwarg/env/hook
+    #: ladder before building the plan.
     engine: Optional[str] = None
     #: Per-launch :class:`repro.jit.stats.JitCounters` when ``engine`` is
     #: ``"jit"``; also rides ``side_state`` so worker deltas merge back.
@@ -293,7 +289,6 @@ class SerialExecutor:
                 monitor=monitor,
                 schedule_policy=plan.schedule_policy,
                 faults=plan.faults,
-                fastpath=plan.fastpath,
                 engine=plan.engine,
                 jit_stats=plan.jit_stats,
             )
@@ -347,7 +342,6 @@ class SerialExecutor:
                     num_blocks=seg.num_blocks,
                     max_rounds=plan.max_rounds,
                     faults=plan.faults,
-                    fastpath=plan.fastpath,
                     engine=plan.engine,
                     jit_stats=plan.jit_stats,
                 )
@@ -536,7 +530,6 @@ class ParallelExecutor:
                 schedule_policy=plan.schedule_policy,
                 recorder=rec,
                 faults=plan.faults,
-                fastpath=plan.fastpath,
                 engine=plan.engine,
                 jit_stats=plan.jit_stats,
             )

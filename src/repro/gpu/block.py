@@ -39,20 +39,27 @@ The block owns two interchangeable round engines:
   automatically when no tracer, monitor, schedule policy, or fault plan
   is attached (the production configuration).  It steps the same lanes
   in the same deterministic order and shares the barrier/vote/shuffle
-  resolution and memory-accounting code, so memory contents, every
+  resolution code, so memory contents, every
   :class:`~repro.gpu.counters.BlockCounters` field, and the
   deadlock/error behaviour are bit-identical to the instrumented engine
   — only the interpreter overhead differs.  The exec-layer write
   recorder *is* supported on the fast path (the per-tag handler tables
   are specialized once at construction, so the per-event hot loop stays
   free of hook-presence branches) — parallel-executor workers inherit
-  the fast engine.  ``tests/gpu/test_fastpath_equiv.py`` holds the
-  differential proof obligation.
+  the fast engine.
+
+The fast engine and the JIT tier (:mod:`repro.jit`) charge memory
+through one cost model, :func:`~repro.gpu.coalescing.sector_footprint`
+and :func:`~repro.gpu.coalescing.bank_passes`; the instrumented engine
+keeps its per-position reference accounting
+(:meth:`ThreadBlock._account_memory`).  The three-engine differential
+suite in ``tests/gpu`` checks the engines against each other; the
+property tests in ``tests/gpu/test_coalescing.py`` check the shared
+cost model against the scalar definitions.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,7 +72,12 @@ from repro.errors import (
     SynchronizationError,
 )
 from repro.gpu.atomics import apply_atomic, apply_atomic_resilient
-from repro.gpu.coalescing import L1SectorCache, shared_conflict_degree
+from repro.gpu.coalescing import (
+    L1SectorCache,
+    bank_passes,
+    sector_footprint,
+    shared_conflict_degree,
+)
 from repro.gpu.costmodel import CostParams
 from repro.gpu.counters import BlockCounters
 from repro.gpu.events import (
@@ -133,7 +145,6 @@ class ThreadBlock:
         schedule_policy=None,
         recorder=None,
         faults=None,
-        fastpath: Optional[bool] = None,
         engine: Optional[str] = None,
         jit_stats=None,
     ) -> None:
@@ -186,21 +197,17 @@ class ThreadBlock:
         #: shared across the launch's blocks; None outside the jit engine.
         self.jit_stats = jit_stats
         # Engine selection.  ``engine`` names a round engine preference
-        # ("auto" | "instrumented" | "fast" | "jit"); the legacy
-        # ``fastpath`` flag maps onto fast/instrumented.  Neither the fast
+        # ("auto" | "instrumented" | "fast" | "jit").  Neither the fast
         # engine nor the JIT carries hook points, so any attached
         # tracer/monitor/policy/fault-plan forces the instrumented engine
         # regardless of the caller's preference; the JIT additionally
         # requires a read-blind recorder (the read-tracking recorder is a
         # sanitizer hook), downgrading to the fast engine otherwise —
         # both downgrades are the ``hook`` rung of the deopt ladder
-        # (docs/PERF.md).  ``fastpath=False`` / ``engine="instrumented"``
-        # force the reference engine, which the differential suite uses.
+        # (docs/PERF.md).  ``engine="instrumented"`` forces the reference
+        # engine, which the differential suite uses.
         if engine is None:
-            if fastpath is None:
-                engine = "auto"
-            else:
-                engine = "fast" if fastpath else "instrumented"
+            engine = "auto"
         elif engine not in ("auto", "instrumented", "fast", "jit"):
             raise LaunchError(f"unknown engine {engine!r}")
         eligible = (
@@ -225,7 +232,6 @@ class ThreadBlock:
         elif engine == "auto":
             engine = "fast"
         self.engine = engine
-        self.fastpath = engine != "instrumented"
         ws = params.warp_size
         self.num_warps = -(-num_threads // ws)
         # The JIT tier re-instantiates the kernel as one vectorized
@@ -337,9 +343,9 @@ class ThreadBlock:
             # bit-identically from round zero.
             self._build_lanes()
             return self._run_fast()
-        if self.fastpath:
-            return self._run_fast()
-        return self._run_instrumented()
+        if self.engine == "instrumented":
+            return self._run_instrumented()
+        return self._run_fast()
 
     # ------------------------------------------------------------------
     # Instrumented engine: the reference implementation with every hook.
@@ -875,7 +881,108 @@ class ThreadBlock:
         self.counters.issue_cycles += self._op_cost.get(sig[1], 1.0) * ops
 
     def _acct_mem(self, sig, evs, uniform) -> None:
-        self._account_memory_fast(sig[0], sig[1], evs)
+        """Charge one load/store issue group through the shared cost model.
+
+        The hot shape — every event touching the same buffer with
+        equal-length index runs (the lockstep pattern a converged warp
+        produces) — hands :func:`~repro.gpu.coalescing.sector_footprint` /
+        :func:`~repro.gpu.coalescing.bank_passes` the group's index
+        columns directly.  Ragged or multi-buffer groups are restated as
+        byte-address columns (base 0, itemsize 1): an element's first and
+        last byte address, which touch exactly the sectors the element
+        does, and its start address alone for the bank model.
+        """
+        params = self.params
+        c = self.counters
+        tag = sig[0]
+        space = sig[1]
+        n = len(evs)
+        ev0 = evs[0]
+        npos = len(ev0.idxs)
+        buf0 = ev0.buf
+        lockstep = npos > 0
+        if lockstep and n > 1:
+            for ev in evs:
+                if ev.buf is not buf0 or len(ev.idxs) != npos:
+                    lockstep = False
+                    break
+        if lockstep:
+            positions = npos
+            nelem = n * npos
+        else:
+            positions = 0
+            nelem = 0
+            for ev in evs:
+                ln = len(ev.idxs)
+                nelem += ln
+                if ln > positions:
+                    positions = ln
+        if tag == T_LOAD:
+            c.loads += nelem
+            c.issue_cycles += self._cost_ld * positions
+        else:
+            c.stores += nelem
+            c.issue_cycles += self._cost_st * positions
+        if space == "local":
+            c.local_accesses += nelem
+            c.mem_cycles += nelem * params.local_access_cycles
+            return
+        # Pass-1 side effects already validated (and int()-truncated)
+        # every index, so column arithmetic matches ``byte_address``.
+        if lockstep:
+            base = buf0.base
+            isz = buf0.itemsize
+            if npos == 1:
+                run = self._consec_run(evs)
+                cols = [run] if run is not None else [
+                    [int(ev.idxs[0]) for ev in evs]
+                ]
+            else:
+                mat = np.asarray([ev.idxs for ev in evs])
+                if mat.dtype != np.int64:
+                    mat = mat.astype(np.int64)
+                cols = mat.T
+        else:
+            base = 0
+            isz = 1
+            both_ends = space == "global"
+            cols = []
+            for k in range(positions):
+                col = []
+                for ev in evs:
+                    idxs = ev.idxs
+                    if k < len(idxs):
+                        buf = ev.buf
+                        a = buf.byte_address(idxs[k])
+                        col.append(a)
+                        if both_ends:
+                            col.append(a + buf.itemsize - 1)
+                cols.append(col)
+        if space == "global":
+            secs, transactions = sector_footprint(
+                cols, base, isz, params.sector_bytes
+            )
+            hits, misses = self._l1.access(secs)
+            c.l1_hits += hits
+            c.l1_misses += misses
+            if tag == T_LOAD:
+                c.global_load_sectors += misses
+                if misses:
+                    self._round_mem_stall = True
+            else:
+                c.global_store_sectors += misses
+            c.lsu_transactions += transactions
+            c.mem_cycles += (
+                misses * params.sector_cycles
+                + hits * params.l1_sector_cycles
+                + transactions * params.lsu_transaction_cycles
+            )
+        else:  # shared
+            passes = bank_passes(
+                cols, base, isz, params.shared_banks, params.shared_word_bytes
+            )
+            c.shared_passes += passes
+            c.mem_cycles += passes * params.shared_pass_cycles
 
     @staticmethod
     def _consec_run(evs):
@@ -1212,210 +1319,6 @@ class ThreadBlock:
         else:  # local
             c.local_accesses += nelem
             c.mem_cycles += nelem * params.local_access_cycles
-
-    def _account_memory_fast(self, tag: int, space: str, evs) -> None:
-        """Fast twin of :meth:`_account_memory`, taking a raw event list.
-
-        Specialized for the hot shape — every event of the group touches
-        the same buffer with equal-length index runs (the lockstep pattern
-        a converged warp produces).  There the per-position set churn
-        collapses into one sector computation: a small set comprehension
-        for warp-sized groups, NumPy unique counts once the unrolled run
-        is large enough to amortize array overhead.  Aligned elements
-        (``sector_bytes % itemsize == 0`` and an aligned base) can never
-        straddle a sector, halving the address work.  Any other shape
-        falls back to the scalar per-position logic, identical to the
-        instrumented twin.  Both twins push sector runs through the shared
-        :class:`L1SectorCache` in ascending sector order, so counters and
-        cache state are bit-identical.
-        """
-        params = self.params
-        c = self.counters
-        n = len(evs)
-        ev0 = evs[0]
-        npos = len(ev0.idxs)
-        buf0 = ev0.buf
-        lockstep = npos > 0
-        if lockstep and n > 1:
-            for ev in evs:
-                if ev.buf is not buf0 or len(ev.idxs) != npos:
-                    lockstep = False
-                    break
-        if lockstep:
-            positions = npos
-            nelem = n * npos
-        else:
-            positions = 0
-            nelem = 0
-            for ev in evs:
-                ln = len(ev.idxs)
-                nelem += ln
-                if ln > positions:
-                    positions = ln
-        if tag == T_LOAD:
-            c.loads += nelem
-            c.issue_cycles += self._cost_ld * positions
-        else:
-            c.stores += nelem
-            c.issue_cycles += self._cost_st * positions
-        if space == "global":
-            sb = params.sector_bytes
-            if lockstep:
-                isz = buf0.itemsize
-                base = buf0.base
-                # Pass-1 side effects already validated (and int()-
-                # truncated) every index, so the arithmetic below matches
-                # ``byte_address`` exactly.
-                aligned = sb % isz == 0 and base % isz == 0
-                if npos == 1:
-                    run = self._consec_run(evs)
-                    if run is not None:
-                        # Unit-stride ascending run (the coalesced-stream
-                        # pattern): the footprint is one contiguous sector
-                        # interval — two divisions replace the set walk.
-                        s0 = (base + run[0] * isz) // sb
-                        s1 = (base + run[1] * isz + (isz - 1)) // sb
-                        secs = range(s0, s1 + 1)
-                        transactions = s1 - s0 + 1
-                    elif aligned:
-                        if n < 48:
-                            secs = sorted(
-                                {(base + int(ev.idxs[0]) * isz) // sb for ev in evs}
-                            )
-                        else:
-                            lo = (
-                                base
-                                + np.fromiter(
-                                    (ev.idxs[0] for ev in evs), np.int64, n
-                                )
-                                * isz
-                            ) // sb
-                            secs = np.unique(lo).tolist()
-                        transactions = len(secs)
-                    else:
-                        pos = set()
-                        spill = isz - 1
-                        for ev in evs:
-                            a = base + int(ev.idxs[0]) * isz
-                            pos.add(a // sb)
-                            pos.add((a + spill) // sb)
-                        secs = sorted(pos)
-                        transactions = len(secs)
-                else:
-                    mat = np.asarray([ev.idxs for ev in evs])
-                    if mat.dtype != np.int64:
-                        mat = mat.astype(np.int64)
-                    lo = (base + mat * isz) // sb
-                    if aligned:
-                        transactions = 0
-                        for k in range(npos):
-                            transactions += np.unique(lo[:, k]).size
-                        secs = np.unique(lo).tolist()
-                    else:
-                        hi = (base + mat * isz + (isz - 1)) // sb
-                        transactions = 0
-                        for k in range(npos):
-                            transactions += np.unique(
-                                np.concatenate((lo[:, k], hi[:, k]))
-                            ).size
-                        secs = np.unique(
-                            np.concatenate((lo.ravel(), hi.ravel()))
-                        ).tolist()
-            else:
-                # Ragged or multi-buffer group: scalar logic, identical to
-                # the instrumented twin.
-                sectors = set()
-                transactions = 0
-                for k in range(positions):
-                    pos_sectors = set()
-                    for ev in evs:
-                        idxs = ev.idxs
-                        if k < len(idxs):
-                            buf = ev.buf
-                            a = buf.byte_address(idxs[k])
-                            pos_sectors.add(a // sb)
-                            pos_sectors.add((a + buf.itemsize - 1) // sb)
-                    transactions += len(pos_sectors)
-                    sectors |= pos_sectors
-                secs = sorted(sectors)
-            hits, misses = self._l1.access(secs)
-            c.l1_hits += hits
-            c.l1_misses += misses
-            if tag == T_LOAD:
-                c.global_load_sectors += misses
-                if misses:
-                    self._round_mem_stall = True
-            else:
-                c.global_store_sectors += misses
-            c.lsu_transactions += transactions
-            c.mem_cycles += (
-                misses * params.sector_cycles
-                + hits * params.l1_sector_cycles
-                + transactions * params.lsu_transaction_cycles
-            )
-        elif space == "shared":
-            passes = 0
-            if lockstep:
-                isz = buf0.itemsize
-                base = buf0.base
-                banks = params.shared_banks
-                wb = params.shared_word_bytes
-                run = (
-                    self._consec_run(evs)
-                    if npos == 1 and isz % wb == 0
-                    else None
-                )
-                if run is not None:
-                    # Unit-stride run with word-multiple elements: the word
-                    # sequence is an arithmetic progression of stride
-                    # ``isz // wb``, so the conflict degree is the maximum
-                    # round-robin occupancy over the ``banks // gcd`` banks
-                    # it cycles through.
-                    stride = isz // wb
-                    period = banks // math.gcd(stride, banks)
-                    passes = -(-n // period)
-                elif npos == 1 and n < 48:
-                    per_bank: Dict[int, set] = {}
-                    for ev in evs:
-                        word = (base + int(ev.idxs[0]) * isz) // wb
-                        bank = word % banks
-                        s = per_bank.get(bank)
-                        if s is None:
-                            per_bank[bank] = {word}
-                        else:
-                            s.add(word)
-                    passes = max(len(words) for words in per_bank.values())
-                else:
-                    mat = np.asarray([ev.idxs for ev in evs])
-                    if mat.dtype != np.int64:
-                        mat = mat.astype(np.int64)
-                    words = (base + mat * isz) // wb
-                    for k in range(npos):
-                        w = np.unique(words[:, k])
-                        passes += int(np.bincount(w % banks).max())
-            else:
-                for k in range(positions):
-                    addrs = [
-                        ev.buf.byte_address(ev.idxs[k])
-                        for ev in evs
-                        if k < len(ev.idxs)
-                    ]
-                    passes += shared_conflict_degree(
-                        addrs, params.shared_banks, params.shared_word_bytes
-                    )
-            c.shared_passes += passes
-            c.mem_cycles += passes * params.shared_pass_cycles
-        else:  # local
-            c.local_accesses += nelem
-            c.mem_cycles += nelem * params.local_access_cycles
-
-    # ------------------------------------------------------------------
-    # NOTE: the old round-local ``_check_races`` lived here.  It compared
-    # only accesses posted in the *same* scheduling round, so conflicting
-    # accesses in different rounds with no intervening barrier were never
-    # compared — a provable false negative.  It is subsumed by the
-    # happens-before detector in :mod:`repro.sanitizer.races`, attached via
-    # ``detect_races=True`` / ``sanitize=`` on the launch.
 
     # ------------------------------------------------------------------
     def _release_barriers(self) -> int:

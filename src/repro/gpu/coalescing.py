@@ -19,11 +19,31 @@ Shared memory is organised in ``banks`` word-interleaved banks.  A warp
 access completes in as many passes as the maximum number of *distinct words*
 any single bank must serve (broadcasts of the same word are free, as on real
 hardware).
+
+Issue groups
+============
+
+:func:`sector_footprint` and :func:`bank_passes` are the cost model the
+fast interpreter charges per issue group and the JIT per compiled script
+step, so those two engines' counters agree by construction.  A group is
+given as *columns*, one per unrolled vector position: each column is a
+unit-stride ascending ``(first, last)`` index run or a sequence of the
+participating lanes' element indices.  :func:`global_sectors` and
+:func:`shared_conflict_degree` are the scalar reference definitions the
+property tests check them against; the instrumented interpreter's
+per-position accounting follows those definitions directly.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence, Tuple
+
+import numpy as np
+
+#: Index columns at least this long take the NumPy path; shorter Python
+#: lists are cheaper as set walks.
+NUMPY_MIN_LANES = 48
 
 
 def global_sectors(addresses: Iterable[int], sector_bytes: int = 32) -> int:
@@ -33,15 +53,6 @@ def global_sectors(addresses: Iterable[int], sector_bytes: int = 32) -> int:
     warp issues together (one per participating lane and vector position).
     """
     return len({addr // sector_bytes for addr in addresses})
-
-
-def span_sectors(addr: int, nbytes: int, sector_bytes: int = 32) -> int:
-    """Sectors covered by a contiguous ``nbytes`` run starting at ``addr``."""
-    if nbytes <= 0:
-        return 0
-    first = addr // sector_bytes
-    last = (addr + nbytes - 1) // sector_bytes
-    return last - first + 1
 
 
 def shared_conflict_degree(
@@ -61,6 +72,111 @@ def shared_conflict_degree(
     if not per_bank:
         return 0
     return max(len(words) for words in per_bank.values())
+
+
+def _index_array(col) -> np.ndarray:
+    if col.__class__ is tuple:
+        return np.arange(col[0], col[1] + 1, dtype=np.int64)
+    return np.asarray(col, dtype=np.int64)
+
+
+def run_sectors(first: int, last: int, base: int, itemsize: int,
+                sector_bytes: int):
+    """:func:`sector_footprint` of one unit-stride column ``(first, last)``
+    (the coalesced-stream shape): one contiguous sector interval.  The
+    JIT's fused stream path calls it directly, skipping the column
+    wrapping that costs ~0.5 us per traced access."""
+    s0 = (base + first * itemsize) // sector_bytes
+    s1 = (base + last * itemsize + itemsize - 1) // sector_bytes
+    return range(s0, s1 + 1), s1 - s0 + 1
+
+
+def sector_footprint(cols, base: int, itemsize: int, sector_bytes: int):
+    """``(sectors, transactions)`` of one global-memory issue group.
+
+    Element ``i`` occupies bytes ``base + i * itemsize`` through
+    ``+ itemsize - 1`` and touches the sectors of its first and last
+    byte.  ``sectors`` are the group's distinct sectors in ascending
+    order — the order the L1 sees them — and ``transactions`` sums each
+    column's distinct sectors.  Index lists must hold Python ints.
+    """
+    if len(cols) == 1 and cols[0].__class__ is tuple:
+        first, last = cols[0]
+        return run_sectors(first, last, base, itemsize, sector_bytes)
+    sb = sector_bytes
+    spill = itemsize - 1
+    # Aligned elements never straddle a sector: one division each.
+    aligned = sb % itemsize == 0 and base % itemsize == 0
+    small = True
+    for col in cols:
+        if col.__class__ is not list or len(col) >= NUMPY_MIN_LANES:
+            small = False
+            break
+    if small:
+        sectors = None
+        transactions = 0
+        for col in cols:
+            if aligned:
+                pos = {(base + i * itemsize) // sb for i in col}
+            else:
+                pos = set()
+                for i in col:
+                    a = base + i * itemsize
+                    pos.add(a // sb)
+                    pos.add((a + spill) // sb)
+            transactions += len(pos)
+            sectors = pos if sectors is None else sectors | pos
+        return sorted(sectors or ()), transactions
+    parts = []
+    transactions = 0
+    for col in cols:
+        a = base + _index_array(col) * itemsize
+        if not aligned:
+            a = np.concatenate((a, a + spill))
+        u = np.unique(a // sb)
+        transactions += u.size
+        parts.append(u)
+    if len(parts) == 1:
+        return parts[0].tolist(), transactions
+    return np.unique(np.concatenate(parts)).tolist(), transactions
+
+
+def bank_passes(
+    cols, base: int, itemsize: int, banks: int, word_bytes: int
+) -> int:
+    """Serialized passes of one shared-memory issue group.
+
+    The sum over columns of each column's bank-conflict degree
+    (:func:`shared_conflict_degree` of its elements' start addresses).
+    Every column must be non-empty.
+    """
+    passes = 0
+    for col in cols:
+        if col.__class__ is tuple:
+            if itemsize % word_bytes == 0:
+                # Word-multiple elements on a unit-stride run: the words
+                # form an arithmetic progression of stride
+                # ``itemsize // word_bytes``, which cycles through
+                # ``banks // gcd`` banks round-robin.
+                period = banks // math.gcd(itemsize // word_bytes, banks)
+                passes += -(-(col[1] - col[0] + 1) // period)
+                continue
+            col = list(range(col[0], col[1] + 1))
+        if col.__class__ is list and len(col) < NUMPY_MIN_LANES:
+            per_bank: dict = {}
+            for i in col:
+                word = (base + i * itemsize) // word_bytes
+                bank = word % banks
+                s = per_bank.get(bank)
+                if s is None:
+                    per_bank[bank] = {word}
+                else:
+                    s.add(word)
+            passes += max(map(len, per_bank.values()))
+        else:
+            words = np.unique((base + _index_array(col) * itemsize) // word_bytes)
+            passes += int(np.bincount(words % banks).max())
+    return passes
 
 
 _ABSENT = object()
@@ -122,22 +238,3 @@ class L1SectorCache:
     def __contains__(self, sector: int) -> bool:
         return sector in self._entries
 
-
-def transaction_summary(
-    addresses: Sequence[int], sector_bytes: int = 32
-) -> Tuple[int, int]:
-    """Return ``(sectors, ideal_sectors)`` for a warp-wide access.
-
-    ``ideal_sectors`` is the minimum sector count the same number of element
-    accesses could have achieved if perfectly contiguous — useful for
-    coalescing-efficiency counters.
-    """
-    addrs = list(addresses)
-    if not addrs:
-        return (0, 0)
-    sectors = global_sectors(addrs, sector_bytes)
-    # All accesses in one instruction have the same element size in this
-    # simulator; infer a conservative footprint from unique addresses.
-    unique = len(set(addrs))
-    ideal = max(1, -(-unique // max(1, sector_bytes // 4)))
-    return (sectors, ideal)

@@ -15,9 +15,10 @@ architectural side effect is committed, every stability guard
 (divergence, unsupported events, address dependences, cross-warp
 overlap) aborts compilation while the block's scalar lane generators
 are still untouched at round zero, and a failed compile simply falls
-back to the fast interpreter.  ``docs/PERF.md`` documents the guard
-ladder; ``tests/gpu/test_fastpath_equiv.py`` holds the three-engine
-differential proof obligation.
+back to the fast interpreter.  Compiled scripts charge memory through
+the fast interpreter's cost model (:mod:`repro.gpu.coalescing`).
+``docs/PERF.md`` documents the guard ladder; the three-engine
+differential suite in ``tests/gpu`` holds the proof obligation.
 
 Engine selection
 ================
@@ -35,8 +36,7 @@ unset / ``auto``          fast interpreter when hook-free (today's default)
 ``jit``                   trace-compile stable warps; deopt to fast
 ========================  ==================================================
 
-``Device.launch(engine=...)`` overrides the environment per launch; the
-legacy ``fastpath=`` flag maps onto ``fast``/``instrumented``.
+``Device.launch(engine=...)`` overrides the environment per launch.
 """
 
 from __future__ import annotations

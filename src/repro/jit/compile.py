@@ -29,8 +29,9 @@ Script steps
     ``op_cost[kind] * max(ops)`` charge.
 ``('L', npos, nelem, secs, transactions)``
     one load issue; ``secs``/``transactions`` precompute the sector
-    footprint exactly as :meth:`ThreadBlock._account_memory_fast`
-    would (the L1 hit/miss split stays dynamic at consumption).
+    footprint with the fast interpreter's cost model,
+    :func:`repro.gpu.coalescing.sector_footprint` (the L1 hit/miss split
+    stays dynamic at consumption).
 ``('S', npos, nelem, secs, transactions, buf, commits)``
     one store issue; ``commits`` is a per-position list of
     ``(selector, values)`` ready for bulk assignment.
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.gpu.coalescing import run_sectors, sector_footprint
 from repro.gpu.events import T_COMPUTE, T_LOAD, T_STORE
 from repro.jit.vector import JitAbort, LaneVec, VecThreadCtx
 
@@ -99,65 +101,12 @@ def _values_of(sel, nlanes: int) -> np.ndarray:
     return sel[1]
 
 
-def _run_bounds(sel, nlanes: int):
-    """``(first, last)`` when the selector's per-lane indices form the
-    unit-stride ascending run :meth:`ThreadBlock._consec_run` detects
-    (single lanes always qualify), else ``None``.  Runs are detected *by
-    value*, exactly like the scalar engine — a materialized index array
-    that happens to ascend by one takes the same formula."""
-    if sel[0] == "a":
-        if sel[2] == 1 or nlanes == 1:
-            return sel[1], sel[1] + sel[2] * (nlanes - 1)
-        return None
-    arr = sel[1]
-    first = int(arr[0])
-    if nlanes == 1:
-        return first, first
-    last = int(arr[-1])
-    if last - first == nlanes - 1 and (np.diff(arr) == 1).all():
-        return first, last
-    return None
-
-
-def _sector_footprint(selectors, nlanes: int, buf, params):
-    """``(secs, transactions)`` — exact mirror of the fast engine's
-    ``_account_memory_fast`` for a converged, lockstep, global-space
-    issue group."""
-    sb = params.sector_bytes
-    isz = buf.itemsize
-    base = buf.base
-    npos = len(selectors)
-    if npos == 0:
-        return (), 0
-    if npos == 1:
-        run = _run_bounds(selectors[0], nlanes)
-        if run is not None:
-            s0 = (base + run[0] * isz) // sb
-            s1 = (base + run[1] * isz + (isz - 1)) // sb
-            return range(s0, s1 + 1), s1 - s0 + 1
-        vals = _values_of(selectors[0], nlanes)
-        lo = (base + vals * isz) // sb
-        if sb % isz == 0 and base % isz == 0:
-            secs = np.unique(lo).tolist()
-        else:
-            hi = (base + vals * isz + (isz - 1)) // sb
-            secs = np.unique(np.concatenate((lo, hi))).tolist()
-        return secs, len(secs)
-    aligned = sb % isz == 0 and base % isz == 0
-    mat = np.stack([_values_of(s, nlanes) for s in selectors])  # (npos, nlanes)
-    lo = (base + mat * isz) // sb
-    if aligned:
-        transactions = 0
-        for k in range(npos):
-            transactions += np.unique(lo[k]).size
-        secs = np.unique(lo).tolist()
-    else:
-        hi = (base + mat * isz + (isz - 1)) // sb
-        transactions = 0
-        for k in range(npos):
-            transactions += np.unique(np.concatenate((lo[k], hi[k]))).size
-        secs = np.unique(np.concatenate((lo.ravel(), hi.ravel()))).tolist()
-    return secs, transactions
+def _column(sel, nlanes: int):
+    """Cost-model column of a normalized selector: a ``(first, last)``
+    run for unit-stride affine positions, else the lane indices."""
+    if sel[0] == "a" and (sel[2] == 1 or nlanes == 1):
+        return sel[1], sel[1] + sel[2] * (nlanes - 1)
+    return _values_of(sel, nlanes)
 
 
 def _first_oob(selectors, nlanes: int, size: int):
@@ -280,14 +229,13 @@ def compile_block(block):
                     # Fused fast path: one affine unit-stride in-bounds
                     # position — the coalesced-stream shape.  Semantically
                     # identical to the general path below, with the run
-                    # sector formula, slice selector, and distinctness
-                    # (stride 1) all resolved inline.
+                    # column, slice selector, and distinctness (stride 1)
+                    # all resolved inline.
                     a0 = iv.a0
                     sobj = slice(a0, a0 + nlanes)
-                    base = buf.base
-                    isz = buf.itemsize
-                    s0 = (base + a0 * isz) // sb
-                    s1 = (base + (a0 + nlanes - 1) * isz + (isz - 1)) // sb
+                    secs, transactions = run_sectors(
+                        a0, a0 + nlanes - 1, buf.base, buf.itemsize, sb
+                    )
                     key = id(buf)
                     t = track_get(key)
                     if t is None:
@@ -303,7 +251,7 @@ def compile_block(block):
                             rmask = t.reads[w] = np.zeros(buf.size, dtype=bool)
                         rmask[sobj] = True
                         reply = (LaneVec.from_array(buf.data[sobj].copy()),)
-                        append(("L", 1, nlanes, range(s0, s1 + 1), s1 - s0 + 1))
+                        append(("L", 1, nlanes, secs, transactions))
                     else:
                         values = ev.values
                         if len(values) != 1:
@@ -314,8 +262,8 @@ def compile_block(block):
                             wmask = t.writes[w] = np.zeros(buf.size, dtype=bool)
                         wmask[sobj] = True
                         append(
-                            ("S", 1, nlanes, range(s0, s1 + 1), s1 - s0 + 1,
-                             buf, [(sobj, va)])
+                            ("S", 1, nlanes, secs, transactions, buf,
+                             [(sobj, va)])
                         )
                     if len(steps) > max_rounds:
                         raise JitAbort("error", "trace exceeds max_rounds")
@@ -342,8 +290,11 @@ def compile_block(block):
                             )
                         rmask[sobj] = True
                         out.append(LaneVec.from_array(buf.gather(sobj)))
-                    secs, transactions = _sector_footprint(
-                        selectors, nlanes, buf, params
+                    secs, transactions = sector_footprint(
+                        [_column(sel, nlanes) for sel in selectors],
+                        buf.base,
+                        buf.itemsize,
+                        sb,
                     )
                     append(("L", npos, nlanes * npos, secs, transactions))
                     reply = tuple(out)
@@ -371,8 +322,11 @@ def compile_block(block):
                         sobj = _selector_obj(sel, nlanes)
                         wmask[sobj] = True
                         commits.append((sobj, va))
-                    secs, transactions = _sector_footprint(
-                        selectors, nlanes, buf, params
+                    secs, transactions = sector_footprint(
+                        [_column(sel, nlanes) for sel in selectors],
+                        buf.base,
+                        buf.itemsize,
+                        sb,
                     )
                     append(
                         ("S", npos, nlanes * npos, secs, transactions, buf, commits)

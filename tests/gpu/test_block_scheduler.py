@@ -336,8 +336,8 @@ class TestDeterminism:
 
 
 class TestAtomicContentionKey:
-    @pytest.mark.parametrize("fastpath", [None, False])
-    def test_aliased_buffers_contend(self, fastpath):
+    @pytest.mark.parametrize("engine", [None, "instrumented"])
+    def test_aliased_buffers_contend(self, engine):
         """Two Buffer objects over the same storage are one address.
 
         Contention is keyed by the stable ``(space, base)`` device address,
@@ -357,12 +357,12 @@ class TestAtomicContentionKey:
             target = acc if tc.lane_id % 2 == 0 else alias
             yield from tc.atomic_add(target, 0, 1)
 
-        kc = dev.launch(k, 1, 32, args=(acc, alias), fastpath=fastpath)
+        kc = dev.launch(k, 1, 32, args=(acc, alias), engine=engine)
         assert acc.read(0) == 32
         assert kc.total("atomic_conflicts") == 31
 
-    @pytest.mark.parametrize("fastpath", [None, False])
-    def test_local_buffers_not_conflated(self, fastpath):
+    @pytest.mark.parametrize("engine", [None, "instrumented"])
+    def test_local_buffers_not_conflated(self, engine):
         """Lane-private local buffers all sit at base 0 but never contend."""
         dev = Device(nvidia_a100())
 
@@ -370,13 +370,13 @@ class TestAtomicContentionKey:
             lb = tc.alloca("scratch", 1, np.int64)
             yield from tc.atomic_add(lb, 0, 1)
 
-        kc = dev.launch(k, 1, 32, fastpath=fastpath)
+        kc = dev.launch(k, 1, 32, engine=engine)
         assert kc.total("atomic_conflicts") == 0
 
 
 class TestRetiredLaneState:
-    @pytest.mark.parametrize("fastpath", [None, False])
-    def test_pending_cleared_on_retire(self, fastpath):
+    @pytest.mark.parametrize("engine", [None, "instrumented"])
+    def test_pending_cleared_on_retire(self, engine):
         """A lane retiring right after a load must not pin the loaded value.
 
         ``lane.pending`` holds the value the next resume would deliver; on
@@ -397,7 +397,7 @@ class TestRetiredLaneState:
             gmem=GlobalMemory(),
             entry=k,
             args=(x,),
-            fastpath=fastpath,
+            engine=engine,
         )
         tb.run()
         assert all(l.pending is None for l in tb.lanes)

@@ -30,6 +30,22 @@ class TestLaunchValidation:
         kc = device.launch(k, 1, 32)
         assert device.last_launch is kc
 
+    @pytest.mark.parametrize("engine", [None, "fast", "jit"])
+    def test_device_faults_false_means_no_plan(self, engine, monkeypatch):
+        """``Device(faults=False)`` forces faults off exactly like the
+        launch-level ``faults=False``: no plan (not even ``REPRO_FAULTS``)
+        and so no hook blocking the hook-free engines."""
+        monkeypatch.setenv("REPRO_FAULTS", "7:atomic.transient")
+        dev = Device(nvidia_a100(), faults=False)
+        out = dev.alloc("out", 32, np.int64)
+
+        def k(tc, out):
+            yield from tc.atomic_add(out, tc.tid, 1)
+
+        kc = dev.launch(k, 1, 32, args=(out,), engine=engine)
+        assert np.all(out.to_numpy() == 1)
+        assert not any(key.startswith("faults") for key in kc.extra)
+
 
 class TestThreadIdentity:
     def test_global_tid_and_geometry(self, device):
