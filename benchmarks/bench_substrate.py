@@ -13,12 +13,14 @@ interpreter's true rate).
 The headline legs are the **engine speedup gates**: the streaming and
 generic-SIMD workloads run under the fast and instrumented round engines,
 and the ``jit_*`` workloads run the trace-compiling JIT tier against the
-instrumented engine (see ``docs/PERF.md``) — all interleaved within one
-process and scored best-of-N so machine noise cancels out of the ratio.
+fast engine (see ``docs/PERF.md``) — all interleaved within one process
+and scored best-of-N so machine noise cancels out of the ratio.  The fast
+engine is the JIT's yardstick because it is also the JIT's deopt target.
 Counters are asserted bit-exact between the engines on every measurement
 (JIT telemetry keys stripped first) — the speedup claims are only
 meaningful because the semantics are identical.  The JIT legs carry a
-hard ``>= 10x`` floor in ``--check`` on top of the baseline tolerance.
+hard floor (:data:`JIT_MIN_SPEEDUP`) in ``--check`` on top of the
+baseline tolerance.
 
 Run standalone (prints BENCH lines, writes/checks ``BENCH_substrate.json``,
 used by the CI ``perf-smoke`` job)::
@@ -66,10 +68,14 @@ TOLERANCE_PCT = 25
 #: Interleaved measurement pairs per workload; the score is best-of.
 DEFAULT_REPS = 7
 
-#: Hard floor on the JIT-vs-instrumented ratio for the ``jit_*`` gate
-#: workloads — the tier's acceptance bar, enforced by ``--check``
-#: regardless of what the committed baseline says.
-JIT_MIN_SPEEDUP = 10.0
+#: Hard floor on the JIT-vs-fast ratio for the ``jit_*`` gate workloads —
+#: the tier's acceptance bar, enforced by ``--check`` regardless of what
+#: the committed baseline says.  It is the former ">= 10x over the
+#: instrumented engine" bar restated over the fast engine: 10 divided by
+#: the fast/instrumented ratio those workloads measured (median 2.09,
+#: 12 runs) while the instrumented engine still had its own accounting
+#: and barrier release.
+JIT_MIN_SPEEDUP = 4.8
 
 #: Hard floor on the incremental-vs-full snapshot ratio for the
 #: ``snapshot_rollback`` workload.  This gate is floor-only (never
@@ -195,7 +201,7 @@ WORKLOADS = {
 # API (not raw events) because the same kernel body must drive both the
 # scalar ThreadCtx and the JIT's vectorized VecThreadCtx.  Each maker
 # returns a ``run(engine)`` closure; measurements interleave
-# ``engine="jit"`` against ``engine="instrumented"``.
+# ``engine="jit"`` against ``engine="auto"`` (the fast engine).
 
 
 def make_jit_streaming():
@@ -368,7 +374,7 @@ def _strip_jit_extras(kc):
 
 
 def measure_jit_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
-    """Interleaved jit/instrumented measurement of one JIT gate workload.
+    """Interleaved jit/fast measurement of one JIT gate workload.
 
     Same protocol as :func:`measure_speedup`; additionally requires that
     every warp actually compiled (a silently deoptimizing workload would
@@ -376,23 +382,23 @@ def measure_jit_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
     the telemetry keys — are bit-identical.
     """
     run = JIT_WORKLOADS[name]()
-    best_jit = best_instr = float("inf")
-    kc_jit = kc_instr = None
+    best_jit = best_fast = float("inf")
+    kc_jit = kc_fast = None
     for _ in range(reps):
         kc, dt = run("jit")
         if dt < best_jit:
             best_jit, kc_jit = dt, kc
-        kc, dt = run("instrumented")
-        if dt < best_instr:
-            best_instr, kc_instr = dt, kc
+        kc, dt = run("auto")  # auto-selects the fast engine (no hooks)
+        if dt < best_fast:
+            best_fast, kc_fast = dt, kc
     warps = kc_jit.extra.get("jit_warps_compiled", 0.0)
     deopts = {k: v for k, v in kc_jit.extra.items() if k.startswith("jit_deopt_")}
     assert warps > 0 and not deopts, (
         f"{name}: gate workload did not stay compiled "
         f"(warps={warps}, deopts={deopts}) — speedup is void"
     )
-    assert _strip_jit_extras(kc_jit).identical(kc_instr), (
-        f"{name}: jit/instrumented counters diverged — speedup is void"
+    assert _strip_jit_extras(kc_jit).identical(kc_fast), (
+        f"{name}: jit/fast counters diverged — speedup is void"
     )
     steps = kc_jit.total("lane_steps")
     return {
@@ -400,8 +406,8 @@ def measure_jit_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
         "rounds": int(kc_jit.rounds),
         "cycles": float(kc_jit.cycles),
         "jit_steps_per_s": steps / best_jit,
-        "instr_steps_per_s": steps / best_instr,
-        "jit_speedup": best_instr / best_jit,
+        "fast_steps_per_s": steps / best_fast,
+        "jit_speedup": best_fast / best_jit,
     }
 
 
@@ -422,7 +428,7 @@ def test_scheduler_throughput_streaming(benchmark):
 
 @pytest.mark.benchmark(group="substrate")
 def test_scheduler_throughput_streaming_instrumented(benchmark):
-    """Streaming triad forced onto the instrumented engine (reference leg)."""
+    """Streaming triad on the instrumented engine, no hooks attached."""
     run = make_streaming()
 
     kc, _ = benchmark(run, "instrumented")
@@ -454,19 +460,20 @@ def test_fastpath_speedup_gate():
 
 
 def test_jit_speedup_gate():
-    """The JIT gate workloads compile fully, agree bit-exactly, and beat
-    the fast interpreter's typical ratio.
+    """The JIT gate workloads compile fully, agree bit-exactly with the
+    fast engine, and run clearly ahead of it.
 
-    The light pytest leg keeps a generous floor (the fast engine's ~2x)
-    so loaded hosts cannot flake it; the hard ``>= 10x`` acceptance floor
-    lives in the CI ``perf-smoke`` ``--check`` run, measured best-of-N
+    The light pytest leg keeps a generous floor (about half the ratio
+    best-of-N measures) so loaded hosts cannot flake it; the hard
+    :data:`JIT_MIN_SPEEDUP` acceptance floor over the fast engine lives
+    in the CI ``perf-smoke`` ``--check`` run, measured best-of-N
     interleaved.
     """
     for name in JIT_WORKLOADS:
         r = measure_jit_speedup(name, reps=3)
         assert r["jit_speedup"] > 3.0, (
             f"{name}: jit speedup {r['jit_speedup']:.2f}x is not clearly "
-            "ahead of the interpreters"
+            "ahead of the fast interpreter"
         )
 
 
@@ -632,9 +639,9 @@ def run_measurements(reps: int, only=None) -> dict:
         results[name] = r
         print(
             f"BENCH substrate {name}: jit {r['jit_steps_per_s'] / 1e3:.1f}k "
-            f"steps/s  instr {r['instr_steps_per_s'] / 1e3:.1f}k steps/s  "
+            f"steps/s  fast {r['fast_steps_per_s'] / 1e3:.1f}k steps/s  "
             f"speedup {r['jit_speedup']:.2f}x  (gate >= "
-            f"{JIT_MIN_SPEEDUP:.0f}x, rounds={r['rounds']}, "
+            f"{JIT_MIN_SPEEDUP:.1f}x, rounds={r['rounds']}, "
             f"cycles={r['cycles']:.0f})"
         )
     if wanted("snapshot_rollback"):
@@ -683,8 +690,9 @@ def check_against_baseline(measured: dict, baseline_path: str,
             ratio_key, lo = "snapshot_speedup", snap_min
         elif "jit_speedup" in base:
             ratio_key = "jit_speedup"
-            # The JIT tier's acceptance bar is absolute: >= 10x whatever
-            # the committed baseline drifted to.
+            # The JIT tier's acceptance bar is absolute: >= JIT_MIN_SPEEDUP
+            # over the fast engine whatever the committed baseline
+            # drifted to.
             lo = max(base[ratio_key] * (1.0 - tol), jit_min)
         else:
             ratio_key = "speedup"

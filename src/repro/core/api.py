@@ -282,7 +282,6 @@ def launch(
     sharing_bytes: int = DEFAULT_SHARING_BYTES,
     name: str = "kernel",
     regs_per_thread: int = 32,
-    detect_races: bool = False,
     check=None,
     schedule_policy=None,
     executor=None,
@@ -377,7 +376,6 @@ def launch(
             num_blocks=cfg.num_teams,
             threads_per_block=cfg.block_dim,
             regs_per_thread=regs_per_thread,
-            detect_races=detect_races,
             sanitize=check,
             schedule_policy=schedule_policy,
             executor=executor,

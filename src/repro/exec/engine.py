@@ -132,9 +132,6 @@ class LaunchPlan:
     num_blocks: int
     threads_per_block: int
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    #: Legacy races-only raise-mode shorthand (per-block monitor built by
-    #: the block itself when no config is given).
-    detect_races: bool = False
     #: Resolved :class:`~repro.sanitizer.monitor.SanitizerConfig` (None =
     #: not sanitizing) and the report label.
     config: object = None
@@ -168,7 +165,7 @@ class LaunchPlan:
     #: Segmented (batched) grid: one :class:`GridSegment` per coalesced
     #: sub-launch, concatenated in ascending global block id.  When set,
     #: ``entry`` is unused, ``num_blocks`` must equal the segment total,
-    #: and hooks (tracer/sanitizer/detect_races/schedule_policy) are
+    #: and hooks (tracer/sanitizer/schedule_policy) are
     #: rejected — batched launches are hook-free by construction.
     segments: Optional[Tuple[GridSegment, ...]] = None
     #: Optional :class:`repro.faults.checkpoint.LaunchCheckpoint`.  The
@@ -214,11 +211,10 @@ class LaunchPlan:
                 f"{self.num_blocks}"
             )
         if (self.tracer is not None or self.config is not None
-                or self.detect_races or self.schedule_policy is not None):
+                or self.schedule_policy is not None):
             raise LaunchError(
                 "segmented (batched) launches are hook-free: tracer, "
-                "sanitizer, detect_races, and schedule_policy require solo "
-                "launches"
+                "sanitizer, and schedule_policy require solo launches"
             )
 
 
@@ -285,7 +281,6 @@ class SerialExecutor:
                 num_blocks=plan.num_blocks,
                 max_rounds=plan.max_rounds,
                 tracer=plan.tracer,
-                detect_races=plan.detect_races and monitor is None,
                 monitor=monitor,
                 schedule_policy=plan.schedule_policy,
                 faults=plan.faults,
@@ -525,7 +520,6 @@ class ParallelExecutor:
                 num_blocks=local_blocks,
                 max_rounds=plan.max_rounds,
                 tracer=None,
-                detect_races=plan.detect_races and monitor is None,
                 monitor=monitor,
                 schedule_policy=plan.schedule_policy,
                 recorder=rec,

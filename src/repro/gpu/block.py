@@ -33,29 +33,35 @@ Engines
 The block owns two interchangeable round engines:
 
 * the **instrumented engine** (:meth:`ThreadBlock._run_instrumented`) —
-  the reference implementation, carrying every hook point (tracer,
-  monitor, schedule policy, fault plan);
+  the driver carrying every hook point (tracer, monitor, schedule
+  policy, fault plan);
 * the **fast engine** (:meth:`ThreadBlock._run_fast`) — selected
   automatically when no tracer, monitor, schedule policy, or fault plan
   is attached (the production configuration).  It steps the same lanes
-  in the same deterministic order and shares the barrier/vote/shuffle
-  resolution code, so memory contents, every
-  :class:`~repro.gpu.counters.BlockCounters` field, and the
-  deadlock/error behaviour are bit-identical to the instrumented engine
-  — only the interpreter overhead differs.  The exec-layer write
+  in the same deterministic order through the same handlers, so memory
+  contents, every :class:`~repro.gpu.counters.BlockCounters` field, and
+  the deadlock/error behaviour are bit-identical to the instrumented
+  engine — only the interpreter overhead differs.  The exec-layer write
   recorder *is* supported on the fast path (the per-tag handler tables
   are specialized once at construction, so the per-event hot loop stays
   free of hook-presence branches) — parallel-executor workers inherit
   the fast engine.
 
-The fast engine and the JIT tier (:mod:`repro.jit`) charge memory
-through one cost model, :func:`~repro.gpu.coalescing.sector_footprint`
-and :func:`~repro.gpu.coalescing.bank_passes`; the instrumented engine
-keeps its per-position reference accounting
-(:meth:`ThreadBlock._account_memory`).  The three-engine differential
-suite in ``tests/gpu`` checks the engines against each other; the
-property tests in ``tests/gpu/test_coalescing.py`` check the shared
-cost model against the scalar definitions.
+Both engines share one side-effect handler table (``_side``), one
+accounting dispatch (``_acct``, which charges memory through
+:func:`~repro.gpu.coalescing.sector_footprint` and
+:func:`~repro.gpu.coalescing.bank_passes`, as the JIT tier
+(:mod:`repro.jit`) does), and one round end
+(:meth:`ThreadBlock._end_round`: atomic contention, the stall flag, and
+:meth:`ThreadBlock._release_barriers`).
+What the instrumented engine adds is hooks and ordering only: it buffers
+a round's posts so a schedule policy can permute warp and commit order,
+parks every collective arrival in the waiter dicts (the fast engine
+completes full groups inline), and reports each released group to the
+monitor.  The three-engine differential suite in ``tests/gpu`` checks
+the engines against each other; the property tests in
+``tests/gpu/test_coalescing.py`` check the shared cost model against the
+scalar definitions.
 """
 
 from __future__ import annotations
@@ -72,24 +78,10 @@ from repro.errors import (
     SynchronizationError,
 )
 from repro.gpu.atomics import apply_atomic, apply_atomic_resilient
-from repro.gpu.coalescing import (
-    L1SectorCache,
-    bank_passes,
-    sector_footprint,
-    shared_conflict_degree,
-)
+from repro.gpu.coalescing import L1SectorCache, bank_passes, sector_footprint
 from repro.gpu.costmodel import CostParams
 from repro.gpu.counters import BlockCounters
-from repro.gpu.events import (
-    T_ATOMIC,
-    T_COMPUTE,
-    T_LOAD,
-    T_SHUFFLE,
-    T_STORE,
-    T_SYNCBLOCK,
-    T_SYNCWARP,
-    T_VOTE,
-)
+from repro.gpu.events import T_LOAD
 from repro.gpu.memory import PAGE_SHIFT, GlobalMemory, SharedMemory
 from repro.gpu.thread import (
     DONE,
@@ -108,24 +100,6 @@ DEFAULT_MAX_ROUNDS = 5_000_000
 _BY_LANE_ID = operator.attrgetter("lane_id")
 
 
-def _signature(ev) -> tuple:
-    """Issue-group signature: events sharing it issue as one instruction."""
-    t = ev.tag
-    if t == T_COMPUTE:
-        return (t, ev.kind)
-    if t == T_LOAD or t == T_STORE:
-        return (t, ev.buf.space)
-    if t == T_ATOMIC:
-        return (t, ev.op)
-    if t == T_SYNCWARP:
-        return (t, ev.mask)
-    if t == T_SHUFFLE:
-        return (t, ev.mode, ev.mask)
-    if t == T_VOTE:
-        return (t, ev.mode, ev.mask)
-    return (t,)
-
-
 class ThreadBlock:
     """One simulated thread block (an OpenMP team's hardware vehicle)."""
 
@@ -140,7 +114,6 @@ class ThreadBlock:
         num_blocks: int = 1,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         tracer=None,
-        detect_races: bool = False,
         monitor=None,
         schedule_policy=None,
         recorder=None,
@@ -161,20 +134,6 @@ class ThreadBlock:
         #: Optional event hook ``tracer(block_id, round, tid, event)`` —
         #: zero-cost when None; used for debugging and protocol tests.
         self.tracer = tracer
-        #: When True, unsynchronized same-address conflicts raise
-        #: :class:`~repro.errors.DataRaceError` (debugging mode).  This is
-        #: now a shorthand for attaching the sanitizer's happens-before
-        #: race detector in raise mode, which subsumes — and fixes a
-        #: false negative of — the old round-local check (conflicts in
-        #: *different* rounds with no intervening barrier were never
-        #: compared).
-        self.detect_races = detect_races
-        if detect_races and monitor is None:
-            from repro.sanitizer.monitor import SanitizerConfig, SanitizerMonitor
-
-            monitor = SanitizerMonitor(
-                SanitizerConfig(barriers=False, sharing=False, mode="raise")
-            )
         #: Optional sanitizer monitor (event/release/deadlock hooks).
         self.monitor = monitor
         #: Optional schedule policy permuting warp/commit order per round.
@@ -204,8 +163,8 @@ class ThreadBlock:
         # requires a read-blind recorder (the read-tracking recorder is a
         # sanitizer hook), downgrading to the fast engine otherwise —
         # both downgrades are the ``hook`` rung of the deopt ladder
-        # (docs/PERF.md).  ``engine="instrumented"`` forces the reference
-        # engine, which the differential suite uses.
+        # (docs/PERF.md).  ``engine="instrumented"`` forces the hooked
+        # engine without hooks, which the differential suite uses.
         if engine is None:
             engine = "auto"
         elif engine not in ("auto", "instrumented", "fast", "jit"):
@@ -248,8 +207,8 @@ class ThreadBlock:
             # scalar lane generators are built lazily, only if the block
             # actually deoptimizes into an interpreter.
             self._build_lanes()
-        # -- fast-engine state ------------------------------------------
-        # Pre-allocated per-warp event buffers, reused — cleared, never
+        # -- round state -------------------------------------------------
+        # Fast engine: pre-allocated per-warp event buffers, reused — cleared, never
         # reallocated — every round.  (Side effects apply inline while
         # stepping, so only the events survive to the accounting step.)
         self._post_evs: List[list] = [[] for _ in range(self.num_warps)]
@@ -260,8 +219,8 @@ class ThreadBlock:
         # Round-local atomic address histogram, reused across rounds.
         self._atomic_addrs: Dict[tuple, int] = {}
         # Incremental barrier bookkeeping: waiter groups are maintained at
-        # post time (side-effect handlers) and torn down at release, so the
-        # fast engine never rescans all lanes looking for barriers.
+        # post time (side-effect handlers) and torn down at release, so no
+        # engine rescans all lanes looking for barriers.
         self._block_waiters: Dict[tuple, List[Lane]] = {}
         self._warp_waiters: List[Dict[int, List[Lane]]] = [
             {} for _ in range(self.num_warps)
@@ -272,12 +231,15 @@ class ThreadBlock:
         self._n_waiters = 0
         self._full_mask = (1 << ws) - 1
         # Per-tag handler tables (indexed by event tag).  The side-effect
-        # table is specialized once, here, on recorder presence — the hot
-        # loop itself carries no hook-presence branches.
+        # table is specialized once, here, on recorder and fault-plan
+        # presence — the hot loop itself carries no hook-presence branches.
         rec = self.recorder
         side_load = self._side_load if rec is None or not rec.track_reads else self._side_load_rec
         side_store = self._side_store if rec is None else self._side_store_rec
-        side_atomic = self._side_atomic if rec is None else self._side_atomic_rec
+        self._apply_atomic = (
+            self._side_atomic if faults is None else self._side_atomic_resilient
+        )
+        side_atomic = self._apply_atomic if rec is None else self._side_atomic_rec
         self._side = [
             None,  # T_COMPUTE: no architectural side effect
             side_load,
@@ -348,9 +310,18 @@ class ThreadBlock:
         return self._run_fast()
 
     # ------------------------------------------------------------------
-    # Instrumented engine: the reference implementation with every hook.
+    # Instrumented engine: the shared handlers, plus every hook.
     # ------------------------------------------------------------------
     def _run_instrumented(self) -> BlockCounters:
+        """Hooked round loop: step every lane, then resolve the round.
+
+        Stepping buffers each round's ``(lane, event)`` posts per warp so
+        the tracer and monitor observe every event before any side effect
+        lands, and so a schedule policy can permute the resolution order
+        (:meth:`_resolve_round`).  Everything after that — side effects,
+        accounting, contention, barrier release — is the fast engine's
+        code.
+        """
         lanes = self.lanes
         c = self.counters
         mon = self.monitor
@@ -392,7 +363,7 @@ class ThreadBlock:
             if live == 0:
                 break
             self._resolve_round(posted_by_warp)
-            released = self._release_barriers()
+            released = self._end_round(live)
             if advanced == 0 and released == 0:
                 self._raise_deadlock()
             c.rounds += 1
@@ -443,15 +414,14 @@ class ThreadBlock:
         runs right after its lanes, which is the same warp-ascending
         accounting order (and therefore the same L1 cache evolution) as the
         instrumented resolve pass.  Retired lanes are filtered out of the
-        per-warp scan lists, and barrier release runs off incrementally
-        maintained waiter groups instead of rescanning every lane.  All
-        observable behaviour — memory, counters, errors — matches the
+        per-warp scan lists, and collectives every participant reaches in
+        one round complete inline instead of parking in the waiter groups.
+        All observable behaviour — memory, counters, errors — matches the
         instrumented engine bit for bit.
         """
         c = self.counters
         params = self.params
         post_evs = self._post_evs
-        atomic_addrs = self._atomic_addrs
         side = self._side
         acct = self._acct
         max_rounds = self.max_rounds
@@ -474,9 +444,6 @@ class ThreadBlock:
         ]
         live = sum(map(len, active))
         while live:
-            self._round_mem_stall = False
-            if atomic_addrs:
-                atomic_addrs.clear()
             advanced = 0
             for w, lanes_w in enumerate(active):
                 if not lanes_w:
@@ -688,32 +655,11 @@ class ThreadBlock:
                     c.issues += 1
                     acct[sig0[0]](sig0, evs, uniform)
                 else:
-                    groups: Dict[tuple, list] = {}
-                    for ev in evs:
-                        g = groups.get(ev.sig)
-                        if g is None:
-                            groups[ev.sig] = [ev]
-                        else:
-                            g.append(ev)
-                    c.issues += len(groups)
-                    c.divergent_issues += len(groups) - 1
-                    for sig, items in groups.items():
-                        acct[sig[0]](sig, items, False)
+                    self._account_issues(evs)
                 evs.clear()
             c.lane_steps += advanced
             if not live:
                 break
-            # Device-wide atomic contention within the round.
-            if atomic_addrs:
-                extra = 0
-                for n in atomic_addrs.values():
-                    if n > 1:
-                        extra += n - 1
-                if extra:
-                    c.atomic_conflicts += extra
-                    c.mem_cycles += extra * params.atomic_conflict_cycles
-            if self._round_mem_stall:
-                c.mem_serial_rounds += 1
             if bbk is not None:
                 # Classic block barrier every live lane reached this round:
                 # complete without parking (no live lane can be waiting
@@ -738,9 +684,7 @@ class ThreadBlock:
             if nw:
                 self._n_waiters += nw
                 nw = 0
-            released = (
-                self._release_barriers_fast(live) if self._n_waiters else 0
-            )
+            released = self._end_round(live)
             if advanced == 0 and released == 0:
                 self._raise_deadlock()
             c.rounds += 1
@@ -751,7 +695,7 @@ class ThreadBlock:
                 )
         return c
 
-    # -- fast-engine side-effect handlers (pass 1) ----------------------
+    # -- side-effect handlers (pass 1) ------------------------------------
     @staticmethod
     def _side_load(lane, ev) -> None:
         buf = ev.buf
@@ -817,17 +761,25 @@ class ThreadBlock:
         addrs = self._atomic_addrs
         addrs[key] = addrs.get(key, 0) + 1
 
-    def _side_atomic_rec(self, lane, ev) -> None:
+    def _side_atomic_resilient(self, lane, ev) -> None:
+        """Fault-plan atomics: injected transient failures retry."""
         buf = ev.buf
         if buf.space == "global":
             self._round_mem_stall = True
-        lane.pending = apply_atomic(buf, ev.idx, ev.op, ev.operand)
-        rec = self.recorder
-        if buf.space == "global" and rec.tracks(buf):
-            rec.on_atomic(buf, ev.idx, ev.op, ev.operand, lane.pending)
+        lane.pending = apply_atomic_resilient(
+            buf, ev.idx, ev.op, ev.operand, self.faults,
+            self.block_id, self.counters.rounds, lane.tid,
+        )
         key = self._contention_key(ev)
         addrs = self._atomic_addrs
         addrs[key] = addrs.get(key, 0) + 1
+
+    def _side_atomic_rec(self, lane, ev) -> None:
+        self._apply_atomic(lane, ev)
+        buf = ev.buf
+        rec = self.recorder
+        if buf.space == "global" and rec.tracks(buf):
+            rec.on_atomic(buf, ev.idx, ev.op, ev.operand, lane.pending)
 
     def _side_syncwarp(self, lane, ev) -> None:
         lane.state = WAIT_WARP
@@ -868,7 +820,24 @@ class ThreadBlock:
 
     _side_vote = _side_shuffle
 
-    # -- fast-engine accounting handlers (pass 2) ------------------------
+    # -- accounting handlers (pass 2) --------------------------------------
+    def _account_issues(self, evs) -> None:
+        """Charge one warp's round: one issue per signature group, each
+        group through its tag's ``_acct`` handler."""
+        groups: Dict[tuple, list] = {}
+        for ev in evs:
+            g = groups.get(ev.sig)
+            if g is None:
+                groups[ev.sig] = [ev]
+            else:
+                g.append(ev)
+        c = self.counters
+        c.issues += len(groups)
+        c.divergent_issues += len(groups) - 1
+        acct = self._acct
+        for sig, items in groups.items():
+            acct[sig[0]](sig, items, False)
+
     # Each takes (sig, evs, uniform): ``evs`` is the group's event list,
     # ``uniform`` is True when every entry is the *same* interned object —
     # a free by-product of the convergence scan that lets the handlers
@@ -1019,18 +988,42 @@ class ThreadBlock:
     def _acct_shfl(self, sig, evs, uniform) -> None:
         self.counters.issue_cycles += 1.0
 
-    # -- fast-engine barrier release -------------------------------------
-    def _release_barriers_fast(self, live_count: int) -> int:
+    # -- round end (both loops) -------------------------------------------
+    def _end_round(self, live_count: int) -> int:
+        """Close a round: device-wide atomic contention, the
+        dependent-latency stall flag, then barrier release.  Returns the
+        number of lanes released."""
+        c = self.counters
+        addrs = self._atomic_addrs
+        if addrs:
+            extra = 0
+            for n in addrs.values():
+                if n > 1:
+                    extra += n - 1
+            if extra:
+                c.atomic_conflicts += extra
+                c.mem_cycles += extra * self.params.atomic_conflict_cycles
+            addrs.clear()
+        # Dependent-latency exposure: L1-missing loads/atomics issued this
+        # round stall their warps; concurrent warps' accesses overlap into
+        # one exposure.
+        if self._round_mem_stall:
+            c.mem_serial_rounds += 1
+            self._round_mem_stall = False
+        return self._release_barriers(live_count) if self._n_waiters else 0
+
+    def _release_barriers(self, live_count: int) -> int:
         """Release ready groups off the maintained waiter structures.
 
-        Semantics mirror :meth:`_release_barriers`: block-level releases
-        first (short-circuiting warp-level work for the round), then
-        warp barriers and shuffle/vote groups per warp in ascending warp
-        order.  Convergence checks reuse :meth:`_mask_converged` and
-        :meth:`_resolve_shfl_group`, so release results are identical.
+        Block-level releases go first (short-circuiting warp-level work
+        for the round), then warp barriers and shuffle/vote groups per
+        warp in ascending warp order.  Each released group is reported to
+        the monitor, when one is attached; its consumers are indifferent
+        to group order and to the order of a group's tids.
         """
         params = self.params
         c = self.counters
+        mon = self.monitor
         released = 0
 
         bw = self._block_waiters
@@ -1051,6 +1044,10 @@ class ThreadBlock:
                     c.sync_cycles += params.syncthreads_cycles
                     released += len(waiters)
                     done_keys.append(key)
+                    if mon is not None:
+                        mon.on_release(
+                            self, c.rounds, "block", key, [l.tid for l in waiters]
+                        )
             if done_keys:
                 for key in done_keys:
                     del bw[key]
@@ -1067,8 +1064,7 @@ class ThreadBlock:
                 for mask, waiters in by_mask.items():
                     # Full-warp groups (the common case) are ready exactly
                     # when every lane of the warp sits in the group — a
-                    # retired or diverged lane keeps the count short, and
-                    # the scan would refuse the release too.
+                    # retired or diverged lane keeps the count short.
                     if (
                         len(waiters) == nlanes
                         if mask == full
@@ -1085,6 +1081,11 @@ class ThreadBlock:
                         released += len(waiters)
                         self._n_waiters -= len(waiters)
                         done_masks.append(mask)
+                        if mon is not None:
+                            mon.on_release(
+                                self, c.rounds, "warp", mask,
+                                [l.tid for l in waiters],
+                            )
                 for mask in done_masks:
                     del by_mask[mask]
 
@@ -1104,6 +1105,11 @@ class ThreadBlock:
                         released += len(waiters)
                         self._n_waiters -= len(waiters)
                         done_shfl.append(key)
+                        if mon is not None:
+                            mon.on_release(
+                                self, c.rounds, "shfl", key,
+                                [l.tid for l in waiters],
+                            )
                 for key in done_shfl:
                     del shfl[key]
         return released
@@ -1127,21 +1133,22 @@ class ThreadBlock:
 
     # ------------------------------------------------------------------
     def _resolve_round(self, posted_by_warp) -> None:
-        params = self.params
-        c = self.counters
-        atomic_addrs: Dict[Tuple[int, int], int] = {}
-        self._round_mem_stall = False
+        """Resolve one instrumented round's buffered posts, warp by warp.
 
-        # Resolution order: ascending warp id, lane order within a warp —
-        # unless a schedule policy permutes either (every permutation is a
-        # legal interleaving of the round's concurrent accesses; the
-        # sanitizer's schedule explorer uses this to expose order
-        # dependence).  Cost accounting below is order-independent.
+        Pass 1 applies side effects through the ``_side`` table in commit
+        order; collective arrivals park in the waiter dicts.  Pass 2
+        charges the warp's issue groups through ``_acct``.  The order is
+        ascending warp id, lane order within a warp — unless a schedule
+        policy permutes either (every permutation is a legal interleaving
+        of the round's concurrent accesses; the sanitizer's schedule
+        explorer uses this to expose order dependence).
+        """
+        c = self.counters
+        side = self._side
         policy = self.schedule_policy
         warp_ids = range(self.num_warps)
         if policy is not None:
             warp_ids = policy.warp_order(self.block_id, c.rounds, self.num_warps)
-
         for wid in warp_ids:
             warp_posts = posted_by_warp[wid]
             if not warp_posts:
@@ -1152,245 +1159,11 @@ class ThreadBlock:
                     self.block_id, c.rounds, wid, len(warp_posts)
                 )
                 commits = [warp_posts[i] for i in perm]
-            # Pass 1: side effects in (permuted) commit order.
             for lane, ev in commits:
-                tag = ev.tag
-                if tag == T_LOAD:
-                    lane.pending = tuple(ev.buf.read(i) for i in ev.idxs)
-                    rec = self.recorder
-                    if (
-                        rec is not None
-                        and rec.track_reads
-                        and ev.buf.space == "global"
-                        and rec.tracks(ev.buf)
-                    ):
-                        rec.on_load(ev.buf, ev.idxs)
-                elif tag == T_STORE:
-                    if len(ev.idxs) != len(ev.values):
-                        raise SimulationError(
-                            f"store index/value arity mismatch on {ev.buf.name!r}"
-                        )
-                    rec = self.recorder
-                    if (
-                        rec is not None
-                        and ev.buf.space == "global"
-                        and rec.tracks(ev.buf)
-                    ):
-                        for i, v in zip(ev.idxs, ev.values):
-                            rec.on_store(ev.buf, i, v)
-                            ev.buf.write(i, v)
-                    else:
-                        for i, v in zip(ev.idxs, ev.values):
-                            ev.buf.write(i, v)
-                elif tag == T_ATOMIC:
-                    if ev.buf.space == "global":
-                        self._round_mem_stall = True
-                    if self.faults is None:
-                        lane.pending = apply_atomic(
-                            ev.buf, ev.idx, ev.op, ev.operand
-                        )
-                    else:
-                        lane.pending = apply_atomic_resilient(
-                            ev.buf, ev.idx, ev.op, ev.operand, self.faults,
-                            self.block_id, c.rounds, lane.tid,
-                        )
-                    rec = self.recorder
-                    if (
-                        rec is not None
-                        and ev.buf.space == "global"
-                        and rec.tracks(ev.buf)
-                    ):
-                        rec.on_atomic(ev.buf, ev.idx, ev.op, ev.operand, lane.pending)
-                    key = self._contention_key(ev)
-                    atomic_addrs[key] = atomic_addrs.get(key, 0) + 1
-                elif tag == T_SYNCWARP:
-                    lane.state = WAIT_WARP
-                    lane.wait_key = ev.mask
-                elif tag == T_SYNCBLOCK:
-                    lane.state = WAIT_BLOCK
-                    lane.wait_key = (
-                        ev.bar_id,
-                        None if ev.count is None else int(ev.count),
-                    )
-                elif tag == T_SHUFFLE:
-                    lane.state = WAIT_SHFL
-                    lane.wait_key = (ev.mask, ev.mode)
-                    lane.posted = ev
-                elif tag == T_VOTE:
-                    lane.state = WAIT_SHFL
-                    lane.wait_key = (ev.mask, ("vote", ev.mode))
-                    lane.posted = ev
-                # T_COMPUTE: no architectural side effect.
-
-            # Pass 2: issue/memory cost accounting with grouping.
-            groups: Dict[tuple, List[Tuple[Lane, object]]] = {}
-            for item in warp_posts:
-                groups.setdefault(_signature(item[1]), []).append(item)
-            c.issues += len(groups)
-            c.divergent_issues += len(groups) - 1
-            for sig, items in groups.items():
-                tag = sig[0]
-                if tag == T_COMPUTE:
-                    max_ops = max(ev.ops for _, ev in items)
-                    c.issue_cycles += params.op_cycles(sig[1], max_ops)
-                elif tag == T_LOAD or tag == T_STORE:
-                    self._account_memory(tag, sig[1], items)
-                elif tag == T_ATOMIC:
-                    n = len(items)
-                    c.atomics += n
-                    c.issue_cycles += params.op_cost.get("st", 1.0)
-                    c.mem_cycles += n * params.atomic_cycles
-                elif tag == T_SHUFFLE or tag == T_VOTE:
-                    c.issue_cycles += 1.0
-                # Barrier arrival issue cost is folded into sync_cycles
-                # charged at release.
-
-        # Device-wide atomic contention within the round.
-        extra = sum(n - 1 for n in atomic_addrs.values() if n > 1)
-        if extra:
-            c.atomic_conflicts += extra
-            c.mem_cycles += extra * params.atomic_conflict_cycles
-        # Dependent-latency exposure: L1-missing loads/atomics issued this
-        # round stall their warps; concurrent warps' accesses overlap into
-        # one exposure.
-        if self._round_mem_stall:
-            c.mem_serial_rounds += 1
-
-    def _account_memory(self, tag: int, space: str, items) -> None:
-        params = self.params
-        c = self.counters
-        positions = max(len(ev.idxs) for _, ev in items)
-        nelem = sum(len(ev.idxs) for _, ev in items)
-        if tag == T_LOAD:
-            c.loads += nelem
-            c.issue_cycles += params.op_cost.get("ld", 1.0) * positions
-        else:
-            c.stores += nelem
-            c.issue_cycles += params.op_cost.get("st", 1.0) * positions
-        if space == "global":
-            # Distinct sectors across the whole unrolled run, then filtered
-            # through the per-block L1 sector cache: hits ride the cheap L1
-            # pipe and expose no DRAM latency, misses pay full bandwidth and
-            # flag the round as a dependent-latency stall.
-            sb = params.sector_bytes
-            sectors = set()
-            transactions = 0
-            for k in range(positions):
-                pos_sectors = set()
-                for _, ev in items:
-                    idxs = ev.idxs
-                    if k < len(idxs):
-                        buf = ev.buf
-                        a = buf.byte_address(idxs[k])
-                        pos_sectors.add(a // sb)
-                        pos_sectors.add((a + buf.itemsize - 1) // sb)
-                transactions += len(pos_sectors)
-                sectors |= pos_sectors
-            # Sector sets are filtered through the L1 in ascending sector
-            # order on both engines, so the caches evolve identically.
-            hits, misses = self._l1.access(sorted(sectors))
-            c.l1_hits += hits
-            c.l1_misses += misses
-            if tag == T_LOAD:
-                c.global_load_sectors += misses
-                if misses:
-                    self._round_mem_stall = True
-            else:
-                c.global_store_sectors += misses
-            c.lsu_transactions += transactions
-            c.mem_cycles += (
-                misses * params.sector_cycles
-                + hits * params.l1_sector_cycles
-                + transactions * params.lsu_transaction_cycles
-            )
-        elif space == "shared":
-            passes = 0
-            for k in range(positions):
-                addrs = [
-                    ev.buf.byte_address(ev.idxs[k])
-                    for _, ev in items
-                    if k < len(ev.idxs)
-                ]
-                passes += shared_conflict_degree(
-                    addrs, params.shared_banks, params.shared_word_bytes
-                )
-            c.shared_passes += passes
-            c.mem_cycles += passes * params.shared_pass_cycles
-        else:  # local
-            c.local_accesses += nelem
-            c.mem_cycles += nelem * params.local_access_cycles
-
-    # ------------------------------------------------------------------
-    def _release_barriers(self) -> int:
-        params = self.params
-        c = self.counters
-        mon = self.monitor
-        rnd = c.rounds
-        released = 0
-
-        # Block-level barriers, grouped by (bar_id, count).  A classic
-        # barrier (count None) needs every live lane at the same key; a
-        # named counted barrier releases as soon as `count` lanes arrive.
-        live = [l for l in self.lanes if l.state != DONE]
-        by_bar: Dict[tuple, List[Lane]] = {}
-        for lane in live:
-            if lane.state == WAIT_BLOCK:
-                by_bar.setdefault(lane.wait_key, []).append(lane)
-        for key, waiters in by_bar.items():
-            _, count = key
-            if count is None:
-                ready = len(waiters) == len(live)
-            else:
-                ready = len(waiters) >= count
-            if ready:
-                for lane in waiters:
-                    lane.state = RUN
-                    lane.pending = None
-                    lane.wait_key = None
-                c.syncblocks += 1
-                c.sync_cycles += params.syncthreads_cycles
-                released += len(waiters)
-                if mon is not None:
-                    mon.on_release(
-                        self, rnd, "block", key, [l.tid for l in waiters]
-                    )
-        if released:
-            return released
-
-        for warp_lanes in self._warps:
-            # Warp-level named barriers, grouped by mask.
-            by_mask: Dict[int, List[Lane]] = {}
-            shfl_groups: Dict[tuple, List[Lane]] = {}
-            for lane in warp_lanes:
-                if lane.state == WAIT_WARP:
-                    by_mask.setdefault(lane.wait_key, []).append(lane)
-                elif lane.state == WAIT_SHFL:
-                    shfl_groups.setdefault(lane.wait_key, []).append(lane)
-
-            for mask, waiters in by_mask.items():
-                if self._mask_converged(warp_lanes, mask, waiters, WAIT_WARP, mask):
-                    for lane in waiters:
-                        lane.state = RUN
-                        lane.pending = None
-                        lane.wait_key = None
-                    c.syncwarps += 1
-                    c.sync_cycles += params.syncwarp_cycles
-                    released += len(waiters)
-                    if mon is not None:
-                        mon.on_release(
-                            self, rnd, "warp", mask, [l.tid for l in waiters]
-                        )
-
-            for key, waiters in shfl_groups.items():
-                mask = key[0]
-                if self._mask_converged(warp_lanes, mask, waiters, WAIT_SHFL, key):
-                    self._resolve_shfl_group(key, waiters)
-                    released += len(waiters)
-                    if mon is not None:
-                        mon.on_release(
-                            self, rnd, "shfl", key, [l.tid for l in waiters]
-                        )
-        return released
+                handler = side[ev.tag]
+                if handler is not None:
+                    handler(lane, ev)
+            self._account_issues([ev for _, ev in warp_posts])
 
     @staticmethod
     def _resolve_shfl_group(key: tuple, waiters) -> None:

@@ -113,7 +113,6 @@ class Device:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         regs_per_thread: int = 32,
         tracer=None,
-        detect_races: bool = False,
         sanitize=None,
         schedule_policy=None,
         executor=None,
@@ -155,8 +154,7 @@ class Device:
         :class:`~repro.sanitizer.report.SanitizerReport` attached to the
         returned counters as ``kc.sanitizer``.  A
         :class:`~repro.sanitizer.monitor.SanitizerConfig` selects
-        individual detectors.  ``detect_races=True`` is the legacy
-        shorthand for ``sanitize="raise"`` with only the race detector.
+        individual detectors.
 
         ``schedule_policy`` (e.g. a seeded
         :class:`~repro.sanitizer.schedule.ShuffleSchedule`) permutes warp
@@ -197,8 +195,8 @@ class Device:
         warps into batched NumPy scripts and deoptimizes to the fast
         interpreter per block otherwise.  Results are bit-identical
         across all engines.  Passing ``engine="fast"``/``"jit"``
-        together with a hook (``tracer``/``sanitize``/``detect_races``/
-        ``schedule_policy``/an active fault plan) raises
+        together with a hook (``tracer``/``sanitize``/``schedule_policy``/
+        an active fault plan) raises
         :class:`~repro.errors.LaunchError`, since hooks require the
         instrumented engine.  When ``engine`` is omitted the
         ``REPRO_ENGINE`` environment variable applies (it downgrades
@@ -221,7 +219,7 @@ class Device:
             session = None
             report_mode = False
             if sanitize in (None, False, "off"):
-                if sanitize is None and _GLOBAL_SANITIZER is not None and not detect_races:
+                if sanitize is None and _GLOBAL_SANITIZER is not None:
                     session = _GLOBAL_SANITIZER
                     config = session.config
                     label = getattr(entry, "__qualname__", None) or repr(entry)
@@ -269,8 +267,6 @@ class Device:
                 hook = "tracer"
             elif config is not None:
                 hook = "sanitizer"
-            elif detect_races:
-                hook = "detect_races"
             elif schedule_policy is not None:
                 hook = "schedule_policy"
             elif faults_ is not None:
@@ -317,7 +313,6 @@ class Device:
                 num_blocks=num_blocks,
                 threads_per_block=threads_per_block,
                 max_rounds=max_rounds,
-                detect_races=detect_races,
                 config=config,
                 label=label,
                 report_mode=report_mode,

@@ -36,6 +36,7 @@ def try_run_jit(block):
     g = GLOBAL_STATS
     key = trace_key(
         block._entry,
+        block._args,
         block.block_id,
         block.num_blocks,
         block.num_threads,

@@ -13,12 +13,16 @@ verdicts are the valuable half: a kernel that aborts on, say, an atomic
 will abort the same way every launch, and replaying the recorded reason
 skips the doomed dry-run entirely.
 
-The key is ``(kernel code object, block_id, num_blocks, block_dim,
-warp_size)``.  Keying by *code object* (not function object) means
-repeated launches of a re-created closure hit; including ``block_id``
-keeps per-launch ``kc.extra`` deopt counts executor-independent (a
-serial run and a forked worker see the same per-block verdict
-history for a given launch sequence).
+The key is ``(kernel code object, scalar launch arguments, block_id,
+num_blocks, block_dim, warp_size)``.  Keying by *code object* (not
+function object) means repeated launches of a re-created closure hit;
+including ``block_id`` keeps per-launch ``kc.extra`` deopt counts
+executor-independent (a serial run and a forked worker see the same
+per-block verdict history for a given launch sequence).  The scalar
+arguments (ints, floats, bools, NumPy scalars) steer control flow — a
+problem size that leaves a ragged last stride diverges where a multiple
+of the grid does not — so they are part of the key.  Buffers are not;
+the staleness argument below covers them.
 
 Staleness is sound by construction: a stale *negative* verdict only
 costs speed (the warp falls back to the bit-identical interpreter); a
@@ -33,6 +37,8 @@ kernel definitions for exactly this reason.
 from __future__ import annotations
 
 import threading
+
+import numpy as np
 
 _CACHE_CAP = 4096
 
@@ -87,11 +93,22 @@ class TraceCache:
 TRACE_CACHE = TraceCache()
 
 
-def trace_key(entry, block_id: int, num_blocks: int, block_dim: int, warp_size: int):
-    """Cache key for one block's trace; ``None`` if ``entry`` is unkeyable."""
+_SCALARS = (int, float, np.generic)  # bool is an int
+
+
+def trace_key(entry, args, block_id: int, num_blocks: int, block_dim: int,
+              warp_size: int):
+    """Cache key for one block's trace; ``None`` if ``entry`` is unkeyable.
+
+    Scalar ``args`` enter the key by type and value; every other argument
+    (buffers, containers) enters as a placeholder."""
     code = getattr(entry, "__code__", entry)
+    scalars = tuple(
+        (a.__class__, a) if isinstance(a, _SCALARS) else None for a in args
+    )
+    key = (code, scalars, block_id, num_blocks, block_dim, warp_size)
     try:
-        hash(code)
+        hash(key)
     except TypeError:
         return None
-    return (code, block_id, num_blocks, block_dim, warp_size)
+    return key

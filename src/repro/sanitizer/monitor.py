@@ -46,8 +46,7 @@ class SanitizerConfig:
     """What to check and how to respond.
 
     ``mode`` is ``"raise"`` (first data race raises a
-    :class:`~repro.errors.DataRaceError`, matching the legacy
-    ``detect_races=True`` contract) or ``"report"`` (collect findings;
+    :class:`~repro.errors.DataRaceError`) or ``"report"`` (collect findings;
     deadlocks are folded into the report by the caller).
     """
 

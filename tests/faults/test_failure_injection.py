@@ -16,6 +16,7 @@ from repro.errors import (
 from repro.core import api as omp
 from repro.gpu.costmodel import nvidia_a100
 from repro.gpu.device import Device
+from repro.sanitizer.monitor import SanitizerConfig
 
 
 @pytest.fixture
@@ -93,7 +94,9 @@ class TestRuntimeMisuse:
 
         tree = omp.target(omp.teams_distribute_parallel_for(32, body=body))
         r = omp.launch(dev, tree, num_teams=1, team_size=32, simd_len=8,
-                       args={"y": y}, detect_races=True)
+                       args={"y": y},
+                       check=SanitizerConfig(barriers=False, sharing=False,
+                                             mode="raise"))
         assert r.cfg.simd_len == 1
         assert np.all(y.to_numpy() == 1.0)
 

@@ -22,7 +22,11 @@ the engine selection) get the same differential coverage.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -30,8 +34,22 @@ import pytest
 from repro.errors import DeadlockError, LaunchError, MemoryFault
 from repro.gpu.costmodel import amd_mi100, nvidia_a100
 from repro.gpu.device import Device
+from repro.sanitizer.monitor import SanitizerConfig
+from repro.sanitizer.schedule import DirectedSchedule, ShuffleSchedule
 
 ENGINES = ["fast", "jit"]  # each diffed against the instrumented baseline
+
+#: Random-soup legs: the hook-free engines, plus ``"hooked"`` — the
+#: instrumented engine with a report-mode sanitizer, an identity schedule
+#: policy and a no-op tracer attached, diffed against the fast engine.
+LEGS = ENGINES + ["hooked"]
+
+#: The races-only, raise-on-first-race sanitizer.
+RACES = SanitizerConfig(barriers=False, sharing=False, mode="raise")
+
+#: Parent-recorded oracle for the hooked and permuted instrumented paths
+#: (see :func:`test_hooked_reports_pinned` / :func:`test_shuffle_schedule_pinned`).
+FIXTURE = os.path.join(os.path.dirname(__file__), "hooked_engine_fixture.json")
 
 
 def _strip_jit_extras(kc):
@@ -297,8 +315,10 @@ _OP_MAKERS = [
 ]
 
 
-def _run_random_kernel(seed, executor, params, engine, blocks=2, threads=64):
-    """Build the seed's program on a fresh device and run it under one engine."""
+def _run_random_kernel(seed, executor, params, engine, blocks=2, threads=64,
+                       **hooks):
+    """Build the seed's program on a fresh device and run it under one
+    engine; ``hooks`` (tracer/sanitize/schedule_policy) ride the launch."""
     rng = random.Random(seed)
     prog = [rng.choice(_OP_MAKERS)(rng) for _ in range(rng.randint(10, 18))]
     use_shared = rng.random() < 0.75
@@ -325,31 +345,131 @@ def _run_random_kernel(seed, executor, params, engine, blocks=2, threads=64):
         size = 2 * tc.block_dim
         yield from tc.store(w, tc.block_id * size + tc.tid, total)
 
-    kc = dev.launch(k, blocks, threads, args=(x, w, acc), engine=engine)
+    kc = dev.launch(k, blocks, threads, args=(x, w, acc), engine=engine,
+                    **hooks)
     return kc, x.to_numpy(), w.to_numpy(), acc.data.copy()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("seed", range(10))
-def test_random_kernels_bit_identical(executor, seed, engine):
-    """Random event soup: memory, counters, and atomics match bit-for-bit."""
-    ke, xe, we, ae = _run_random_kernel(seed, executor, nvidia_a100(), engine)
-    ki, xi, wi, ai = _run_random_kernel(seed, executor, nvidia_a100(), "instrumented")
+def _no_op_tracer(block_id, rnd, tid, ev):
+    pass
+
+
+def _run_hooked(seed, executor, params):
+    """The random soup on the instrumented engine with every hook attached:
+    a report-mode sanitizer, an identity schedule policy, a no-op tracer.
+    Returns the run with the sanitizer extras stripped, plus the report."""
+    kc, *mem = _run_random_kernel(
+        seed, executor, params, "auto",
+        sanitize=SanitizerConfig(mode="report"),
+        schedule_policy=DirectedSchedule(()),
+        tracer=_no_op_tracer,
+    )
+    kc.extra.pop("sanitizer_findings", None)
+    return (kc, *mem), kc.sanitizer
+
+
+def _assert_leg_identical(seed, executor, params, leg):
+    """One random-soup leg against its oracle: hook-free engines against
+    the instrumented engine, the hooked leg against the fast engine (whose
+    inline completions never call the monitor, so the hooked release
+    stream is checked against the counters instead)."""
+    if leg == "hooked":
+        (ke, xe, we, ae), report = _run_hooked(seed, executor, params)
+        ki, xi, wi, ai = _run_random_kernel(seed, executor, params, "fast")
+        assert report.stats.get("releases_block", 0) == ke.syncblocks
+        assert report.stats.get("releases_warp", 0) == ke.syncwarps
+    else:
+        ke, xe, we, ae = _run_random_kernel(seed, executor, params, leg)
+        ki, xi, wi, ai = _run_random_kernel(seed, executor, params, "instrumented")
     assert _strip_jit_extras(ke).identical(ki), f"seed {seed}: counters diverged"
     assert np.array_equal(xe, xi)
     assert np.array_equal(we, wi)
     assert np.array_equal(ae, ai)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", LEGS)
+@pytest.mark.parametrize("seed", range(10))
+def test_random_kernels_bit_identical(executor, seed, engine):
+    """Random event soup: memory, counters, and atomics match bit-for-bit."""
+    _assert_leg_identical(seed, executor, nvidia_a100(), engine)
+
+
+@pytest.mark.parametrize("engine", LEGS)
 @pytest.mark.parametrize("seed", range(10, 15))
 def test_random_kernels_bit_identical_amd(executor, seed, engine):
     """Same differential property on 64-wide wavefronts."""
-    ke, xe, we, ae = _run_random_kernel(seed, executor, amd_mi100(), engine)
-    ki, xi, wi, ai = _run_random_kernel(seed, executor, amd_mi100(), "instrumented")
-    assert _strip_jit_extras(ke).identical(ki), f"seed {seed}: counters diverged"
-    assert np.array_equal(we, wi)
-    assert np.array_equal(ae, ai)
+    _assert_leg_identical(seed, executor, amd_mi100(), engine)
+
+
+# ---------------------------------------------------------------------------
+# Pinned hooked and permuted paths.
+#
+# No engine is an oracle for the monitor's observations or for a permuted
+# schedule (a warp-order permutation changes how the L1 evolves), so both
+# are pinned against values recorded once into FIXTURE.
+
+
+def _params_for(seed):
+    return amd_mi100() if seed >= 10 else nvidia_a100()
+
+
+def _counters_record(kc, *mem):
+    """JSON-exact record of a launch: every counter, plus a memory digest."""
+    digest = hashlib.sha256()
+    for arr in mem:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return {
+        "cycles": kc.cycles,
+        "blocks_per_sm": kc.blocks_per_sm,
+        "waves": kc.waves,
+        "blocks": [b.as_dict() for b in kc.blocks],
+        "extra": dict(kc.extra),
+        "mem_sha256": digest.hexdigest(),
+    }
+
+
+def _json_exact(obj):
+    return json.loads(json.dumps(obj))
+
+
+def _report_record(report):
+    """Compact record of a sanitizer report: its stats and finding count in
+    the clear, plus a digest of the full ``to_dict()``.  Source sites keep
+    their file but lose the line number, so editing this file does not
+    move the pin."""
+    full = re.sub(r"(\.py):\d+", r"\1", json.dumps(report.to_dict(), sort_keys=True))
+    return {
+        "clean": report.clean,
+        "findings": len(report.findings),
+        "stats": dict(report.stats),
+        "sha256": hashlib.sha256(full.encode()).hexdigest(),
+    }
+
+
+def _load_fixture():
+    with open(FIXTURE) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_hooked_reports_pinned(executor, seed):
+    """The hooked leg's sanitizer report is the recorded one, finding for
+    finding and stat for stat."""
+    _, report = _run_hooked(seed, executor, _params_for(seed))
+    want = _load_fixture()["hooked_reports"][str(seed)]
+    assert _json_exact(_report_record(report)) == want
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shuffle_schedule_pinned(executor, seed):
+    """A seeded warp/commit-order permutation yields the recorded counters
+    and memory."""
+    run = _run_random_kernel(
+        seed, executor, nvidia_a100(), "auto",
+        schedule_policy=ShuffleSchedule(2023),
+    )
+    want = _load_fixture()["shuffle_2023"][str(seed)]
+    assert _json_exact(_counters_record(*run)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +616,34 @@ def test_jit_deopt_bit_identical(executor, reason):
     assert _strip_jit_extras(kj).identical(ki)
 
 
+def test_trace_verdict_keyed_by_scalar_args(executor):
+    """A size that diverges must not poison the verdict for a size that
+    compiles: the trace cache keys on the scalar launch arguments."""
+    dev = Device(nvidia_a100(), executor=executor)
+    n_max = 32868
+    x = dev.from_array("x", np.arange(n_max, dtype=np.float32))
+    y = dev.alloc("y", n_max, np.float32)
+
+    def k(tc, x, y, n):
+        i = tc.global_tid
+        stride = tc.num_blocks * tc.block_dim
+        while i < n:
+            v = yield from tc.load(x, i)
+            yield from tc.compute("fma", 1)
+            yield from tc.store(y, i, v * 2.0 + 1.0)
+            i += stride
+
+    def launch(n):
+        return dev.launch(k, 4, 128, args=(x, y, n), engine="jit")
+
+    assert launch(32768).extra["jit_warps_compiled"] == 16.0
+    ragged = launch(n_max)  # a partial last stride: block 0 diverges
+    assert ragged.extra.get("jit_deopt_divergence", 0) == 1
+    again = launch(32768)
+    assert again.extra["jit_warps_compiled"] == 16.0
+    assert not any(key.startswith("jit_deopt_") for key in again.extra)
+
+
 # ---------------------------------------------------------------------------
 # Engine selection and validation
 
@@ -517,7 +665,7 @@ def test_explicit_jit_with_hook_is_an_error(executor):
         yield from tc.compute("alu")
 
     with pytest.raises(LaunchError, match="incompatible"):
-        dev.launch(k, 1, 32, detect_races=True, engine="jit")
+        dev.launch(k, 1, 32, sanitize=RACES, engine="jit")
 
 
 def test_env_engine_downgrades_silently_under_hook(executor, monkeypatch):
@@ -530,7 +678,7 @@ def test_env_engine_downgrades_silently_under_hook(executor, monkeypatch):
     def k(tc, w):
         yield from tc.store(w, tc.tid, 1.0)
 
-    kc = dev.launch(k, 1, 32, args=(w,), detect_races=True)
+    kc = dev.launch(k, 1, 32, args=(w,), sanitize=RACES)
     assert "engine" not in kc.extra
     assert not any(key.startswith("jit_") for key in kc.extra)
     assert np.all(w.to_numpy() == 1.0)

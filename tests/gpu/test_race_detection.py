@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import DataRaceError, DeviceAssertionError
+from repro.sanitizer.monitor import SanitizerConfig
+
+#: The races-only, raise-on-first-race sanitizer.
+RACES = SanitizerConfig(barriers=False, sharing=False, mode="raise")
 
 
 class TestRaceDetection:
@@ -14,7 +18,7 @@ class TestRaceDetection:
             yield from tc.store(buf, 0, float(tc.tid))
 
         with pytest.raises(DataRaceError, match="data race.*'b'\\[0\\]"):
-            device.launch(k, 1, 4, args=(buf,), detect_races=True)
+            device.launch(k, 1, 4, args=(buf,), sanitize=RACES)
 
     def test_write_read_race_detected(self, device):
         buf = device.alloc("b", 4, np.float64)
@@ -26,7 +30,7 @@ class TestRaceDetection:
                 yield from tc.load(buf, 1)
 
         with pytest.raises(DataRaceError):
-            device.launch(k, 1, 2, args=(buf,), detect_races=True)
+            device.launch(k, 1, 2, args=(buf,), sanitize=RACES)
 
     def test_atomic_plain_write_race_detected(self, device):
         buf = device.alloc("b", 4, np.float64)
@@ -38,7 +42,7 @@ class TestRaceDetection:
                 yield from tc.atomic_add(buf, 0, 1.0)
 
         with pytest.raises(DataRaceError):
-            device.launch(k, 1, 2, args=(buf,), detect_races=True)
+            device.launch(k, 1, 2, args=(buf,), sanitize=RACES)
 
     def test_all_atomic_contention_is_clean(self, device):
         buf = device.alloc("b", 1, np.float64)
@@ -46,7 +50,7 @@ class TestRaceDetection:
         def k(tc, buf):
             yield from tc.atomic_add(buf, 0, 1.0)
 
-        device.launch(k, 1, 32, args=(buf,), detect_races=True)
+        device.launch(k, 1, 32, args=(buf,), sanitize=RACES)
         assert buf.read(0) == 32.0
 
     def test_disjoint_writes_are_clean(self, device):
@@ -57,7 +61,7 @@ class TestRaceDetection:
             v = yield from tc.load(buf, tc.tid)
             yield from tc.store(buf, tc.tid, v + 1.0)
 
-        device.launch(k, 1, 32, args=(buf,), detect_races=True)
+        device.launch(k, 1, 32, args=(buf,), sanitize=RACES)
         assert np.all(buf.to_numpy() == 2.0)
 
     def test_barrier_separated_accesses_are_clean(self, device):
@@ -69,7 +73,7 @@ class TestRaceDetection:
             yield from tc.syncthreads()
             yield from tc.load(buf, 0)
 
-        device.launch(k, 1, 32, args=(buf,), detect_races=True)
+        device.launch(k, 1, 32, args=(buf,), sanitize=RACES)
 
     def test_runtime_protocols_are_race_free(self, device):
         """Run a generic-mode three-level kernel under the detector: the
@@ -96,7 +100,7 @@ class TestRaceDetection:
             )
         )
         omp.launch(device, tree, num_teams=2, team_size=32, simd_len=8,
-                   args={"x": x, "y": y}, detect_races=True)
+                   args={"x": x, "y": y}, check=RACES)
         assert np.array_equal(y.to_numpy(), np.arange(64) + 1.0)
 
     @pytest.mark.parametrize("shape", ["generic_teams", "dynamic", "reduction"])
@@ -149,7 +153,7 @@ class TestRaceDetection:
             expect = np.zeros(64)
             expect[:8] = np.arange(64).reshape(8, 8).sum(axis=1)
         omp.launch(device, tree, num_teams=2, team_size=32, simd_len=8,
-                   args=args, detect_races=True)
+                   args=args, check=RACES)
         assert np.allclose(y.to_numpy(), expect)
 
     def test_detector_off_by_default(self, device):

@@ -39,14 +39,6 @@ class TestCrossRoundRegression:
         assert races, report.text()
         assert "'a'[0]" in races[0].message
 
-    def test_legacy_detect_races_flag_now_catches_it(self):
-        """``detect_races=True`` is routed through the new detector."""
-        dev = Device()
-        a = dev.alloc("a", 4, np.float64)
-        with pytest.raises(DataRaceError, match=r"data race.*'a'\[0\]"):
-            dev.launch(self.kernel, num_blocks=1, threads_per_block=64,
-                       args=(a,), detect_races=True)
-
     def test_error_provenance_fields(self):
         dev = Device()
         a = dev.alloc("a", 4, np.float64)
