@@ -20,7 +20,9 @@ Counters are asserted bit-exact between the engines on every measurement
 (JIT telemetry keys stripped first) — the speedup claims are only
 meaningful because the semantics are identical.  The JIT legs carry a
 hard floor (:data:`JIT_MIN_SPEEDUP`) in ``--check`` on top of the
-baseline tolerance.
+baseline tolerance.  The ``sanitized_paper`` leg prices the sanitizer: a
+paper-kernel mix inside a report-mode session against the same mix
+hook-free, under a hard ceiling (:data:`SANITIZED_MAX_RATIO`).
 
 Run standalone (prints BENCH lines, writes/checks ``BENCH_substrate.json``,
 used by the CI ``perf-smoke`` job)::
@@ -84,6 +86,15 @@ JIT_MIN_SPEEDUP = 4.8
 #: machine-sensitive — a ±25% band around a committed value would flake,
 #: while the acceptance bar ("O(dirty) beats O(N) clearly") is stable.
 SNAPSHOT_MIN_SPEEDUP = 5.0
+
+#: Hard ceiling on the sanitized-to-fast time ratio of the
+#: ``sanitized_paper`` workload (lower is better): what a report-mode
+#: sanitizer session costs on the paper's kernels over the hook-free fast
+#: engine.  With O(1) event-site capture and per-event race checks, 10
+#: full ``--check`` runs read 1.58-1.94x (median 1.79x) on a 2-vCPU KVM
+#: guest; the monitor before them, which walked every event's generator
+#: chain and checked races element by element, read 3.00-3.92x in 10 runs.
+SANITIZED_MAX_RATIO = 2.4
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +280,89 @@ JIT_WORKLOADS = {
     "jit_streaming": make_jit_streaming,
     "jit_stencil": make_jit_stencil,
 }
+
+
+# ---------------------------------------------------------------------------
+# Sanitizer gate workload.
+#
+# A small mix of the paper's kernels (a Fig 9 SIMD launch of each kernel
+# and the two Fig 10 SIMD variants of laplace3d, at the repository
+# benchmark's small sizes) run hook-free on the fast engine and inside a
+# report-mode sanitizer session, which puts every launch on the
+# instrumented engine with the monitor attached.  The ratio is what the
+# monitor and its hooks cost on the shapes the paper cares about.
+
+
+def make_sanitized_paper():
+    from repro import sanitizer
+    from repro.exec.engine import SerialExecutor
+    from repro.gpu.costmodel import benchmark_profile
+    from repro.kernels import ideal, laplace3d, sparse_matvec, su3
+
+    dev = Device(benchmark_profile(), executor=SerialExecutor())
+    spmv = sparse_matvec.build_data(dev, n_rows=64, n_cols=64, mean_nnz=10.0,
+                                    seed=2023)
+    su3_data = su3.build_data(dev, sites=128, seed=2023)
+    ideal_data = ideal.build_data(dev, n_rows=64, seed=2023)
+    lap = laplace3d.build_data(dev, nx=6, ny=6, nz=66, seed=2023)
+    launches = [
+        lambda: sparse_matvec.run_simd(dev, spmv, simd_len=8, num_teams=4,
+                                       team_size=64),
+        lambda: su3.run_simd(dev, su3_data, simd_len=4, num_teams=4,
+                             team_size=64),
+        lambda: ideal.run_simd(dev, ideal_data, simd_len=8, num_teams=4,
+                               team_size=64),
+        lambda: laplace3d.run(dev, lap, "spmd_simd", simd_len=32,
+                              num_teams=4, team_size=64),
+        lambda: laplace3d.run(dev, lap, "generic_simd", simd_len=32,
+                              num_teams=4, team_size=64),
+    ]
+
+    def run(sanitized):
+        t0 = time.perf_counter()
+        if sanitized:
+            with sanitizer.session() as sess:
+                results = [launch() for launch in launches]
+            assert sess.clean, sess.text()
+        else:
+            results = [launch() for launch in launches]
+        dt = time.perf_counter() - t0
+        counters = [r.counters for r in results]
+        for kc in counters:
+            kc.extra.pop("sanitizer_findings", None)
+        return counters, dt
+
+    return run
+
+
+def measure_sanitized_ratio(reps: int = DEFAULT_REPS) -> dict:
+    """Interleaved fast/sanitized measurement of the paper-kernel mix.
+
+    Same protocol as :func:`measure_speedup`: alternating legs, best-of
+    each, and bit-identical counters on every launch of the mix.
+    """
+    run = make_sanitized_paper()
+    best_fast = best_san = float("inf")
+    kc_fast = kc_san = None
+    for _ in range(reps):
+        kcs, dt = run(False)
+        if dt < best_fast:
+            best_fast, kc_fast = dt, kcs
+        kcs, dt = run(True)
+        if dt < best_san:
+            best_san, kc_san = dt, kcs
+    assert all(a.identical(b) for a, b in zip(kc_fast, kc_san)), (
+        "sanitized_paper: fast/sanitized counters diverged — ratio is void"
+    )
+    steps = sum(kc.total("lane_steps") for kc in kc_fast)
+    return {
+        "lane_steps": int(steps),
+        "rounds": int(sum(kc.rounds for kc in kc_fast)),
+        "cycles": float(sum(kc.cycles for kc in kc_fast)),
+        "fast_steps_per_s": steps / best_fast,
+        "sanitized_steps_per_s": steps / best_san,
+        "sanitized_ratio": best_san / best_fast,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +585,18 @@ def test_snapshot_speedup_gate():
     )
 
 
+def test_sanitized_ratio_gate():
+    """A sanitized pass of the paper-kernel mix agrees bit-exactly with
+    the fast engine and stays within a generous multiple of the hard
+    :data:`SANITIZED_MAX_RATIO` ceiling, which the CI ``--check`` runs
+    enforce."""
+    r = measure_sanitized_ratio(reps=2)
+    assert r["sanitized_ratio"] < 1.5 * SANITIZED_MAX_RATIO, (
+        f"sanitized_paper: sanitized launches cost "
+        f"{r['sanitized_ratio']:.2f}x the fast engine"
+    )
+
+
 @pytest.mark.benchmark(group="substrate")
 def test_scheduler_throughput_streaming_jit(benchmark):
     """Streaming triad under the trace-compiling JIT tier."""
@@ -644,6 +750,17 @@ def run_measurements(reps: int, only=None) -> dict:
             f"{JIT_MIN_SPEEDUP:.1f}x, rounds={r['rounds']}, "
             f"cycles={r['cycles']:.0f})"
         )
+    if wanted("sanitized_paper"):
+        r = measure_sanitized_ratio(reps=reps)
+        results["sanitized_paper"] = r
+        print(
+            f"BENCH substrate sanitized_paper: fast "
+            f"{r['fast_steps_per_s'] / 1e3:.1f}k steps/s  sanitized "
+            f"{r['sanitized_steps_per_s'] / 1e3:.1f}k steps/s  ratio "
+            f"{r['sanitized_ratio']:.2f}x  (gate <= "
+            f"{SANITIZED_MAX_RATIO:.2f}x, rounds={r['rounds']}, "
+            f"cycles={r['cycles']:.0f})"
+        )
     if wanted("snapshot_rollback"):
         r = measure_snapshot_speedup(reps=reps)
         results["snapshot_rollback"] = r
@@ -661,6 +778,7 @@ def run_measurements(reps: int, only=None) -> dict:
         "tolerance_pct": TOLERANCE_PCT,
         "jit_min_speedup": JIT_MIN_SPEEDUP,
         "snapshot_min_speedup": SNAPSHOT_MIN_SPEEDUP,
+        "sanitized_max_ratio": SANITIZED_MAX_RATIO,
         # Advisory process-global JIT totals for this bench run (trace
         # cache temperature, deopt tallies); recorded, never gated.
         "jit_stats": jit_snapshot(),
@@ -676,6 +794,7 @@ def check_against_baseline(measured: dict, baseline_path: str,
     tol = baseline.get("tolerance_pct", TOLERANCE_PCT) / 100.0
     jit_min = baseline.get("jit_min_speedup", JIT_MIN_SPEEDUP)
     snap_min = baseline.get("snapshot_min_speedup", SNAPSHOT_MIN_SPEEDUP)
+    san_max = baseline.get("sanitized_max_ratio", SANITIZED_MAX_RATIO)
     for name, base in baseline["workloads"].items():
         if only is not None and name not in only:
             continue
@@ -684,7 +803,12 @@ def check_against_baseline(measured: dict, baseline_path: str,
             print(f"BENCH substrate FAIL: workload {name!r} missing")
             rc = 1
             continue
-        if "snapshot_speedup" in base:
+        lo, hi = 0.0, float("inf")
+        if "sanitized_ratio" in base:
+            # Ceiling-only gate: a cost ratio, lower is better, and the
+            # bar is absolute.
+            ratio_key, hi = "sanitized_ratio", san_max
+        elif "snapshot_speedup" in base:
             # Floor-only gate: the absolute ratio is sparsity- and
             # machine-dependent, so no baseline-relative band.
             ratio_key, lo = "snapshot_speedup", snap_min
@@ -704,10 +828,18 @@ def check_against_baseline(measured: dict, baseline_path: str,
                 f"{base[ratio_key]:.2f}x -{int(tol * 100)}%)"
             )
             rc = 1
+        elif got[ratio_key] > hi:
+            print(
+                f"BENCH substrate FAIL: {name} {ratio_key} "
+                f"{got[ratio_key]:.2f}x above the {hi:.2f}x ceiling "
+                f"(baseline {base[ratio_key]:.2f}x)"
+            )
+            rc = 1
         else:
+            bound = f"floor {lo:.2f}x" if hi == float("inf") else f"ceiling {hi:.2f}x"
             print(
                 f"BENCH substrate OK: {name} {ratio_key} {got[ratio_key]:.2f}x "
-                f"(baseline {base[ratio_key]:.2f}x, floor {lo:.2f}x)"
+                f"(baseline {base[ratio_key]:.2f}x, {bound})"
             )
         # Simulation outputs are deterministic and must never drift at all.
         for field in ("lane_steps", "rounds", "cycles",

@@ -869,7 +869,6 @@ def _merge_reports(plan: LaunchPlan, records: Sequence[BlockRecord]):
             else:
                 merged.findings.append(finding)
         merged.notes.extend(rep.notes)
-        for key, val in rep.stats.items():
-            merged.bump(key, val)
+        merged.merge_stats(rep.stats)
         merged.truncated += rep.truncated
     return merged

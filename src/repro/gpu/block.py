@@ -90,6 +90,7 @@ from repro.gpu.thread import (
     WAIT_SHFL,
     WAIT_WARP,
     Lane,
+    SiteThreadCtx,
     ThreadCtx,
     lane_table,
 )
@@ -266,10 +267,13 @@ class ThreadBlock:
         """Instantiate the scalar lane generators (one per thread)."""
         ws = self.params.warp_size
         entry, args = self._entry, self._args
+        # Monitored blocks capture each event's source site at the helper
+        # (construction-time specialization: hook-free blocks never do).
+        ctx_type = ThreadCtx if self.monitor is None else SiteThreadCtx
         # SoA identity columns, computed once per geometry and shared by
         # every block of every launch that uses it.
         for tid, warp_id, lane_id in lane_table(self.num_threads, ws).rows:
-            tc = ThreadCtx(
+            tc = ctx_type(
                 tid=tid,
                 warp_size=ws,
                 block_id=self.block_id,

@@ -16,6 +16,7 @@ block scheduler performs the side effect and sends back the result.
 
 from __future__ import annotations
 
+from sys import _getframe
 from typing import Optional, Sequence
 
 from repro.errors import SynchronizationError
@@ -331,6 +332,105 @@ class ThreadCtx:
         runtime performs its shared allocations from the team main thread.
         """
         return self.block.shared.alloc(name, size, dtype)
+
+
+class SiteThreadCtx(ThreadCtx):
+    """A :class:`ThreadCtx` whose event helpers record their call site.
+
+    Blocks build lanes on it only when a monitor is attached, so hook-free
+    launches never pay for it.  Each event helper here is its base helper
+    plus one step: before the event is yielded, the generator doing the
+    yield stores the frame that resumed it — the ``yield from`` in the
+    code that called the helper — in :attr:`site_frame`.  The monitor
+    reads and clears it, so recovering an event's ``file.py:lineno`` site
+    is O(1) instead of a walk down the suspended generator chain
+    (:func:`repro.sanitizer.monitor.yield_site`).  ``compute`` and
+    ``device_assert`` capture nothing: no detector reads the site of a
+    ``Compute`` event.
+    """
+
+    __slots__ = ("site_frame",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.site_frame = None
+
+    def _post(self, ev):
+        """Yield ``ev`` from the caller's site; return the scheduler's reply."""
+        self.site_frame = _getframe(1)
+        res = yield ev
+        return res
+
+    def load(self, buf: Buffer, idx: int):
+        self.site_frame = _getframe(1)
+        res = yield Load(buf, (idx,))
+        return res[0]
+
+    def load_vec(self, buf: Buffer, idxs: Sequence[int]):
+        self.site_frame = _getframe(1)
+        res = yield Load(buf, tuple(idxs))
+        return list(res)
+
+    def syncwarp(self, mask: Optional[int] = None):
+        self.site_frame = _getframe(1)
+        yield from ThreadCtx.syncwarp(self, mask)
+
+    # The remaining helpers build their event eagerly and hand it to
+    # ``_post``, whose generator the caller's ``yield from`` resumes.
+    def store(self, buf: Buffer, idx: int, value):
+        return self._post(Store(buf, (idx,), (value,)))
+
+    def store_vec(self, buf: Buffer, idxs: Sequence[int], values: Sequence):
+        return self._post(Store(buf, tuple(idxs), tuple(values)))
+
+    def syncthreads(self, bar_id: int = 0, count: Optional[int] = None):
+        return self._post(intern_syncblock(bar_id, count))
+
+    def atomic_add(self, buf: Buffer, idx: int, value):
+        return self._post(AtomicOp(buf, idx, "add", value))
+
+    def atomic_max(self, buf: Buffer, idx: int, value):
+        return self._post(AtomicOp(buf, idx, "max", value))
+
+    def atomic_min(self, buf: Buffer, idx: int, value):
+        return self._post(AtomicOp(buf, idx, "min", value))
+
+    def atomic_exch(self, buf: Buffer, idx: int, value):
+        return self._post(AtomicOp(buf, idx, "exch", value))
+
+    def atomic_cas(self, buf: Buffer, idx: int, compare, value):
+        return self._post(AtomicOp(buf, idx, "cas", (compare, value)))
+
+    def _shfl(self, mode: str, value, arg: int, mask: Optional[int]):
+        if mask is None:
+            mask = full_mask(self.warp_size)
+        return self._post(Shuffle(mode, value, arg, mask))
+
+    def shfl(self, value, src: int, mask: Optional[int] = None):
+        return self._shfl("idx", value, src, mask)
+
+    def shfl_up(self, value, delta: int, mask: Optional[int] = None):
+        return self._shfl("up", value, delta, mask)
+
+    def shfl_down(self, value, delta: int, mask: Optional[int] = None):
+        return self._shfl("down", value, delta, mask)
+
+    def shfl_xor(self, value, delta: int, mask: Optional[int] = None):
+        return self._shfl("xor", value, delta, mask)
+
+    def _vote(self, mode: str, predicate, mask: Optional[int]):
+        if mask is None:
+            mask = full_mask(self.warp_size)
+        return self._post(intern_vote(mode, bool(predicate), mask))
+
+    def vote_any(self, predicate, mask: Optional[int] = None):
+        return self._vote("any", predicate, mask)
+
+    def vote_all(self, predicate, mask: Optional[int] = None):
+        return self._vote("all", predicate, mask)
+
+    def ballot(self, predicate, mask: Optional[int] = None):
+        return self._vote("ballot", predicate, mask)
 
 
 class Lane:

@@ -376,6 +376,21 @@ def _unsupported(reason: str, what: str):
     yield  # pragma: no cover - unreachable, marks this as a generator
 
 
+class _TeamStateGuard:
+    """:attr:`VecThreadCtx.block`: the owning block is reachable only for
+    its team shared state (the OpenMP runtime's ``TeamRuntime`` lives
+    there), which the tracer cannot allocate, so any attribute read
+    aborts as an ``alloc`` deopt."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        raise JitAbort("alloc", "team shared state")
+
+
+_TEAM_STATE_GUARD = _TeamStateGuard()
+
+
 class VecThreadCtx:
     """A :class:`~repro.gpu.thread.ThreadCtx` stand-in covering a whole warp.
 
@@ -418,9 +433,8 @@ class VecThreadCtx:
         self.block_dim = block_dim
         self.warp_size = warp_size
         #: Unlike the scalar context there is no owning-block backdoor:
-        #: any access through it is un-vectorizable and must abort, which
-        #: an AttributeError on None achieves.
-        self.block = None
+        #: any access through it is un-vectorizable and aborts.
+        self.block = _TEAM_STATE_GUARD
         self.rt = None
 
     @property

@@ -37,6 +37,9 @@ class BarrierAnalyzer:
         #: Last sync-event site per (block, tid): (site, round, tag).
         self._last_sync: Dict[Tuple[int, int], Tuple[str, int, int]] = {}
         self._stale_reported: set = set()
+        #: (block, warp) pairs with a retired lane: only their masked
+        #: arrivals can name a retired lane.
+        self._retired_warps: set = set()
 
     # -- event feed --------------------------------------------------------
     def on_event(self, block, rnd: int, lane, ev, site: str) -> None:
@@ -44,7 +47,7 @@ class BarrierAnalyzer:
             return
         self._last_sync[(block.block_id, lane.tid)] = (site, rnd, ev.tag)
         self.report.bump("barrier_arrivals")
-        if ev.tag != T_SYNCBLOCK:
+        if ev.tag != T_SYNCBLOCK and (block.block_id, lane.warp_id) in self._retired_warps:
             # Masked warp-level sync: a mask naming an already-retired
             # lane can never converge — flag it at arrival time.
             for other in block._warps[lane.warp_id]:
@@ -86,6 +89,7 @@ class BarrierAnalyzer:
 
     def on_retire(self, block, rnd: int, lane) -> None:
         """A lane retired: any group waiting on a mask naming it is stuck."""
+        self._retired_warps.add((block.block_id, lane.warp_id))
         warp_lanes = block._warps[lane.warp_id]
         for waiter in warp_lanes:
             if waiter.state not in (WAIT_WARP, WAIT_SHFL):

@@ -19,20 +19,29 @@ Hook                      Fired
 All hooks are cheap no-ops when no monitor is attached — the sanitizer
 is strictly zero-cost when disabled (asserted by the ablation bench).
 
-Event *sites* (``file.py:lineno``) are recovered from the suspended
-generator: after ``gen.send`` returns, the ``gi_yieldfrom`` chain ends
-at the ``tc`` helper that yielded the event; the deepest frame *outside*
-the helper module is the textual site of the access or barrier — which
-is how "lanes arrived at textually different barriers" is literal.
+Event *sites* (``file.py:lineno``) are the textual source of an access or
+barrier — which is how "lanes arrived at textually different barriers"
+is literal.  A monitored block builds its lanes on
+:class:`~repro.gpu.thread.SiteThreadCtx`, whose event helpers store the
+frame that called them just before they yield; :meth:`on_event` reads
+and clears that frame and formats it through a per-monitor memo keyed by
+``(code, lineno)``, so recovering a site costs O(1).  Only for an event
+a kernel yields raw, bypassing the helpers, does it fall back to
+:func:`yield_site`, which walks the suspended ``gi_yieldfrom`` chain to
+the deepest frame outside the helper module — the same frame the helper
+captures.  ``Compute`` events are returned from at once: no detector
+reads them.  Sites reach :class:`~repro.sanitizer.races.Access` records,
+findings and worker reports only as strings.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import DataRaceError
 from repro.gpu import thread as _thread_mod
+from repro.gpu.events import T_ATOMIC, T_COMPUTE
 from repro.sanitizer.barriers import BarrierAnalyzer
 from repro.sanitizer.races import RaceDetector
 from repro.sanitizer.report import SanitizerReport
@@ -105,19 +114,28 @@ class SanitizerMonitor:
         self.races = RaceDetector(self.report, self.config.max_findings) if self.config.races else None
         self.barriers = BarrierAnalyzer(self.report) if self.config.barriers else None
         self.sharing = SharingAuditor(self.report) if self.config.sharing else None
+        self._raise = self.config.mode == "raise"
+        #: ``(code, lineno) -> "file.py:lineno"`` for captured sites.
+        self._sites: Dict[tuple, str] = {}
 
     # -- scheduler hooks ---------------------------------------------------
     def on_block_start(self, block) -> None:
         self.report.bump("blocks_observed")
 
     def on_event(self, block, rnd: int, lane, ev) -> None:
-        site = yield_site(lane.gen)
-        if self.races is not None:
-            before = len(self.report.findings)
+        tag = ev.tag
+        if tag == T_COMPUTE:
+            return
+        site = self.event_site(block, lane)
+        if tag <= T_ATOMIC:  # loads, stores, atomics: the race detector's
+            if self.races is None:
+                return
+            findings = self.report.findings
+            before = len(findings)
             self.races.on_event(block.block_id, rnd, lane.tid, ev, site,
-                                warp=lane.warp_id)
-            if self.config.mode == "raise" and len(self.report.findings) > before:
-                f = self.report.findings[-1]
+                                lane.warp_id)
+            if self._raise and len(findings) > before:
+                f = findings[-1]
                 raise DataRaceError(
                     f.message,
                     block_id=f.block,
@@ -126,8 +144,23 @@ class SanitizerMonitor:
                     round=f.round,
                     sites=f.sites,
                 )
-        if self.barriers is not None:
+        elif self.barriers is not None:  # barriers, shuffles, votes
             self.barriers.on_event(block, rnd, lane, ev, site)
+
+    def event_site(self, block, lane) -> str:
+        """``file.py:lineno`` of the event ``lane`` just posted: the frame
+        its helper captured, or for a raw event the walked generator chain."""
+        ctx = block.ctxs[lane.tid]
+        frame = ctx.site_frame
+        if frame is None:
+            return yield_site(lane.gen)
+        ctx.site_frame = None
+        key = (frame.f_code, frame.f_lineno)
+        site = self._sites.get(key)
+        if site is None:
+            site = self._sites[key] = (
+                f"{os.path.basename(key[0].co_filename)}:{key[1]}")
+        return site
 
     def on_retire(self, block, rnd: int, lane) -> None:
         if self.barriers is not None:

@@ -36,12 +36,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.gpu.events import T_ATOMIC, T_LOAD, T_STORE
 from repro.sanitizer.clocks import (
+    TID_BITS,
     Clock,
     LaneKey,
     epoch_hb,
     fresh_clock,
     join_into,
-    joined,
+    lane_of,
     tick,
 )
 from repro.sanitizer.report import Finding, SanitizerReport
@@ -67,7 +68,7 @@ class Access:
         self.warp = warp
 
     def describe(self) -> str:
-        block, tid = self.key
+        block, tid = lane_of(self.key)
         return f"block {block} t{tid} {self.kind} (round {self.round}, {self.site})"
 
 
@@ -80,8 +81,21 @@ class _Cell:
         self.write: Optional[Access] = None
         self.reads: Dict[LaneKey, Access] = {}
         self.atomics: Dict[LaneKey, Access] = {}
-        #: The location's atomic release clock (acquire/release edges).
-        self.avc: Clock = {}
+        #: The location's atomic release clock (acquire/release edges),
+        #: made by its first atomic.
+        self.avc: Optional[Clock] = None
+
+
+class _Shadow(dict):
+    """One buffer's shadow cells, ``{idx: cell}``, made on first touch."""
+
+    def __missing__(self, idx: int) -> _Cell:
+        cell = self[idx] = _Cell()
+        return cell
+
+
+#: Access kind of each memory event tag.
+_KIND = {T_LOAD: READ, T_STORE: WRITE, T_ATOMIC: ATOMIC}
 
 
 class RaceDetector:
@@ -91,9 +105,16 @@ class RaceDetector:
         self.report = report
         self.max_findings = max_findings
         self._clocks: Dict[LaneKey, Clock] = {}
-        self._shadow: Dict[Tuple[int, int], _Cell] = {}
+        #: The joined clock of each lane's last release, while the lane's
+        #: clock is still that plus its own tick (see :meth:`on_release`).
+        self._bases: Dict[LaneKey, Clock] = {}
+        #: Shadow cells per buffer: ``id(buf) -> {idx: cell}``.
+        self._shadow: Dict[int, Dict[int, _Cell]] = {}
         #: Strong refs so freed buffers cannot recycle their ``id()``.
         self._buffers: Dict[int, object] = {}
+        #: Reads of each buffer no plain write has reached yet, as
+        #: ``(idxs, access)`` in order; see :meth:`on_event`.
+        self._unwritten: Dict[int, List[Tuple[tuple, Access]]] = {}
         self._reported: set = set()
 
     # -- lane bookkeeping --------------------------------------------------
@@ -105,83 +126,108 @@ class RaceDetector:
         return clock
 
     def on_release(self, block_id: int, tids: List[int]) -> None:
-        """A barrier/shuffle/vote group released: join participants' clocks."""
-        keys = [(block_id, tid) for tid in tids]
-        merged = joined(self.clock_of(k) for k in keys)
+        """A barrier/shuffle/vote group released: join participants' clocks.
+
+        A lane's clock right after a release is that release's joined
+        clock with the lane's own component ticked, and only an atomic
+        acquire changes it until its next release.  So a participant whose
+        base is still recorded contributes its base — joined once however
+        many participants share it — plus its own component; only the
+        others are joined entry by entry.
+        """
+        base_key = block_id << TID_BITS
+        keys = [base_key | tid for tid in tids]
+        merged: Clock = {}
+        bases = self._bases
+        seen = set()
+        for key in keys:
+            base = bases.get(key)
+            if base is None:
+                join_into(merged, self.clock_of(key))
+                continue
+            if id(base) not in seen:
+                seen.add(id(base))
+                join_into(merged, base)
+            own = self._clocks[key][key]
+            if merged.get(key, 0) < own:
+                merged[key] = own
         for key in keys:
             clock = dict(merged)
             tick(clock, key)
             self._clocks[key] = clock
+            bases[key] = merged
 
     # -- access processing -------------------------------------------------
     def on_event(self, block_id: int, rnd: int, tid: int, ev, site: str,
                  warp: Optional[int] = None) -> None:
-        tag = ev.tag
-        if tag == T_LOAD:
-            if ev.buf.space == "local":
-                return
-            for idx in ev.idxs:
-                self._access(block_id, rnd, tid, ev.buf, int(idx), READ, site, warp)
-        elif tag == T_STORE:
-            if ev.buf.space == "local":
-                return
-            for idx in ev.idxs:
-                self._access(block_id, rnd, tid, ev.buf, int(idx), WRITE, site, warp)
-        elif tag == T_ATOMIC:
-            if ev.buf.space == "local":
-                return
-            self._access(block_id, rnd, tid, ev.buf, int(ev.idx), ATOMIC, site, warp)
-
-    def _cell(self, buf, idx: int) -> _Cell:
-        self._buffers[id(buf)] = buf
-        cell = self._shadow.get((id(buf), idx))
-        if cell is None:
-            cell = _Cell()
-            self._shadow[(id(buf), idx)] = cell
-        return cell
-
-    def _access(
-        self, block_id: int, rnd: int, tid: int, buf, idx: int, kind: str,
-        site: str, warp: Optional[int] = None,
-    ) -> None:
-        key = (block_id, tid)
+        """Check one memory event.  Everything per event — the lane's
+        clock, the buffer's shadow, the stat, the :class:`Access` record —
+        is done once; each element then costs its shadow-cell checks."""
+        kind = _KIND.get(ev.tag)
+        if kind is None:
+            return
+        idxs = (ev.idx,) if kind is ATOMIC else ev.idxs
+        buf = ev.buf
+        if buf.space == "local" or not len(idxs):
+            return
+        key = block_id << TID_BITS | tid
         clock = self.clock_of(key)
-        cell = self._cell(buf, idx)
-        self.report.bump("race_checked_accesses")
+        cells = self._shadow.get(id(buf))
+        if cells is None:
+            self._buffers[id(buf)] = buf
+            cells = self._shadow[id(buf)] = _Shadow()
+            self._unwritten[id(buf)] = []
+        self.report.bump("race_checked_accesses", len(idxs))
+        # An access never moves its own lane's epoch (an atomic's acquire
+        # joins knowledge *of* this lane that is at most its own), so one
+        # record serves every element.
         me = Access(key, clock.get(key, 0), rnd, site, kind, warp)
-
-        if kind == ATOMIC:
-            # Acquire the location's atomic clock, then check against any
-            # unordered plain write (a write racing an atomic is a race).
-            join_into(clock, cell.avc)
+        unwritten = self._unwritten.get(id(buf))
+        if unwritten is not None:
+            # Until a buffer's first plain write no read can race, so reads
+            # are only logged: most buffers (kernel inputs) are never
+            # written.  The first write replays the log into the cells, in
+            # order, before its own checks.
+            if kind is READ:
+                unwritten.append((idxs, me))
+                return
+            if kind is WRITE:
+                del self._unwritten[id(buf)]
+                for logged, read in unwritten:
+                    for idx in logged:
+                        cells[int(idx)].reads[read.key] = read
+        for idx in idxs:
+            idx = int(idx)
+            cell = cells[idx]
+            if kind is ATOMIC:
+                # Acquire the location's atomic clock, then check against
+                # any unordered plain write (a write racing an atomic is a
+                # race).
+                if cell.avc is None:
+                    cell.avc = {}
+                join_into(clock, cell.avc)
+                self._bases.pop(key, None)
             w = cell.write
             if w is not None and w.key != key and not epoch_hb(w.key, w.clock, clock):
                 self._report(buf, idx, w, me)
-            cell.atomics[key] = me
-            # Release: publish this lane's clock on the location.
-            join_into(cell.avc, clock)
-            return
-
-        if kind == READ:
-            w = cell.write
-            if w is not None and w.key != key and not epoch_hb(w.key, w.clock, clock):
-                self._report(buf, idx, w, me)
-            cell.reads[key] = me
-            return
-
-        # Plain write: conflicts with everything unordered.
-        w = cell.write
-        if w is not None and w.key != key and not epoch_hb(w.key, w.clock, clock):
-            self._report(buf, idx, w, me)
-        for other in cell.reads.values():
-            if other.key != key and not epoch_hb(other.key, other.clock, clock):
-                self._report(buf, idx, other, me)
-        for other in cell.atomics.values():
-            if other.key != key and not epoch_hb(other.key, other.clock, clock):
-                self._report(buf, idx, other, me)
-        cell.write = me
-        cell.reads.clear()
-        cell.atomics.clear()
+            if kind is READ:
+                cell.reads[key] = me
+            elif kind is ATOMIC:
+                cell.atomics[key] = me
+                # Release: publish this lane's clock on the location.
+                join_into(cell.avc, clock)
+            else:
+                # Plain write: also conflicts with every unordered read and
+                # atomic.
+                for other in cell.reads.values():
+                    if other.key != key and not epoch_hb(other.key, other.clock, clock):
+                        self._report(buf, idx, other, me)
+                for other in cell.atomics.values():
+                    if other.key != key and not epoch_hb(other.key, other.clock, clock):
+                        self._report(buf, idx, other, me)
+                cell.write = me
+                cell.reads.clear()
+                cell.atomics.clear()
 
     # -- reporting ---------------------------------------------------------
     def _report(self, buf, idx: int, first: Access, second: Access) -> None:
@@ -195,7 +241,8 @@ class RaceDetector:
         if len(self.report.findings) >= self.max_findings:
             self.report.truncated += 1
             return
-        block, tid = second.key
+        block, tid = lane_of(second.key)
+        first_block, first_tid = lane_of(first.key)
         message = (
             f"data race in block {block} on {buf.name!r}[{idx}]: "
             f"{second.describe()} conflicts with {first.describe()}"
@@ -209,7 +256,7 @@ class RaceDetector:
             address=(buf.name, idx),
             sites=(second.site, first.site),
             extra={
-                "first": {"block": first.key[0], "tid": first.key[1],
+                "first": {"block": first_block, "tid": first_tid,
                           "kind": first.kind, "round": first.round,
                           "warp": first.warp},
                 "second": {"block": block, "tid": tid,

@@ -97,6 +97,10 @@ class Finding:
         return "\n".join(lines)
 
 
+#: Stats that are high-water marks rather than counts.
+PEAK_STATS = frozenset(("sharing_peak_slots", "sharing_peak_utilization"))
+
+
 class SanitizerReport:
     """All findings and statistics one sanitized launch produced."""
 
@@ -142,9 +146,18 @@ class SanitizerReport:
     def merge(self, other: "SanitizerReport") -> None:
         self.findings.extend(other.findings)
         self.notes.extend(other.notes)
-        for key, val in other.stats.items():
-            self.bump(key, val)
+        self.merge_stats(other.stats)
         self.truncated += other.truncated
+
+    def merge_stats(self, stats: Dict[str, float]) -> None:
+        """Fold another report's stats in: counts add, high-water marks
+        keep the larger value (so per-block reports merge to what one
+        launch-wide monitor records)."""
+        for key, val in stats.items():
+            if key in PEAK_STATS:
+                self.stats[key] = max(self.stats.get(key, val), val)
+            else:
+                self.bump(key, val)
 
     # -- rendering ---------------------------------------------------------
     def text(self) -> str:

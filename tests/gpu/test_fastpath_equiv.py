@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, LaunchError, MemoryFault
-from repro.gpu.costmodel import amd_mi100, nvidia_a100
+from repro.gpu.costmodel import amd_mi100, benchmark_profile, nvidia_a100
 from repro.gpu.device import Device
 from repro.sanitizer.monitor import SanitizerConfig
 from repro.sanitizer.schedule import DirectedSchedule, ShuffleSchedule
@@ -642,6 +642,23 @@ def test_trace_verdict_keyed_by_scalar_args(executor):
     again = launch(32768)
     assert again.extra["jit_warps_compiled"] == 16.0
     assert not any(key.startswith("jit_deopt_") for key in again.extra)
+
+
+def test_runtime_kernel_deopts_as_alloc(executor, monkeypatch):
+    """An OpenMP-runtime kernel reaches its team shared state through
+    ``tc.block`` at entry; the tracer classifies that as an ``alloc``
+    deopt, not as an unexpected ``error``."""
+    from repro.kernels import laplace3d
+
+    monkeypatch.setenv("REPRO_ENGINE", "jit")
+    dev = Device(benchmark_profile(), executor=executor)
+    data = laplace3d.build_data(dev, nx=6, ny=6, nz=66, seed=2023)
+    res = laplace3d.run(dev, data, "spmd_simd", simd_len=32, num_teams=4,
+                        team_size=64)
+    extra = res.counters.extra
+    assert extra["engine"] == "jit"
+    assert extra.get("jit_deopt_alloc", 0) > 0
+    assert "jit_deopt_error" not in extra
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,31 @@ class TestCrossRoundRegression:
         assert len(err.sites) == 2 and all(":" in s for s in err.sites)
 
 
+class TestReadsBeforeFirstWrite:
+    """Reads of a buffer no write has reached yet are only logged until its
+    first write; that write must still see every one of them, in order."""
+
+    @staticmethod
+    def kernel(tc, a, out):
+        if tc.tid in (32, 33):
+            v = yield from tc.load(a, 0)  # warp 1 reads a[0] first
+            yield from tc.store(out, tc.tid, v)
+        elif tc.tid == 0:
+            yield from tc.compute("alu")
+            yield from tc.store(a, 0, 1.0)  # unordered: write after read
+
+    def test_write_after_unordered_reads_is_reported(self):
+        report = launch_report(
+            self.kernel,
+            args=lambda d: (d.alloc("a", 4, np.float64), d.alloc("out", 64, np.float64)),
+        )
+        races = report.by_category("data-race")
+        assert [(r.extra["first"]["kind"], r.extra["first"]["tid"]) for r in races] == [
+            ("read", 32), ("read", 33)], report.text()
+        assert all(r.extra["second"] == {"block": 0, "tid": 0, "kind": "write",
+                                         "round": 1, "warp": 0} for r in races)
+
+
 class TestHappensBeforeEdges:
     def test_syncthreads_orders_cross_warp_accesses(self):
         def kernel(tc, a):
