@@ -72,12 +72,12 @@ DEFAULT_REPS = 7
 
 #: Hard floor on the JIT-vs-fast ratio for the ``jit_*`` gate workloads —
 #: the tier's acceptance bar, enforced by ``--check`` regardless of what
-#: the committed baseline says.  It is the former ">= 10x over the
-#: instrumented engine" bar restated over the fast engine: 10 divided by
-#: the fast/instrumented ratio those workloads measured (median 2.09,
-#: 12 runs) while the instrumented engine still had its own accounting
-#: and barrier release.
-JIT_MIN_SPEEDUP = 4.8
+#: the committed baseline says.  It was 4.8, the former ">= 10x over the
+#: instrumented engine" bar restated over the fast engine.  Since the
+#: JIT traces a block's warps in one lockstep pass, 10 ``--check`` runs
+#: on a 2-vCPU KVM guest read jit_streaming 9.04-11.72x (median 10.29x)
+#: and jit_stencil 8.49-12.72x (median 10.52x); every run clears 7.0.
+JIT_MIN_SPEEDUP = 7.0
 
 #: Hard floor on the incremental-vs-full snapshot ratio for the
 #: ``snapshot_rollback`` workload.  This gate is floor-only (never

@@ -3,10 +3,10 @@
 The block scheduler (:mod:`repro.gpu.block`) owns two interpreter
 engines — instrumented and fast — that both pay one Python generator
 step per lane per event.  This package adds a third tier: it re-runs a
-warp's kernel as a *single vectorized generator* over all lanes at once
-(:mod:`repro.jit.vector`), records the resulting event trace into a
-per-warp script (:mod:`repro.jit.compile`), and then consumes the
-script with batched NumPy loads/stores and O(1) per-step accounting
+block's kernel as a *single vectorized generator* over all of its lanes
+at once (:mod:`repro.jit.vector`), splits the resulting event trace into
+one script per warp (:mod:`repro.jit.compile`), and then consumes the
+scripts with batched NumPy loads/stores and O(1) per-step accounting
 (:mod:`repro.jit.engine`) — one script step per warp per round instead
 of 32 (or 64) generator steps.
 
@@ -15,8 +15,13 @@ architectural side effect is committed, every stability guard
 (divergence, unsupported events, address dependences, cross-warp
 overlap) aborts compilation while the block's scalar lane generators
 are still untouched at round zero, and a failed compile simply falls
-back to the fast interpreter.  Compiled scripts charge memory through
-the fast interpreter's cost model (:mod:`repro.gpu.coalescing`).
+back to the fast interpreter.  The lockstep pass over the whole block
+is never looser than tracing each warp on its own; when it aborts —
+control flow that is uniform per warp but not per block, or a read of
+``lane_id``/``warp_id`` — the block is re-traced warp by warp, and
+those passes decide the verdict.  :func:`snapshot` counts both
+(``lockstep_blocks``, ``warp_retraces``).  Compiled scripts charge
+memory through the fast interpreter's cost model (:mod:`repro.gpu.coalescing`).
 ``docs/PERF.md`` documents the guard ladder; the three-engine
 differential suite in ``tests/gpu`` holds the proof obligation.
 

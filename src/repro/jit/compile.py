@@ -1,12 +1,28 @@
-"""Warp trace recording and script compilation.
+"""Block trace recording and script compilation.
 
-:func:`compile_block` drives one vectorized generator per warp
+:func:`compile_block` drives vectorized generators
 (:class:`~repro.jit.vector.VecThreadCtx`) to completion, translating
-every yielded event into one precomputed *script step*.  All stability
-guards fire here — before a single architectural side effect commits —
-so a :class:`~repro.jit.vector.JitAbort` always leaves the block's
-scalar lane generators untouched at round zero, and the fallback
-interpreter replays the block from scratch, bit-identically.
+every yielded event into one precomputed *script step* per warp.  All
+stability guards fire here — before a single architectural side effect
+commits — so a :class:`~repro.jit.vector.JitAbort` always leaves the
+block's scalar lane generators untouched at round zero, and the
+fallback interpreter replays the block from scratch, bit-identically.
+
+Lockstep pass, per-warp re-trace
+================================
+
+One tracer, :func:`_trace`, runs the kernel over a range of warps.  A
+block is first traced in *lockstep*: one pass over all of its lanes,
+each event split into the steps each warp's own pass would record (the
+same tags and issue sizes, per-warp sector footprints, per-warp compute
+charges, the same committed ``(index, value)`` pairs).  The pass may be
+stricter than the per-warp passes but never looser, so a lockstep
+success implies per-warp success with equal steps; a lockstep abort
+(block-divergent control flow such as a warp-uniform trip count, a
+read of ``lane_id`` or ``warp_id``, an out-of-bounds access, any
+guard) re-traces the block one warp at a time, and those passes alone
+decide the verdict and the deopt reason.  ``tests/gpu/test_jit_lockstep.py``
+compares the two step by step.
 
 Soundness of dry-run loads
 ==========================
@@ -15,11 +31,14 @@ Loads gather their data *at compile time*, assuming memory still holds
 its pre-block values.  Two guards make that assumption exact:
 
 * **dependence** — a warp never reads a cell it wrote earlier in its
-  own trace (and a single store never writes the same cell twice);
+  own trace (and a single store never writes the same cell twice); a
+  lockstep pass refuses a read of a cell *any* warp wrote earlier,
+  which the per-warp passes would refuse as dependence or isolation;
 * **isolation** — after all warps trace, no warp's read set may
   intersect another warp's write set (write/write overlap is fine:
   consumption commits in the same ascending (round, warp) order the
-  interpreters use).
+  interpreters use).  Every recorded access keeps the warp of each of
+  its lanes, so the check is exact in both kinds of pass.
 
 Script steps
 ============
@@ -47,6 +66,7 @@ import numpy as np
 
 from repro.gpu.coalescing import run_sectors, sector_footprint
 from repro.gpu.events import T_COMPUTE, T_LOAD, T_STORE
+from repro.jit.stats import GLOBAL_STATS
 from repro.jit.vector import JitAbort, LaneVec, VecThreadCtx
 
 
@@ -61,21 +81,50 @@ class WarpScript:
 
 
 class _BufTrack:
-    """Per-buffer read/write footprints, by warp, for the guard checks."""
+    """One buffer's accesses in a block's trace, for the isolation guard.
+
+    ``reads``/``writes`` hold one ``(selector, warp)`` entry per access
+    position: ``warp`` is the accessing warp's id, or (lockstep pass) an
+    array giving the warp of each element of the selector.
+    """
 
     __slots__ = ("buf", "reads", "writes")
 
     def __init__(self, buf) -> None:
         self.buf = buf
-        self.reads: dict = {}  # warp id -> bool mask
-        self.writes: dict = {}
+        self.reads: list = []
+        self.writes: list = []
 
 
-def _mask_for(slot: dict, w: int, size: int) -> np.ndarray:
-    m = slot.get(w)
-    if m is None:
-        m = slot[w] = np.zeros(size, dtype=bool)
-    return m
+def _warp_span(entries, size: int):
+    """Per-cell lowest and highest accessing warp (``-1`` = untouched)."""
+    lo = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
+    hi = np.full(size, -1, dtype=np.int64)
+    for sel, warp in entries:
+        if sel.__class__ is slice:
+            view = lo[sel]
+            np.minimum(view, warp, out=view)
+            view = hi[sel]
+            np.maximum(view, warp, out=view)
+        else:
+            np.minimum.at(lo, sel, warp)
+            np.maximum.at(hi, sel, warp)
+    return lo, hi
+
+
+def _check_isolation(track: dict) -> None:
+    """Cross-warp isolation: no warp may have read a cell any *other*
+    warp writes (at any round) — dry-run gathers assumed pre-block
+    values.  A cell passes when it is read or written by nobody, or
+    read and written by one and the same warp."""
+    for t in track.values():
+        if not t.writes or not t.reads:
+            continue
+        size = t.buf.size
+        rlo, rhi = _warp_span(t.reads, size)
+        wlo, whi = _warp_span(t.writes, size)
+        if ((rhi >= 0) & (whi >= 0) & ((rlo != whi) | (rhi != wlo))).any():
+            raise JitAbort("isolation", "cross-warp read/write overlap")
 
 
 def _norm_index(val, nlanes: int):
@@ -172,183 +221,248 @@ def _selector_obj(sel, nlanes: int):
     return _values_of(sel, nlanes)
 
 
-def compile_block(block):
-    """Trace every warp of ``block``; returns a list of
-    :class:`WarpScript` or raises :class:`JitAbort` at the first failing
-    warp (nothing committed either way)."""
+def _warp_sel(sel, b0: int, b1: int):
+    """The part of a normalized selector that lanes ``b0:b1`` own."""
+    if sel[0] == "a":
+        return ("a", sel[1] + sel[2] * b0, sel[2])
+    return ("v", sel[1][b0:b1])
+
+
+def compile_block(block, lockstep: bool = True):
+    """Trace ``block`` into one :class:`WarpScript` per warp.
+
+    Returns ``(scripts, lockstep_ok)`` or raises :class:`JitAbort`
+    (nothing committed either way).  With ``lockstep`` a multi-warp
+    block is first traced in one pass over all of its lanes; that pass
+    succeeds only where every per-warp pass would succeed with equal
+    steps, so any abort in it (an out-of-bounds access included) just
+    re-traces the block one warp at a time, and those passes alone
+    decide the verdict and its reason.  ``lockstep=False`` (the trace
+    cache's verdict for a block that compiled only per warp) goes
+    straight to the per-warp passes.  A one-warp block has one pass.
+    """
+    nwarps = block.num_warps
+    if lockstep or nwarps == 1:
+        track: dict = {}
+        try:
+            scripts = _trace(block, 0, nwarps, track)
+            _check_isolation(track)
+            return scripts, True
+        except Exception:
+            if nwarps == 1:
+                raise
+    track = {}
+    scripts = []
+    for w in range(nwarps):
+        GLOBAL_STATS.warp_retraces += 1
+        scripts += _trace(block, w, 1, track)
+    _check_isolation(track)
+    return scripts, False
+
+
+def _trace(block, first_warp: int, nwarps: int, track: dict):
+    """Trace warps ``first_warp`` .. ``first_warp + nwarps - 1`` of
+    ``block`` in one pass of the kernel generator, splitting each event
+    into one step per warp.
+
+    A one-warp pass is the reference trace.  A multi-warp (lockstep)
+    pass keeps each lane's warp identity wherever the per-warp result
+    depends on it — compute charges, sector footprints, store
+    distinctness, isolation — and is stricter elsewhere: its dependence
+    guard counts every warp's earlier stores, and it aborts on an
+    out-of-bounds access instead of recording the fault.
+    """
     params = block.params
-    op_cost = block._op_cost
     max_rounds = block.max_rounds
     ws = params.warp_size
     sb = params.sector_bytes
-    track: dict = {}  # id(buf) -> _BufTrack
-    scripts = []
-    for w in range(block.num_warps):
-        nlanes = min(ws, block.num_threads - w * ws)
-        vtc = VecThreadCtx(
-            w,
-            nlanes,
-            ws,
-            block.block_id,
-            block.num_blocks,
-            block.num_threads,
-        )
-        gen = block._entry(vtc, *block._args)
-        steps: list = []
-        send = gen.send
-        append = steps.append
-        cost_of = op_cost.get
-        track_get = track.get
+    first_tid = first_warp * ws
+    n = min((first_warp + nwarps) * ws, block.num_threads) - first_tid
+    lockstep = nwarps > 1
+    scripts = [[] for _ in range(nwarps)]
+    #: Per warp: (append to its steps, first lane, end lane), lanes
+    #: counted from the start of the pass.
+    lanes = [(steps.append, k * ws, min(k * ws + ws, n))
+             for k, steps in enumerate(scripts)]
+    #: Warp identity of the pass's lanes, for the isolation entries.
+    warps = (
+        np.arange(first_tid, first_tid + n, dtype=np.int64) // ws
+        if lockstep
+        else first_warp
+    )
+    vtc = VecThreadCtx(
+        first_tid, n, ws, block.block_id, block.num_blocks, block.num_threads
+    )
+    send = block._entry(vtc, *block._args).send
+    cost_of = block._op_cost.get
+    track_get = track.get
+    #: id(buf) -> cells this pass has stored (the dependence guard).
+    written: dict = {}
+    nsteps = 0
+    reply = None
+    while True:
+        try:
+            ev = send(reply)
+        except StopIteration:
+            break
         reply = None
-        while True:
-            try:
-                ev = send(reply)
-            except StopIteration:
-                break
-            reply = None
-            tag = getattr(ev, "tag", -1)
-            if tag == T_COMPUTE:
-                ops = ev.ops
-                if isinstance(ops, LaneVec):
-                    ops = ops.materialize().max()
-                append(("C", cost_of(ev.kind, 1.0) * ops))
-            elif tag == T_LOAD or tag == T_STORE:
-                buf = ev.buf
-                if buf.space != "global":
-                    raise JitAbort("event", f"{buf.space}-space access")
-                idxs = ev.idxs
-                iv = idxs[0] if len(idxs) == 1 else None
-                if (
-                    iv is not None
-                    and iv.__class__ is LaneVec
-                    and iv.arr is None
-                    and iv.stride == 1
-                    and 0 <= iv.a0
-                    and iv.a0 + nlanes <= buf.size
-                ):
-                    # Fused fast path: one affine unit-stride in-bounds
-                    # position — the coalesced-stream shape.  Semantically
-                    # identical to the general path below, with the run
-                    # column, slice selector, and distinctness (stride 1)
-                    # all resolved inline.
-                    a0 = iv.a0
-                    sobj = slice(a0, a0 + nlanes)
-                    secs, transactions = run_sectors(
-                        a0, a0 + nlanes - 1, buf.base, buf.itemsize, sb
-                    )
-                    key = id(buf)
-                    t = track_get(key)
-                    if t is None:
-                        t = track[key] = _BufTrack(buf)
-                    if tag == T_LOAD:
-                        own = t.writes.get(w)
+        tag = getattr(ev, "tag", -1)
+        if tag == T_COMPUTE:
+            cost = cost_of(ev.kind, 1.0)
+            ops = ev.ops
+            if isinstance(ops, LaneVec):
+                vals = ops.materialize()
+                for append, b0, b1 in lanes:
+                    append(("C", cost * vals[b0:b1].max()))
+            else:
+                step = ("C", cost * ops)
+                for append, _, _ in lanes:
+                    append(step)
+        elif tag == T_LOAD or tag == T_STORE:
+            buf = ev.buf
+            if buf.space != "global":
+                raise JitAbort("event", f"{buf.space}-space access")
+            key = id(buf)
+            t = track_get(key)
+            if t is None:
+                t = track[key] = _BufTrack(buf)
+            idxs = ev.idxs
+            iv = idxs[0] if len(idxs) == 1 else None
+            if (
+                iv is not None
+                and iv.__class__ is LaneVec
+                and iv.arr is None
+                and iv.stride == 1
+                and 0 <= iv.a0
+                and iv.a0 + n <= buf.size
+            ):
+                # Fused fast path: one affine unit-stride in-bounds
+                # position — the coalesced-stream shape.  Semantically
+                # identical to the general path below, with the run
+                # columns, slice selectors, and distinctness (stride 1)
+                # all resolved inline.
+                a0 = iv.a0
+                sobj = slice(a0, a0 + n)
+                base = buf.base
+                itemsize = buf.itemsize
+                if tag == T_LOAD:
+                    own = written.get(key)
+                    if own is not None and own[sobj].any():
+                        raise JitAbort(
+                            "dependence", "load overlaps own earlier store"
+                        )
+                    t.reads.append((sobj, warps))
+                    reply = (LaneVec.from_array(buf.data[sobj].copy()),)
+                    for append, b0, b1 in lanes:
+                        secs, transactions = run_sectors(
+                            a0 + b0, a0 + b1 - 1, base, itemsize, sb
+                        )
+                        append(("L", 1, b1 - b0, secs, transactions))
+                else:
+                    values = ev.values
+                    if len(values) != 1:
+                        raise JitAbort("error", "store arity mismatch")
+                    va = _materialize_value(values[0], n)
+                    wmask = written.get(key)
+                    if wmask is None:
+                        wmask = written[key] = np.zeros(buf.size, dtype=bool)
+                    wmask[sobj] = True
+                    t.writes.append((sobj, warps))
+                    for append, b0, b1 in lanes:
+                        secs, transactions = run_sectors(
+                            a0 + b0, a0 + b1 - 1, base, itemsize, sb
+                        )
+                        append(
+                            ("S", 1, b1 - b0, secs, transactions, buf,
+                             [(slice(a0 + b0, a0 + b1), va[b0:b1])])
+                        )
+            else:
+                selectors = [_norm_index(i, n) for i in idxs]
+                npos = len(selectors)
+                bad = _first_oob(selectors, n, buf.size)
+                if bad is not None and lockstep:
+                    raise JitAbort("error", "out-of-bounds access in lockstep")
+                # Each warp's own selectors, as its per-warp pass sees them.
+                by_warp = [
+                    [_warp_sel(sel, b0, b1) for sel in selectors]
+                    if lockstep else selectors
+                    for _, b0, b1 in lanes
+                ]
+                if tag == T_LOAD:
+                    if bad is not None:
+                        scripts[0].append(("F", buf, (), bad[2]))
+                        break  # terminal: the fault ends this warp's trace
+                    own = written.get(key)
+                    out = []
+                    for sel in selectors:
+                        sobj = _selector_obj(sel, n)
                         if own is not None and own[sobj].any():
                             raise JitAbort(
                                 "dependence", "load overlaps own earlier store"
                             )
-                        rmask = t.reads.get(w)
-                        if rmask is None:
-                            rmask = t.reads[w] = np.zeros(buf.size, dtype=bool)
-                        rmask[sobj] = True
-                        reply = (LaneVec.from_array(buf.data[sobj].copy()),)
-                        append(("L", 1, nlanes, secs, transactions))
-                    else:
-                        values = ev.values
-                        if len(values) != 1:
-                            raise JitAbort("error", "store arity mismatch")
-                        va = _materialize_value(values[0], nlanes)
-                        wmask = t.writes.get(w)
-                        if wmask is None:
-                            wmask = t.writes[w] = np.zeros(buf.size, dtype=bool)
-                        wmask[sobj] = True
-                        append(
-                            ("S", 1, nlanes, secs, transactions, buf,
-                             [(sobj, va)])
-                        )
-                    if len(steps) > max_rounds:
-                        raise JitAbort("error", "trace exceeds max_rounds")
-                    continue
-                selectors = [_norm_index(i, nlanes) for i in idxs]
-                npos = len(selectors)
-                bad = _first_oob(selectors, nlanes, buf.size)
-                key = id(buf)
-                t = track_get(key)
-                if t is None:
-                    t = track[key] = _BufTrack(buf)
-                if tag == T_LOAD:
-                    if bad is not None:
-                        append(("F", buf, (), bad[2]))
-                        break  # terminal: the fault ends this warp's trace
-                    own_writes = t.writes.get(w)
-                    rmask = _mask_for(t.reads, w, buf.size)
-                    out = []
-                    for sel in selectors:
-                        sobj = _selector_obj(sel, nlanes)
-                        if own_writes is not None and own_writes[sobj].any():
-                            raise JitAbort(
-                                "dependence", "load overlaps own earlier store"
-                            )
-                        rmask[sobj] = True
+                        t.reads.append((sobj, warps))
                         out.append(LaneVec.from_array(buf.gather(sobj)))
-                    secs, transactions = sector_footprint(
-                        [_column(sel, nlanes) for sel in selectors],
-                        buf.base,
-                        buf.itemsize,
-                        sb,
-                    )
-                    append(("L", npos, nlanes * npos, secs, transactions))
+                    for (append, b0, b1), sels in zip(lanes, by_warp):
+                        nl = b1 - b0
+                        secs, transactions = sector_footprint(
+                            [_column(sel, nl) for sel in sels],
+                            buf.base,
+                            buf.itemsize,
+                            sb,
+                        )
+                        append(("L", npos, nl * npos, secs, transactions))
                     reply = tuple(out)
                 else:
                     values = ev.values
                     if len(values) != npos:
                         raise JitAbort("error", "store arity mismatch")
-                    _check_distinct(selectors, nlanes)
-                    val_arrs = [_materialize_value(v, nlanes) for v in values]
-                    wmask = _mask_for(t.writes, w, buf.size)
+                    for (_, b0, b1), sels in zip(lanes, by_warp):
+                        _check_distinct(sels, b1 - b0)
+                    val_arrs = [_materialize_value(v, n) for v in values]
                     if bad is not None:
                         bl, bp, bidx = bad
-                        vals_by_pos = [_values_of(s, nlanes) for s in selectors]
+                        vals_by_pos = [_values_of(s, n) for s in selectors]
                         prefix = []
                         for lane in range(bl + 1):
                             pmax = npos if lane < bl else bp
                             for pos in range(pmax):
                                 i = int(vals_by_pos[pos][lane])
                                 prefix.append((i, val_arrs[pos][lane]))
-                                wmask[i] = True
-                        append(("F", buf, prefix, bidx))
+                        if prefix:
+                            cells = np.array([i for i, _ in prefix], dtype=np.int64)
+                            t.writes.append((cells, warps))
+                        scripts[0].append(("F", buf, prefix, bidx))
                         break
-                    commits = []
-                    for sel, va in zip(selectors, val_arrs):
-                        sobj = _selector_obj(sel, nlanes)
+                    wmask = written.get(key)
+                    if wmask is None:
+                        wmask = written[key] = np.zeros(buf.size, dtype=bool)
+                    for sel in selectors:
+                        sobj = _selector_obj(sel, n)
                         wmask[sobj] = True
-                        commits.append((sobj, va))
-                    secs, transactions = sector_footprint(
-                        [_column(sel, nlanes) for sel in selectors],
-                        buf.base,
-                        buf.itemsize,
-                        sb,
-                    )
-                    append(
-                        ("S", npos, nlanes * npos, secs, transactions, buf, commits)
-                    )
-            else:
-                raise JitAbort("event", f"unsupported event {type(ev).__name__}")
-            if len(steps) > max_rounds:
-                # The interpreter would raise its canonical runaway-loop
-                # SimulationError; let it.
-                raise JitAbort("error", "trace exceeds max_rounds")
-        scripts.append(WarpScript(steps, nlanes))
-    # Cross-warp isolation: no warp may have read a cell any *other* warp
-    # writes (at any round) — dry-run gathers assumed pre-block values.
-    for t in track.values():
-        if not t.writes or not t.reads:
-            continue
-        total = np.zeros(t.buf.size, dtype=np.int32)
-        for m in t.writes.values():
-            total += m
-        for w, rmask in t.reads.items():
-            own = t.writes.get(w)
-            others = (total - own) > 0 if own is not None else total > 0
-            if (rmask & others).any():
-                raise JitAbort("isolation", "cross-warp read/write overlap")
-    return scripts
+                        t.writes.append((sobj, warps))
+                    for (append, b0, b1), sels in zip(lanes, by_warp):
+                        nl = b1 - b0
+                        commits = [
+                            (_selector_obj(sel, nl), va[b0:b1])
+                            for sel, va in zip(sels, val_arrs)
+                        ]
+                        secs, transactions = sector_footprint(
+                            [_column(sel, nl) for sel in sels],
+                            buf.base,
+                            buf.itemsize,
+                            sb,
+                        )
+                        append(
+                            ("S", npos, nl * npos, secs, transactions, buf,
+                             commits)
+                        )
+        else:
+            raise JitAbort("event", f"unsupported event {type(ev).__name__}")
+        nsteps += 1
+        if nsteps > max_rounds:
+            # The interpreter would raise its canonical runaway-loop
+            # SimulationError; let it.
+            raise JitAbort("error", "trace exceeds max_rounds")
+    return [
+        WarpScript(steps, b1 - b0) for steps, (_, b0, b1) in zip(scripts, lanes)
+    ]

@@ -3,11 +3,13 @@
 :func:`try_run_jit` is the third round engine
 (:meth:`repro.gpu.block.ThreadBlock.run` dispatches to it when the
 block's engine is ``"jit"``).  It checks the trace cache, compiles the
-block (:mod:`repro.jit.compile`), and on success *consumes* the warp
-scripts: one precomputed step per warp per round, in the exact
-ascending ``(round, warp)`` order — and therefore the exact L1-cache
-evolution, counter stream, store commit order, and fault position — the
-interpreters produce.  On any guard failure it returns ``None`` with
+block (:mod:`repro.jit.compile`: one lockstep pass over the whole
+block, re-traced warp by warp only when that pass aborts or the cache
+says it will), and on success *consumes* the warp scripts: one
+precomputed step per warp per round, in the exact ascending ``(round,
+warp)`` order — and therefore the exact L1-cache evolution, counter
+stream, store commit order, and fault position — the interpreters
+produce.  On any guard failure it returns ``None`` with
 zero side effects committed, and the caller falls back to the fast
 interpreter, which replays the block from round zero ("replay from the
 last round boundary" is trivially exact because compilation commits
@@ -19,7 +21,7 @@ from __future__ import annotations
 from repro.gpu.memory import PAGE_SHIFT
 from repro.jit.compile import compile_block
 from repro.jit.stats import GLOBAL_STATS
-from repro.jit.trace import TRACE_CACHE, trace_key
+from repro.jit.trace import PER_WARP, TRACE_CACHE, trace_key
 from repro.jit.vector import JitAbort
 
 
@@ -50,7 +52,7 @@ def try_run_jit(block):
         g.trace_cache_hits += 1
     else:
         g.trace_cache_misses += 1
-    if found and verdict is not None:
+    if found and verdict is not None and verdict != PER_WARP:
         # Known-unstable trace: replay the recorded deopt without
         # re-running the doomed dry-run.
         if stats is not None:
@@ -58,7 +60,9 @@ def try_run_jit(block):
         g.deopts[verdict] += 1
         return None
     try:
-        scripts = compile_block(block)
+        # A block known to compile only per warp skips the doomed
+        # lockstep pass.
+        scripts, lockstep = compile_block(block, verdict != PER_WARP)
     except JitAbort as abort:
         reason = abort.reason
     except Exception:
@@ -68,10 +72,11 @@ def try_run_jit(block):
         reason = "error"
     else:
         if key is not None:
-            TRACE_CACHE.store(key, None)
+            TRACE_CACHE.store(key, None if lockstep else PER_WARP)
         if stats is not None:
             stats.note_compiled(block.num_warps)
         g.blocks_compiled += 1
+        g.lockstep_blocks += lockstep
         g.warps_compiled += block.num_warps
         return _consume(block, scripts)
     if key is not None:

@@ -10,10 +10,13 @@ Two layers of observability, with deliberately different scopes:
   are a pure function of the launch (which blocks compiled, why the
   others deopted) — never cache temperature.
 * :data:`GLOBAL_STATS` — process-global, *advisory* totals including
-  trace-cache hits/misses.  Cache temperature depends on process
-  history and worker reuse, so it is reported only through
-  :func:`snapshot` (bench JSON, ad-hoc diagnostics), never through
-  ``kc.extra``.
+  trace-cache hits/misses and how blocks compiled: ``lockstep_blocks``
+  (blocks whose scripts came from one whole-block pass) and
+  ``warp_retraces`` (one-warp passes run because a block's lockstep
+  pass aborted or its cached verdict skipped it).  Both depend on cache
+  temperature, which depends on process history and worker reuse, so
+  they are reported only through :func:`snapshot` (bench JSON, ad-hoc
+  diagnostics), never through ``kc.extra``.
 """
 
 from __future__ import annotations
@@ -81,6 +84,8 @@ class _GlobalStats:
         self.trace_cache_misses = 0
         self.blocks_compiled = 0
         self.warps_compiled = 0
+        self.lockstep_blocks = 0
+        self.warp_retraces = 0
         self.deopts = {r: 0 for r in DEOPT_REASONS}
 
     def snapshot(self) -> dict:
@@ -89,6 +94,8 @@ class _GlobalStats:
             "trace_cache_misses": self.trace_cache_misses,
             "blocks_compiled": self.blocks_compiled,
             "warps_compiled": self.warps_compiled,
+            "lockstep_blocks": self.lockstep_blocks,
+            "warp_retraces": self.warp_retraces,
             "deopts": dict(self.deopts),
         }
 

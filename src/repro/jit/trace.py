@@ -24,6 +24,12 @@ problem size that leaves a ragged last stride diverges where a multiple
 of the grid does not — so they are part of the key.  Buffers are not;
 the staleness argument below covers them.
 
+A positive verdict comes in two kinds: ``None`` — the block compiled
+in one lockstep pass over all of its warps — and :data:`PER_WARP` — it
+compiled only warp by warp (a trip count that differs between warps, a
+read of ``lane_id`` or ``warp_id``).  A ``PER_WARP`` block skips the lockstep pass,
+which would abort again, and goes straight to the per-warp passes.
+
 Staleness is sound by construction: a stale *negative* verdict only
 costs speed (the warp falls back to the bit-identical interpreter); a
 positive verdict is re-validated by the fresh trace every launch.  One
@@ -42,13 +48,17 @@ import numpy as np
 
 _CACHE_CAP = 4096
 
+#: Verdict of a block that compiled only warp by warp.
+PER_WARP = "per-warp"
+
 _MISS = object()
 
 
 class TraceCache:
     """Bounded FIFO map from trace key to stability verdict.
 
-    A verdict is ``None`` (compiled cleanly) or a deopt reason string.
+    A verdict is ``None`` (compiled in lockstep), :data:`PER_WARP`
+    (compiled only per warp) or a deopt reason string.
     Thread-safe: the serve tier runs launches from multiple threads, and
     the FIFO trim in :meth:`store` is a compound read-modify-write that
     would corrupt the dict under interleaving without the lock.

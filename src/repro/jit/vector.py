@@ -1,13 +1,22 @@
-"""Vectorized lane values and the whole-warp thread context.
+"""Vectorized lane values and the vectorized thread context.
 
-The JIT tier re-runs a kernel generator once *per warp* instead of once
-per lane, binding every lane-varying quantity (``tid``, ``lane_id``,
-loaded values, accumulators) to a :class:`LaneVec` — a lazy vector of
-one value per lane.  Python-level control flow in the kernel then acts
-on all lanes at once; anywhere the lanes would disagree about which
-branch to take, a :class:`BoolProbe` raises :class:`JitAbort` and the
-warp falls back to the scalar interpreter before any side effect has
-been committed.
+The JIT tier re-runs a kernel generator once over a whole *range* of
+lanes instead of once per lane, binding every lane-varying quantity
+(``tid``, ``lane_id``, loaded values, accumulators) to a
+:class:`LaneVec` — a lazy vector of one value per lane.  Python-level
+control flow in the kernel then acts on all lanes at once; anywhere the
+lanes would disagree about which branch to take, a :class:`BoolProbe`
+raises :class:`JitAbort` before any side effect has been committed.
+
+A range is either one warp (the per-warp pass) or the whole block (the
+lockstep pass, :func:`repro.jit.compile.compile_block`).  ``tid`` and
+``global_tid`` are affine over either range.  Over one warp ``warp_id``
+is a Python int and ``lane_id`` is affine; a lockstep pass has no
+equivalent form for them (a lane array would neither wrap nor promote
+like the per-warp values), so reading either aborts it and the block is
+re-traced per warp.  A branch that is uniform over the block is uniform
+over each of its warps, so a lockstep pass that succeeds takes the
+branches every per-warp pass would take.
 
 Exactness contract
 ==================
@@ -17,13 +26,18 @@ Python floats (IEEE doubles).  :class:`LaneVec` keeps *affine integer*
 values — ``a0 + stride * lane`` — as Python ints, so induction
 arithmetic is exact; only non-affine results materialize to NumPy
 arrays (``int64``/``float64``), whose elementwise ``+ - * / // %`` match
-CPython's semantics bit-for-bit for in-range values.  An ``int64``
-overflow *would* diverge from Python bignums — kernels indexing beyond
-2**63 are out of scope for the JIT and are caught by the differential
-suite, not silently tolerated (see docs/PERF.md).
+CPython's semantics bit-for-bit for in-range values.  Materializing an
+affine form whose values leave ``int64`` aborts the trace, so a lane
+range never wraps where its sub-ranges would not.  An ``int64``
+overflow inside array arithmetic *would* diverge from Python bignums —
+kernels computing beyond 2**63 are out of scope for the JIT and are
+caught by the differential suite, not silently tolerated (see
+docs/PERF.md).
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -82,6 +96,10 @@ class BoolProbe:
         return BoolProbe(None if self.uniform is None else not self.uniform)
 
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _scalar_of(x):
     """``(tag, value)`` when ``x`` acts as one scalar across all lanes.
 
@@ -137,7 +155,11 @@ class LaneVec:
         """Per-lane values as an ndarray (int64 for affine forms)."""
         if self.arr is not None:
             return self.arr
-        return self.a0 + self.stride * np.arange(self.n, dtype=np.int64)
+        a0 = self.a0
+        last = a0 + self.stride * (self.n - 1)
+        if not (_INT64_MIN <= min(a0, last) and max(a0, last) <= _INT64_MAX):
+            raise JitAbort("error", "lane value outside int64")
+        return a0 + self.stride * np.arange(self.n, dtype=np.int64)
 
     # Affine forms materialize fresh each use (warp-sized arrays are cheap)
     # rather than caching: caching would demote the exact affine form and
@@ -327,12 +349,16 @@ class LaneVec:
         s = _scalar_of(other)
         if s is not None and self.arr is None and self.stride != 0:
             # A strictly monotone sequence equals one scalar in at most one
-            # lane: uniform only when no lane matches (or n == 1).
-            delta = s[1] - self.a0
+            # lane: uniform only when no lane matches (or n == 1).  The
+            # lanes are ints, so a float matches only at an integral value,
+            # which converts to an int exactly.
+            v = s[1]
+            if s[0] == "f":
+                v = int(v) if v.is_integer() else None
             hits = (
-                isinstance(delta, int)
-                and delta % self.stride == 0
-                and 0 <= delta // self.stride < self.n
+                v is not None
+                and (v - self.a0) % self.stride == 0
+                and 0 <= (v - self.a0) // self.stride < self.n
             )
             if not hits:
                 return BoolProbe(negate)
@@ -342,8 +368,12 @@ class LaneVec:
         if s is not None:
             arr = self._vals() == s[1]
             return BoolProbe.from_array(arr != negate)
-        if isinstance(other, LaneVec):
-            arr = self._vals() == other._vals()
+        if isinstance(other, (LaneVec, numbers.Number)):
+            # Any other number (complex, Fraction, ...) compares lane by
+            # lane, as the scalar engines compare it.
+            arr = self._vals() == (
+                other._vals() if isinstance(other, LaneVec) else other
+            )
             return BoolProbe.from_array(arr != negate)
         return NotImplemented
 
@@ -392,21 +422,25 @@ _TEAM_STATE_GUARD = _TeamStateGuard()
 
 
 class VecThreadCtx:
-    """A :class:`~repro.gpu.thread.ThreadCtx` stand-in covering a whole warp.
+    """A :class:`~repro.gpu.thread.ThreadCtx` stand-in covering a lane range.
 
-    Mirrors the scalar context's attribute/method surface exactly, but
-    ``tid``/``lane_id``/``global_tid`` are affine :class:`LaneVec`\\ s and
-    the memory helpers yield events whose index/value payloads may be
-    LaneVecs.  Everything the JIT cannot vectorize — atomics, barriers,
-    shuffles, votes, allocations, device asserts — raises
-    :class:`JitAbort` before any side effect, sending the warp back to
-    the interpreter.
+    The range is ``nlanes`` consecutive threads from ``first_tid`` (a
+    multiple of the warp size): one warp, or the whole block for a
+    lockstep pass.  Mirrors the scalar context's attribute/method
+    surface exactly, but ``tid``/``global_tid`` are affine
+    :class:`LaneVec`\\ s, and over one warp ``lane_id`` is affine and
+    ``warp_id`` a Python int; over several, reading either aborts the
+    pass (the block re-traces per warp).  The memory helpers yield
+    events whose index/value payloads may be LaneVecs.  Everything the
+    JIT cannot vectorize — atomics, barriers, shuffles, votes,
+    allocations, device asserts — raises :class:`JitAbort` before any
+    side effect, sending the block back to the interpreter.
     """
 
     __slots__ = (
         "tid",
-        "lane_id",
-        "warp_id",
+        "_lane_id",
+        "_warp_id",
         "block_id",
         "num_blocks",
         "block_dim",
@@ -417,17 +451,19 @@ class VecThreadCtx:
 
     def __init__(
         self,
-        warp_id: int,
+        first_tid: int,
         nlanes: int,
         warp_size: int,
         block_id: int,
         num_blocks: int,
         block_dim: int,
     ) -> None:
-        base = warp_id * warp_size
-        self.tid = LaneVec.affine(base, 1, nlanes)
-        self.lane_id = LaneVec.affine(0, 1, nlanes)
-        self.warp_id = warp_id
+        self.tid = LaneVec.affine(first_tid, 1, nlanes)
+        if nlanes <= warp_size:
+            self._lane_id = LaneVec.affine(0, 1, nlanes)
+            self._warp_id = first_tid // warp_size
+        else:
+            self._lane_id = self._warp_id = None
         self.block_id = block_id
         self.num_blocks = num_blocks
         self.block_dim = block_dim
@@ -436,6 +472,18 @@ class VecThreadCtx:
         #: any access through it is un-vectorizable and aborts.
         self.block = _TEAM_STATE_GUARD
         self.rt = None
+
+    @property
+    def lane_id(self):
+        if self._lane_id is None:
+            raise JitAbort("divergence", "lane_id in a lockstep pass")
+        return self._lane_id
+
+    @property
+    def warp_id(self):
+        if self._warp_id is None:
+            raise JitAbort("divergence", "warp_id in a lockstep pass")
+        return self._warp_id
 
     @property
     def global_tid(self):
