@@ -11,12 +11,15 @@ this file timed device construction inside the closures, understating the
 interpreter's true rate).
 
 The headline legs are the **engine speedup gates**: the streaming and
-generic-SIMD workloads run under the fast and instrumented round engines,
-and the ``jit_*`` workloads run the trace-compiling JIT tier against the
-fast engine (see ``docs/PERF.md``) — all interleaved within one process
-and scored best-of-N so machine noise cancels out of the ratio.  The fast
-engine is the JIT's yardstick because it is also the JIT's deopt target.
-Counters are asserted bit-exact between the engines on every measurement
+generic-SIMD workloads run the block round loop hook-free (fused: side
+effects inline, accounting per warp) against the same loop under the
+identity schedule policy ``DirectedSchedule(())``, whose deferred-commit
+path holds every memory side effect to round end — and the ``jit_*``
+workloads run the trace-compiling JIT tier against the hook-free loop
+(see ``docs/PERF.md``) — all interleaved within one process and scored
+best-of-N so machine noise cancels out of the ratio.  The hook-free loop
+is the JIT's yardstick because it is also the JIT's deopt target.
+Counters are asserted bit-exact between the legs on every measurement
 (JIT telemetry keys stripped first) — the speedup claims are only
 meaningful because the semantics are identical.  The JIT legs carry a
 hard floor (:data:`JIT_MIN_SPEEDUP`) in ``--check`` on top of the
@@ -57,11 +60,12 @@ from repro.gpu.events import (
     intern_syncblock,
     intern_syncwarp,
 )
+from repro.sanitizer.schedule import DirectedSchedule
 
 #: Committed baseline that ``--check`` compares against.
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_substrate.json")
 
-#: Relative tolerance on the fast/instrumented speedup ratio.  The ratio is
+#: Relative tolerance on the fused/deferred speedup ratio.  The ratio is
 #: machine-relative (both legs run in the same process), so it is far more
 #: stable across hosts than absolute lane-steps/s, which are recorded but
 #: not gated.
@@ -101,10 +105,10 @@ SANITIZED_MAX_RATIO = 2.4
 # Gate workloads.
 #
 # Each maker builds the device and buffers once and returns a
-# ``run(engine)`` closure that only launches — so a measurement times the
-# interpreter, not the setup.  The kernels drive the raw event ISA with
-# loop-invariant index tuples hoisted, keeping kernel-side Python cost (paid
-# identically by both engines) from diluting the engine comparison.
+# ``run(engine, **hooks)`` closure that only launches — so a measurement
+# times the interpreter, not the setup.  The kernels drive the raw event
+# ISA with loop-invariant index tuples hoisted, keeping kernel-side Python
+# cost (paid identically by both legs) from diluting the comparison.
 
 
 def make_streaming():
@@ -125,9 +129,9 @@ def make_streaming():
             yield Store(y, ii, (2.0 * v,))
             i += step
 
-    def run(engine):
+    def run(engine, **hooks):
         t0 = time.perf_counter()
-        kc = dev.launch(k, 4, 128, args=(x, y), engine=engine)
+        kc = dev.launch(k, 4, 128, args=(x, y), engine=engine, **hooks)
         dt = time.perf_counter() - t0
         assert np.array_equal(y.to_numpy(), 2.0 * np.arange(n))
         return kc, dt
@@ -189,9 +193,9 @@ def make_generic_simd():
             if lane0:
                 yield AtomicOp(acc, 0, "add", 1)
 
-    def run(engine):
+    def run(engine, **hooks):
         t0 = time.perf_counter()
-        kc = dev.launch(k, 2, 128, args=(x, out, acc), engine=engine)
+        kc = dev.launch(k, 2, 128, args=(x, out, acc), engine=engine, **hooks)
         dt = time.perf_counter() - t0
         return kc, dt
 
@@ -212,7 +216,7 @@ WORKLOADS = {
 # API (not raw events) because the same kernel body must drive both the
 # scalar ThreadCtx and the JIT's vectorized VecThreadCtx.  Each maker
 # returns a ``run(engine)`` closure; measurements interleave
-# ``engine="jit"`` against ``engine="auto"`` (the fast engine).
+# ``engine="jit"`` against ``engine="auto"`` (the hook-free round loop).
 
 
 def make_jit_streaming():
@@ -287,10 +291,10 @@ JIT_WORKLOADS = {
 #
 # A small mix of the paper's kernels (a Fig 9 SIMD launch of each kernel
 # and the two Fig 10 SIMD variants of laplace3d, at the repository
-# benchmark's small sizes) run hook-free on the fast engine and inside a
-# report-mode sanitizer session, which puts every launch on the
-# instrumented engine with the monitor attached.  The ratio is what the
-# monitor and its hooks cost on the shapes the paper cares about.
+# benchmark's small sizes) run hook-free and inside a report-mode
+# sanitizer session, which specializes the monitor into every launch's
+# round loop.  The ratio is what the monitor and its hooks cost on the
+# shapes the paper cares about.
 
 
 def make_sanitized_paper():
@@ -428,24 +432,25 @@ def measure_snapshot_speedup(reps: int = DEFAULT_REPS) -> dict:
 
 
 def measure_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
-    """Interleaved fast/instrumented measurement of one gate workload.
+    """Interleaved fused/deferred measurement of one gate workload.
 
-    Runs ``reps`` pairs alternating engine per launch (so slow drift in
+    Runs ``reps`` pairs alternating the hook-free round loop with the same
+    loop under the identity ``DirectedSchedule(())`` (so slow drift in
     machine load hits both legs equally), scores each leg best-of, and
-    asserts the two engines produced bit-identical counters.
+    asserts the two legs produced bit-identical counters.
     """
     run = WORKLOADS[name]()
-    best_fast = best_instr = float("inf")
-    kc_fast = kc_instr = None
+    best_fast = best_deferred = float("inf")
+    kc_fast = kc_deferred = None
     for _ in range(reps):
-        kc, dt = run("auto")  # auto-selects the fast engine (no hooks)
+        kc, dt = run("auto")
         if dt < best_fast:
             best_fast, kc_fast = dt, kc
-        kc, dt = run("instrumented")
-        if dt < best_instr:
-            best_instr, kc_instr = dt, kc
-    assert kc_fast.identical(kc_instr), (
-        f"{name}: fast/instrumented counters diverged — speedup is void"
+        kc, dt = run("auto", schedule_policy=DirectedSchedule(()))
+        if dt < best_deferred:
+            best_deferred, kc_deferred = dt, kc
+    assert kc_fast.identical(kc_deferred), (
+        f"{name}: fused/deferred counters diverged — speedup is void"
     )
     steps = kc_fast.total("lane_steps")
     return {
@@ -453,8 +458,8 @@ def measure_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
         "rounds": int(kc_fast.rounds),
         "cycles": float(kc_fast.cycles),
         "fast_steps_per_s": steps / best_fast,
-        "instr_steps_per_s": steps / best_instr,
-        "speedup": best_instr / best_fast,
+        "deferred_steps_per_s": steps / best_deferred,
+        "speedup": best_deferred / best_fast,
     }
 
 
@@ -482,7 +487,7 @@ def measure_jit_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
         kc, dt = run("jit")
         if dt < best_jit:
             best_jit, kc_jit = dt, kc
-        kc, dt = run("auto")  # auto-selects the fast engine (no hooks)
+        kc, dt = run("auto")  # the hook-free round loop
         if dt < best_fast:
             best_fast, kc_fast = dt, kc
     warps = kc_jit.extra.get("jit_warps_compiled", 0.0)
@@ -521,16 +526,6 @@ def test_scheduler_throughput_streaming(benchmark):
 
 
 @pytest.mark.benchmark(group="substrate")
-def test_scheduler_throughput_streaming_instrumented(benchmark):
-    """Streaming triad on the instrumented engine, no hooks attached."""
-    run = make_streaming()
-
-    kc, _ = benchmark(run, "instrumented")
-    benchmark.extra_info["rounds"] = kc.rounds
-    benchmark.extra_info["lane_steps"] = kc.total("lane_steps")
-
-
-@pytest.mark.benchmark(group="substrate")
 def test_scheduler_throughput_generic_simd(benchmark):
     """Generic-mode SIMD workload under the fast round engine."""
     run = make_generic_simd()
@@ -541,7 +536,8 @@ def test_scheduler_throughput_generic_simd(benchmark):
 
 
 def test_fastpath_speedup_gate():
-    """Both engines agree bit-exactly and the fast engine is faster.
+    """The fused and deferred-commit legs agree bit-exactly and the fused
+    loop is faster.
 
     A light version (few reps) for plain pytest runs; the CI ``perf-smoke``
     job runs the full standalone measurement and compares the speedup
@@ -550,7 +546,7 @@ def test_fastpath_speedup_gate():
     """
     for name in WORKLOADS:
         r = measure_speedup(name, reps=3)
-        assert r["speedup"] > 1.0, f"{name}: fast engine slower than instrumented"
+        assert r["speedup"] > 1.0, f"{name}: fused loop slower than deferred"
 
 
 def test_jit_speedup_gate():
@@ -652,7 +648,7 @@ def test_scheduler_throughput_parallel_engine(benchmark):
     Tracks the engine's overhead/speedup against the serial leg above;
     the cycle outputs must be identical (the engine may only change
     wall-clock, never results).  Worker processes inherit the per-block
-    fast/instrumented engine selection.
+    engine selection.
     """
     from repro.exec import ParallelExecutor
     from repro.exec.pool import fork_available
@@ -734,7 +730,7 @@ def run_measurements(reps: int, only=None) -> dict:
         results[name] = r
         print(
             f"BENCH substrate {name}: fast {r['fast_steps_per_s'] / 1e3:.1f}k "
-            f"steps/s  instr {r['instr_steps_per_s'] / 1e3:.1f}k steps/s  "
+            f"steps/s  deferred {r['deferred_steps_per_s'] / 1e3:.1f}k steps/s  "
             f"speedup {r['speedup']:.2f}x  (rounds={r['rounds']}, "
             f"cycles={r['cycles']:.0f})"
         )

@@ -313,11 +313,10 @@ def launch(
     ``executor`` selects the launch engine for this call (e.g. a
     :class:`repro.exec.ParallelExecutor`); by default the device's
     executor, then the ``REPRO_EXECUTOR`` environment default, applies.
-    ``engine`` selects the round engine
-    (``"auto"``/``"instrumented"``/``"fast"``/``"jit"``) exactly like
-    :meth:`Device.launch` — explicit fast/jit on a hooked launch is a
-    :class:`~repro.errors.LaunchError`; the fuzz harness uses this to
-    pin each differential leg.
+    ``engine`` selects the round engine (``"auto"``/``"fast"``/``"jit"``)
+    exactly like :meth:`Device.launch` — explicit jit on a hooked launch
+    is a :class:`~repro.errors.LaunchError`; the fuzz harness uses this
+    to pin each differential leg.
     The runtime counters are registered as launch side state so the
     parallel engine merges their per-team deltas deterministically.
 

@@ -154,10 +154,10 @@ class LaunchPlan:
     deadline: Optional[float] = None
     #: Optional worker-pool :class:`~repro.exec.pool.RetryPolicy`.
     retry: object = None
-    #: Resolved round-engine name (``"instrumented"``/``"fast"``/``"jit"``;
-    #: None lets the block auto-select, fast when hook-free).  Hooks always
-    #: force instrumented.  ``Device.launch`` resolves the kwarg/env/hook
-    #: ladder before building the plan.
+    #: Resolved round-engine name (``"fast"``/``"jit"``; None means the
+    #: block round loop).  Hooked launches never resolve to ``"jit"``.
+    #: ``Device.launch`` resolves the kwarg/env/hook ladder before
+    #: building the plan.
     engine: Optional[str] = None
     #: Per-launch :class:`repro.jit.stats.JitCounters` when ``engine`` is
     #: ``"jit"``; also rides ``side_state`` so worker deltas merge back.

@@ -48,12 +48,11 @@ It reuses the same retry/redistribute/degrade ladder and the same
 closed (``close()``, a ``with`` block, or the module's atexit sweep)
 so forked children never outlive the interpreter.
 
-Block shards inherit the scheduler's engine selection unchanged: a
-hook-free launch runs each shard on the fast round engine even inside a
-worker, because the exec-layer write recorder is fast-path-compatible
-(the block's handler tables specialize on it at construction — see
-``docs/PERF.md``); any tracer/monitor/schedule-policy/fault-plan forces
-the instrumented engine in the worker exactly as it would serially.
+Block shards inherit the scheduler's engine selection unchanged: each
+shard runs the block round loop (or the JIT) inside a worker exactly as
+it would serially, because the exec-layer write recorder, like every
+other hook, is a construction-time specialization of the block's
+handler tables (see ``docs/PERF.md``).
 """
 
 from __future__ import annotations

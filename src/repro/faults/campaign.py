@@ -181,8 +181,8 @@ class ResilienceReport:
     fork: bool
     #: The process-wide round-engine preference (``REPRO_ENGINE``) the
     #: campaign ran under — provenance for the report.  Fault-carrying
-    #: launches always *execute* instrumented (active plans are a hook),
-    #: so a ``jit``/``fast`` preference here documents the downgrade.
+    #: launches never enter the JIT (active plans are a hook), so a
+    #: ``jit`` preference here documents the fallback to the round loop.
     engine: str = "auto"
     rows: List[Dict] = field(default_factory=list)
 

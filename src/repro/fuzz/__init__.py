@@ -10,7 +10,7 @@ self-checking and every failure replays from its integer seed alone.
 * :mod:`~repro.fuzz.generate` — plan grammar, directive-tree builder,
   input synthesis, and the serial oracle;
 * :mod:`~repro.fuzz.harness` — runs one program through the
-  engines × executors × schedules matrix (instrumented/fast/jit,
+  engines × executors × schedules matrix (round loop/jit,
   serial/parallel, permuted warp order, segmented serve batching) and
   diffs memory, counters, and errors bit-for-bit;
 * :mod:`~repro.fuzz.minimize` — shrinks a failing plan by plan-field

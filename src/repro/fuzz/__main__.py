@@ -11,7 +11,7 @@ Every failure is a one-line deterministic repro::
 writes ``campaign.json`` (exploration statistics + failing seeds) and,
 per failure, ``repro-<seed>.json`` — the *minimized* plan plus the
 mismatch list — which CI uploads on failure.  ``--smoke`` trims the leg
-matrix to the three engines serial-only for the per-PR slice.
+matrix to the two engines serial-only for the per-PR slice.
 """
 
 from __future__ import annotations

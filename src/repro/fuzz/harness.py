@@ -6,12 +6,11 @@ the engines × executors × schedules matrix:
 ========================  ===================================================
 leg                       what it pins
 ========================  ===================================================
-``instrumented``          reference round engine, serial executor
-``fast``                  fast-path round engine, serial executor
+``fast``                  block round loop, serial executor
 ``jit``                   trace-compiling round engine, serial executor
-``fast-parallel``         fast engine under the in-process parallel executor
+``fast-parallel``         round loop under the in-process parallel executor
 ``jit-parallel``          jit engine under the in-process parallel executor
-``schedule``              instrumented engine under a seeded
+``schedule``              round loop under a seeded
                           :class:`~repro.sanitizer.ShuffleSchedule` (warp and
                           commit order permuted — race-free programs must not
                           notice)
@@ -253,15 +252,12 @@ def _leg_name(engine: Optional[str], parallel: bool,
 def default_legs(smoke: bool = False, executor=None,
                  ) -> List[Tuple[str, Callable[[KernelPlan], LegOutcome]]]:
     """The standard matrix.  ``smoke=True`` trims to the cheap core
-    (three engines, serial) for per-PR CI.  ``executor`` replaces the
+    (both engines, serial) for per-PR CI.  ``executor`` replaces the
     default executor on the serial engine legs — the test suite passes
     its environment-resolved ``executor`` fixture here so the matrix
     also runs under ``REPRO_EXECUTOR=parallel``/``fork:N`` sweeps."""
 
     legs: List[Tuple[str, Callable[[KernelPlan], LegOutcome]]] = [
-        ("instrumented", lambda p: _solo_leg(p, engine="instrumented",
-                                             parallel=False,
-                                             executor=executor)),
         ("fast", lambda p: _solo_leg(p, engine="fast", parallel=False,
                                      executor=executor)),
         ("jit", lambda p: _solo_leg(p, engine="jit", parallel=False,

@@ -27,39 +27,42 @@ events, retirements, barrier releases, and deadlocks; the happens-before
 race detector, barrier analyzer, and sharing auditor all attach through
 it.  Both hooks are strictly zero-cost when absent.
 
-Engines
-=======
+One round loop
+==============
 
-The block owns two interchangeable round engines:
-
-* the **instrumented engine** (:meth:`ThreadBlock._run_instrumented`) —
-  the driver carrying every hook point (tracer, monitor, schedule
-  policy, fault plan);
-* the **fast engine** (:meth:`ThreadBlock._run_fast`) — selected
-  automatically when no tracer, monitor, schedule policy, or fault plan
-  is attached (the production configuration).  It steps the same lanes
-  in the same deterministic order through the same handlers, so memory
-  contents, every :class:`~repro.gpu.counters.BlockCounters` field, and
-  the deadlock/error behaviour are bit-identical to the instrumented
-  engine — only the interpreter overhead differs.  The exec-layer write
-  recorder *is* supported on the fast path (the per-tag handler tables
-  are specialized once at construction, so the per-event hot loop stays
-  free of hook-presence branches) — parallel-executor workers inherit
-  the fast engine.
-
-Both engines share one side-effect handler table (``_side``), one
-accounting dispatch (``_acct``, which charges memory through
+The block has exactly one stepping loop (:meth:`ThreadBlock._run_rounds`):
+a fused warp-major pass per round that steps each lane, applies its
+event's side effect through the per-tag handler table (``_side``),
+collects collective arrivals, and charges the warp's issue groups
+through the accounting table (``_acct``, which charges memory through
 :func:`~repro.gpu.coalescing.sector_footprint` and
 :func:`~repro.gpu.coalescing.bank_passes`, as the JIT tier
-(:mod:`repro.jit`) does), and one round end
-(:meth:`ThreadBlock._end_round`: atomic contention, the stall flag, and
-:meth:`ThreadBlock._release_barriers`).
-What the instrumented engine adds is hooks and ordering only: it buffers
-a round's posts so a schedule policy can permute warp and commit order,
-parks every collective arrival in the waiter dicts (the fast engine
-completes full groups inline), and reports each released group to the
-monitor.  The three-engine differential suite in ``tests/gpu`` checks
-the engines against each other; the property tests in
+(:mod:`repro.jit`) does).  Every round ends in
+:meth:`ThreadBlock._end_round`: atomic contention, the stall flag, and
+:meth:`ThreadBlock._release_barriers`.
+
+Every hook is a construction-time specialization of that loop, so the
+per-lane path of a hook-free block carries no hook-presence branch:
+
+* **recorder** (the parallel executor's write log) and **fault plan**
+  swap entries of ``_side`` (``_side_*_rec``, ``_side_atomic_resilient``);
+* **tracer** and **monitor** wrap each lane's ``send`` so every step is
+  reported as it happens, and every retirement after the lane is marked
+  ``DONE``; warp-level arrivals park only after the warp's scan, so the
+  hooks see each warp's lane states as of the round's start;
+* with a **monitor**, collectives every participant reaches in one round
+  park in the waiter dicts instead of completing inline, so every
+  release reaches ``_release_barriers`` and ``monitor.on_release``;
+* a **schedule policy** swaps the memory entries of ``_side`` for a
+  handler that holds each side effect by its post position, and
+  :meth:`ThreadBlock._commit_round` applies and charges the round's
+  posts at round end in the policy's warp and commit order.
+
+The JIT tier (``engine="jit"``) is the one alternative: it replaces the
+loop for whole blocks whose warps trace stably and falls back to it
+otherwise; a hooked block never enters it (the ``hook`` rung of the
+deopt ladder).  ``tests/gpu/test_fastpath_equiv.py`` checks the loop and
+the JIT against a frozen reference recording; the property tests in
 ``tests/gpu/test_coalescing.py`` check the shared cost model against the
 scalar definitions.
 """
@@ -67,7 +70,7 @@ scalar definitions.
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -147,8 +150,7 @@ class ThreadBlock:
         #: at the transient-atomic and forced-overflow hook sites;
         #: zero-cost when None.
         self.faults = faults
-        #: Per-block L1 sector cache (LRU), shared by both round engines so
-        #: their hit/miss streams evolve identically.
+        #: Per-block L1 sector cache (LRU), charged in issue order.
         self._l1 = L1SectorCache(
             max(1, params.l1_size_bytes // params.sector_bytes)
         )
@@ -156,40 +158,23 @@ class ThreadBlock:
         #: Per-launch JIT telemetry (:class:`repro.jit.stats.JitCounters`),
         #: shared across the launch's blocks; None outside the jit engine.
         self.jit_stats = jit_stats
-        # Engine selection.  ``engine`` names a round engine preference
-        # ("auto" | "instrumented" | "fast" | "jit").  Neither the fast
-        # engine nor the JIT carries hook points, so any attached
-        # tracer/monitor/policy/fault-plan forces the instrumented engine
-        # regardless of the caller's preference; the JIT additionally
-        # requires a read-blind recorder (the read-tracking recorder is a
-        # sanitizer hook), downgrading to the fast engine otherwise —
-        # both downgrades are the ``hook`` rung of the deopt ladder
-        # (docs/PERF.md).  ``engine="instrumented"`` forces the hooked
-        # engine without hooks, which the differential suite uses.
-        if engine is None:
-            engine = "auto"
-        elif engine not in ("auto", "instrumented", "fast", "jit"):
+        # Engine selection: "auto"/"fast" run the round loop, "jit" tries
+        # the JIT tier first.  The JIT carries no hook points, so a hooked
+        # block — or one with the read-tracking (sanitizer) recorder —
+        # takes the ``hook`` rung of the deopt ladder (docs/PERF.md).
+        if engine is None or engine == "auto":
+            engine = "fast"
+        elif engine not in ("fast", "jit"):
             raise LaunchError(f"unknown engine {engine!r}")
-        eligible = (
-            self.tracer is None
-            and self.monitor is None
-            and self.schedule_policy is None
-            and self.faults is None
-        )
-        if engine == "jit":
-            if not eligible:
-                if jit_stats is not None:
-                    jit_stats.note_deopt("hook")
-                engine = "instrumented"
-            elif recorder is not None and recorder.track_reads:
-                if jit_stats is not None:
-                    jit_stats.note_deopt("hook")
-                engine = "fast"
-        elif engine == "instrumented":
-            pass
-        elif not eligible:  # "auto" / "fast" with hooks attached
-            engine = "instrumented"
-        elif engine == "auto":
+        if engine == "jit" and (
+            tracer is not None
+            or monitor is not None
+            or schedule_policy is not None
+            or faults is not None
+            or (recorder is not None and recorder.track_reads)
+        ):
+            if jit_stats is not None:
+                jit_stats.note_deopt("hook")
             engine = "fast"
         self.engine = engine
         ws = params.warp_size
@@ -203,13 +188,13 @@ class ThreadBlock:
         self.lanes: List[Lane] = []
         self.ctxs: List[ThreadCtx] = []
         self._warps: List[List[Lane]] = []
-        if engine != "jit":
+        if engine == "fast":
             # The JIT traces a vectorized re-instantiation of the kernel;
             # scalar lane generators are built lazily, only if the block
-            # actually deoptimizes into an interpreter.
+            # actually deoptimizes into the round loop.
             self._build_lanes()
         # -- round state -------------------------------------------------
-        # Fast engine: pre-allocated per-warp event buffers, reused — cleared, never
+        # Pre-allocated per-warp event buffers, reused — cleared, never
         # reallocated — every round.  (Side effects apply inline while
         # stepping, so only the events survive to the accounting step.)
         self._post_evs: List[list] = [[] for _ in range(self.num_warps)]
@@ -220,8 +205,8 @@ class ThreadBlock:
         # Round-local atomic address histogram, reused across rounds.
         self._atomic_addrs: Dict[tuple, int] = {}
         # Incremental barrier bookkeeping: waiter groups are maintained at
-        # post time (side-effect handlers) and torn down at release, so no
-        # engine rescans all lanes looking for barriers.
+        # post time and torn down at release, so the round end never
+        # rescans all lanes looking for barriers.
         self._block_waiters: Dict[tuple, List[Lane]] = {}
         self._warp_waiters: List[Dict[int, List[Lane]]] = [
             {} for _ in range(self.num_warps)
@@ -231,9 +216,10 @@ class ThreadBlock:
         ]
         self._n_waiters = 0
         self._full_mask = (1 << ws) - 1
-        # Per-tag handler tables (indexed by event tag).  The side-effect
-        # table is specialized once, here, on recorder and fault-plan
-        # presence — the hot loop itself carries no hook-presence branches.
+        # Hook specializations, fixed once here so the round loop itself
+        # carries no hook-presence branches per lane.  The side-effect
+        # table (indexed by memory event tag) follows the recorder and
+        # fault plan.
         rec = self.recorder
         side_load = self._side_load if rec is None or not rec.track_reads else self._side_load_rec
         side_store = self._side_store if rec is None else self._side_store_rec
@@ -241,16 +227,17 @@ class ThreadBlock:
             self._side_atomic if faults is None else self._side_atomic_resilient
         )
         side_atomic = self._apply_atomic if rec is None else self._side_atomic_rec
-        self._side = [
-            None,  # T_COMPUTE: no architectural side effect
-            side_load,
-            side_store,
-            side_atomic,
-            self._side_syncwarp,
-            self._side_syncblock,
-            self._side_shuffle,
-            self._side_vote,
-        ]
+        self._side = [None, side_load, side_store, side_atomic]
+        # A monitor must see every release, so it parks every collective
+        # instead of completing full groups inline.
+        self._inline_sync = monitor is None
+        # A schedule policy holds the round's memory side effects per warp,
+        # keyed by post position, for ``_commit_round``.
+        self._held: Optional[List[Dict[int, tuple]]] = None
+        if schedule_policy is not None:
+            self._commit_side = self._side
+            self._held = [{} for _ in range(self.num_warps)]
+            self._side = [None] + [self._side_hold] * 3
         self._acct = [
             self._acct_compute,
             self._acct_mem,
@@ -294,6 +281,37 @@ class ThreadBlock:
         self._warps[:] = [
             self.lanes[w * ws : (w + 1) * ws] for w in range(self.num_warps)
         ]
+        if self.tracer is not None or self.monitor is not None:
+            for lane in self.lanes:
+                lane.send = self._observed_send(lane)
+
+    def _observed_send(self, lane):
+        """``lane.send`` reporting to the tracer and monitor: each event
+        right after its step, each retirement after the lane is ``DONE``."""
+        send = lane.gen.send
+        c = self.counters
+        tracer = self.tracer
+        mon = self.monitor
+        on_event = None if mon is None else mon.on_event
+        on_retire = None if mon is None else mon.on_retire
+
+        def observed(value):
+            try:
+                ev = send(value)
+            except StopIteration:
+                lane.state = DONE
+                lane.pending = None
+                if on_retire is not None:
+                    on_retire(self, c.rounds, lane)
+                raise
+            lane.pending = None
+            if tracer is not None:
+                tracer(self.block_id, c.rounds, lane.tid, ev)
+            if on_event is not None:
+                on_event(self, c.rounds, lane, ev)
+            return ev
+
+        return observed
 
     # ------------------------------------------------------------------
     def run(self) -> BlockCounters:
@@ -308,80 +326,17 @@ class ThreadBlock:
             # generators — built only now — replay the whole block
             # bit-identically from round zero.
             self._build_lanes()
-            return self._run_fast()
-        if self.engine == "instrumented":
-            return self._run_instrumented()
-        return self._run_fast()
-
-    # ------------------------------------------------------------------
-    # Instrumented engine: the shared handlers, plus every hook.
-    # ------------------------------------------------------------------
-    def _run_instrumented(self) -> BlockCounters:
-        """Hooked round loop: step every lane, then resolve the round.
-
-        Stepping buffers each round's ``(lane, event)`` posts per warp so
-        the tracer and monitor observe every event before any side effect
-        lands, and so a schedule policy can permute the resolution order
-        (:meth:`_resolve_round`).  Everything after that — side effects,
-        accounting, contention, barrier release — is the fast engine's
-        code.
-        """
-        lanes = self.lanes
-        c = self.counters
+            return self._run_rounds()
         mon = self.monitor
-        if mon is not None:
-            mon.on_block_start(self)
-        while True:
-            posted_by_warp: List[List[Tuple[Lane, object]]] = [
-                [] for _ in range(self.num_warps)
-            ]
-            advanced = 0
-            live = 0
-            for lane in lanes:
-                state = lane.state
-                if state == DONE:
-                    continue
-                live += 1
-                if state != RUN:
-                    continue
-                try:
-                    ev = lane.gen.send(lane.pending)
-                except StopIteration:
-                    lane.state = DONE
-                    # Clear the resume value eagerly: post-mortem
-                    # diagnostics and the exec recorder must never observe
-                    # a dead lane's stale value.
-                    lane.pending = None
-                    live -= 1
-                    if mon is not None:
-                        mon.on_retire(self, c.rounds, lane)
-                    continue
-                lane.pending = None
-                posted_by_warp[lane.warp_id].append((lane, ev))
-                advanced += 1
-                if self.tracer is not None:
-                    self.tracer(self.block_id, c.rounds, lane.tid, ev)
-                if mon is not None:
-                    mon.on_event(self, c.rounds, lane, ev)
-            c.lane_steps += advanced
-            if live == 0:
-                break
-            self._resolve_round(posted_by_warp)
-            released = self._end_round(live)
-            if advanced == 0 and released == 0:
-                self._raise_deadlock()
-            c.rounds += 1
-            if c.rounds > self.max_rounds:
-                raise SimulationError(
-                    f"block {self.block_id} exceeded {self.max_rounds} rounds; "
-                    "likely a runaway loop"
-                )
-        if mon is not None:
-            mon.on_block_end(self)
+        if mon is None:
+            return self._run_rounds()
+        mon.on_block_start(self)
+        c = self._run_rounds()
+        mon.on_block_end(self)
         return c
 
     def _raise_deadlock(self):
-        """Raise the no-progress diagnostic (identical on both engines)."""
+        """Raise the no-progress diagnostic."""
         c = self.counters
         mon = self.monitor
         msg = self._deadlock_report()
@@ -401,27 +356,28 @@ class ThreadBlock:
         )
 
     # ------------------------------------------------------------------
-    # Fast engine: hook-free specialization of the same round semantics.
+    # The round loop.
     # ------------------------------------------------------------------
-    def _run_fast(self) -> BlockCounters:
-        """Hook-free round loop: one fused pass per warp per round.
+    def _run_rounds(self) -> BlockCounters:
+        """Step the block to completion: one fused pass per warp per round.
 
-        The instrumented engine steps every lane, buffers ``(lane, event)``
-        posts, then resolves side effects and accounting in two further
-        passes.  This engine fuses all three into a single warp-major scan:
-        as each lane steps, its event's side effect is applied immediately
-        (warps partition tids contiguously, so warp-major iteration applies
-        side effects in exactly the ascending-tid order the buffered scheme
-        produces) and the warp's convergence is tracked incrementally —
-        interned events and signatures make the common converged case two
-        identity checks per lane.  Accounting for the warp's issue groups
-        runs right after its lanes, which is the same warp-ascending
-        accounting order (and therefore the same L1 cache evolution) as the
-        instrumented resolve pass.  Retired lanes are filtered out of the
-        per-warp scan lists, and collectives every participant reaches in
-        one round complete inline instead of parking in the waiter groups.
-        All observable behaviour — memory, counters, errors — matches the
-        instrumented engine bit for bit.
+        As each lane steps, its event's side effect applies at once
+        (warps partition tids contiguously, so the warp-major scan
+        applies side effects in ascending tid order) and the warp's
+        convergence is tracked incrementally — interned events and
+        signatures make the common converged case two identity checks
+        per lane.  Accounting for the warp's issue groups runs right
+        after its lanes, so issue groups are charged in ascending warp
+        order, which fixes the L1 cache evolution.  Retired lanes are
+        filtered out of the per-warp scan lists.
+
+        Warp-level collective arrivals collect round-locally and park in
+        the waiter dicts after the warp's scan (classic block-barrier
+        arrivals after the round's scan), so a hook observing a step sees
+        the warp's lane states as of the round's start.  Groups every
+        participant reaches in one round complete inline unless a monitor
+        is attached.  Under a schedule policy the memory side effects and
+        the accounting wait for :meth:`_commit_round`.
         """
         c = self.counters
         params = self.params
@@ -437,12 +393,16 @@ class ThreadBlock:
         full_mask = self._full_mask
         syncwarp_cycles = params.syncwarp_cycles
         syncthreads_cycles = params.syncthreads_cycles
+        inline_sync = self._inline_sync
+        held = self._held is not None
+        park = self._park
         nw = 0  # waiters added this round; merged into _n_waiters below
         bbk = bbg = None  # round-local classic-barrier arrivals
-        # Single-element loads/stores inline below when no recorder watches
-        # the direction; everything else dispatches through the table.
-        inline_ld = rec is None or not rec.track_reads
-        inline_st = rec is None
+        # Single-element loads/stores inline below when neither a recorder
+        # nor a schedule policy intercepts the direction; everything else
+        # dispatches through the table.
+        inline_ld = not held and (rec is None or not rec.track_reads)
+        inline_st = not held and rec is None
         active: List[List[Lane]] = [
             [l for l in warp if l.state != DONE] for warp in self._warps
         ]
@@ -454,12 +414,10 @@ class ThreadBlock:
                     continue
                 evs = post_evs[w]
                 ap_ev = evs.append
-                ww_waiters = warp_waiters[w]
-                sh_waiters = shfl_waiters[w]
                 retired = False
                 ev0 = None
                 sk0 = sg0 = sspill = None
-                swk0 = swg = None
+                swk0 = swg = swspill = None
                 for lane in lanes_w:
                     if lane.state != RUN:
                         continue
@@ -505,11 +463,8 @@ class ThreadBlock:
                         else:
                             side[2](lane, ev)
                     elif t == 4:
-                        # SyncWarp arrival — collected round-locally; a
-                        # full-mask barrier every warp lane reaches this
-                        # round completes inline after the lane scan.
-                        # Lanes with a second, different mask this round
-                        # park in the waiter dict directly.
+                        # SyncWarp arrival, grouped by mask round-locally;
+                        # the groups park (or complete) after the scan.
                         lane.pending = None
                         mask = ev.mask
                         if swk0 is None:
@@ -518,24 +473,18 @@ class ThreadBlock:
                         elif mask == swk0:
                             swg.append(lane)
                         else:
-                            lane.state = WAIT_WARP
-                            lane.wait_key = mask
-                            # Invariant: only shuffle/vote waiters carry a
-                            # posted event; a lane migrating to a barrier
-                            # park must never drag a stale one along.
-                            lane.posted = None
-                            grp = ww_waiters.get(mask)
+                            if swspill is None:
+                                swspill = {}
+                            grp = swspill.get(mask)
                             if grp is None:
-                                ww_waiters[mask] = [lane]
+                                swspill[mask] = [lane]
                             else:
                                 grp.append(lane)
-                            nw += 1
                     elif t == 5:
                         # SyncBlock arrival — the classic block-wide
                         # barrier collects round-locally (completion is
                         # checked against end-of-round liveness below);
-                        # a second, different key this round parks in
-                        # the waiter dict directly.
+                        # a second, different key this round parks at once.
                         lane.pending = None
                         key = ev.wkey
                         if bbk is None:
@@ -546,8 +495,6 @@ class ThreadBlock:
                         else:
                             lane.state = WAIT_BLOCK
                             lane.wait_key = key
-                            # Same invariant as the syncwarp park above.
-                            lane.posted = None
                             grp = block_waiters.get(key)
                             if grp is None:
                                 block_waiters[key] = [lane]
@@ -559,12 +506,9 @@ class ThreadBlock:
                         side[3](lane, ev)
                     else:
                         # Shuffle / Vote arrival (tags 6 and 7 share the
-                        # WAIT_SHFL machinery).  Collected round-locally: a
-                        # full-warp group completing within this round is
-                        # resolved inline after the lane scan, without ever
-                        # parking its lanes in the waiter structures.
-                        # ``wkey`` objects are interned, so the single-key
-                        # common case is one identity check per lane.
+                        # WAIT_SHFL machinery), grouped by key
+                        # round-locally.  ``wkey`` objects are interned, so
+                        # the single-key common case is one identity check.
                         lane.pending = None
                         lane.posted = ev
                         key = ev.wkey
@@ -596,62 +540,40 @@ class ThreadBlock:
                 if retired:
                     active[w] = [l for l in lanes_w if l.state != DONE]
                 if swk0 is not None:
-                    # Full-mask syncwarp every warp lane reached this round:
-                    # complete without parking — arrival already cleared
-                    # ``pending`` and the lanes never left RUN.  (A retired
-                    # lane keeps ``len(swg)`` short of the denominator, so
-                    # such a group still deadlocks via the waiter path.)
-                    if swk0 == full_mask and len(swg) == len(warps[w]):
+                    # A full-mask syncwarp every warp lane reached this
+                    # round completes without parking: arrival already
+                    # cleared ``pending`` and the lanes never left RUN.  (A
+                    # retired lane keeps ``len(swg)`` short of the
+                    # denominator, so such a group still deadlocks via the
+                    # waiter path.)  Any other group parks, merging behind
+                    # earlier-round arrivals; a second mask this round
+                    # cannot be complete.
+                    if (inline_sync and swk0 == full_mask
+                            and len(swg) == len(warps[w])):
                         c.syncwarps += 1
                         c.sync_cycles += syncwarp_cycles
                     else:
-                        grp = ww_waiters.get(swk0)
-                        if grp is None:
-                            ww_waiters[swk0] = grp = []
-                        for l in swg:
-                            l.state = WAIT_WARP
-                            l.wait_key = swk0
-                            # Barrier waiters never carry a posted event
-                            # (deopt-path hygiene: this lane may have come
-                            # off the inline same-round path mid-round).
-                            l.posted = None
-                            grp.append(l)
-                        nw += len(swg)
+                        nw += park(warp_waiters[w], swk0, swg, WAIT_WARP)
+                    if swspill is not None:
+                        for k2, g2 in swspill.items():
+                            nw += park(warp_waiters[w], k2, g2, WAIT_WARP)
                 if sk0 is not None:
-                    # Shuffle/vote groups posted this round: resolve inline
-                    # when complete (full mask, every warp lane — retired
-                    # lanes included in the denominator, so a group with a
-                    # retired participant still deadlocks via the waiter
-                    # path); park incomplete groups in the waiter dicts,
-                    # merging behind any earlier-round arrivals.
-                    nall = len(warps[w])
-                    if sk0[0] == full_mask and len(sg0) == nall:
+                    # Shuffle/vote groups, on the same terms (retired lanes
+                    # count in the denominator, so a group with a retired
+                    # participant still deadlocks via the waiter path).
+                    if (inline_sync and sk0[0] == full_mask
+                            and len(sg0) == len(warps[w])):
                         self._resolve_shfl_group(sk0, sg0)
                     else:
-                        grp = sh_waiters.get(sk0)
-                        if grp is None:
-                            sh_waiters[sk0] = grp = []
-                        for l in sg0:
-                            l.state = WAIT_SHFL
-                            l.wait_key = sk0
-                            grp.append(l)
-                        nw += len(sg0)
+                        nw += park(shfl_waiters[w], sk0, sg0, WAIT_SHFL)
                     if sspill is not None:
                         for k2, g2 in sspill.items():
-                            if k2[0] == full_mask and len(g2) == nall:
-                                self._resolve_shfl_group(k2, g2)
-                            else:
-                                grp = sh_waiters.get(k2)
-                                if grp is None:
-                                    sh_waiters[k2] = grp = []
-                                for l in g2:
-                                    l.state = WAIT_SHFL
-                                    l.wait_key = k2
-                                    grp.append(l)
-                                nw += len(g2)
+                            nw += park(shfl_waiters[w], k2, g2, WAIT_SHFL)
                 if ev0 is None:
                     continue
                 advanced += len(evs)
+                if held:
+                    continue  # charged by _commit_round
                 # Issue accounting for this warp's round, grouped by
                 # signature; ``uniform`` (every entry the same interned
                 # object) lets handlers skip per-event reductions.
@@ -668,26 +590,19 @@ class ThreadBlock:
                 # Classic block barrier every live lane reached this round:
                 # complete without parking (no live lane can be waiting
                 # elsewhere when all of them arrived here).  Named/counted
-                # barriers and partial arrivals park in the waiter dict,
-                # merging behind earlier-round arrivals.
-                if bbk[1] is None and len(bbg) == live:
+                # barriers and partial arrivals park, merging behind
+                # earlier-round arrivals.
+                if inline_sync and bbk[1] is None and len(bbg) == live:
                     c.syncblocks += 1
                     c.sync_cycles += syncthreads_cycles
                 else:
-                    grp = block_waiters.get(bbk)
-                    if grp is None:
-                        block_waiters[bbk] = grp = []
-                    for l in bbg:
-                        l.state = WAIT_BLOCK
-                        l.wait_key = bbk
-                        # Barrier waiters never carry a posted event.
-                        l.posted = None
-                        grp.append(l)
-                    nw += len(bbg)
+                    nw += park(block_waiters, bbk, bbg, WAIT_BLOCK)
                 bbk = bbg = None
             if nw:
                 self._n_waiters += nw
                 nw = 0
+            if held:
+                self._commit_round()
             released = self._end_round(live)
             if advanced == 0 and released == 0:
                 self._raise_deadlock()
@@ -699,7 +614,52 @@ class ThreadBlock:
                 )
         return c
 
-    # -- side-effect handlers (pass 1) ------------------------------------
+    @staticmethod
+    def _park(waiters, key, group, state) -> int:
+        """Park ``group``'s lanes on ``key`` in one waiter dict, behind any
+        earlier-round arrivals; returns the number parked."""
+        for lane in group:
+            lane.state = state
+            lane.wait_key = key
+        grp = waiters.get(key)
+        if grp is None:
+            waiters[key] = group
+        else:
+            grp.extend(group)
+        return len(group)
+
+    def _commit_round(self) -> None:
+        """Apply and charge a schedule-policy round's held posts.
+
+        Warps resolve in ``policy.warp_order``; within a warp, the held
+        memory side effects apply in ``policy.commit_order`` over the
+        warp's post positions, then the warp's issue groups are charged.
+        Every such order is a legal interleaving of the round's
+        concurrent accesses — the sanitizer's schedule explorer uses this
+        to expose order dependence — and every policy is stateless, so
+        deferring the calls to round end changes nothing.  Collective
+        arrivals parked during the scan; their order is immaterial.
+        """
+        c = self.counters
+        policy = self.schedule_policy
+        side = self._commit_side
+        block_id = self.block_id
+        rnd = c.rounds
+        for wid in policy.warp_order(block_id, rnd, self.num_warps):
+            evs = self._post_evs[wid]
+            if not evs:
+                continue
+            held = self._held[wid]
+            if held:
+                for i in policy.commit_order(block_id, rnd, wid, len(evs)):
+                    post = held.get(i)
+                    if post is not None:
+                        side[post[1].tag](*post)
+                held.clear()
+            self._account_issues(evs)
+            evs.clear()
+
+    # -- memory side-effect handlers ---------------------------------------
     @staticmethod
     def _side_load(lane, ev) -> None:
         buf = ev.buf
@@ -785,46 +745,13 @@ class ThreadBlock:
         if buf.space == "global" and rec.tracks(buf):
             rec.on_atomic(buf, ev.idx, ev.op, ev.operand, lane.pending)
 
-    def _side_syncwarp(self, lane, ev) -> None:
-        lane.state = WAIT_WARP
-        mask = ev.mask
-        lane.wait_key = mask
-        waiters = self._warp_waiters[lane.warp_id]
-        grp = waiters.get(mask)
-        if grp is None:
-            waiters[mask] = [lane]
-        else:
-            grp.append(lane)
-        self._n_waiters += 1
+    def _side_hold(self, lane, ev) -> None:
+        """Schedule-policy memory handler: hold the side effect under its
+        post position in the warp's round, for :meth:`_commit_round`."""
+        w = lane.warp_id
+        self._held[w][len(self._post_evs[w])] = (lane, ev)
 
-    def _side_syncblock(self, lane, ev) -> None:
-        lane.state = WAIT_BLOCK
-        key = ev.wkey
-        lane.wait_key = key
-        waiters = self._block_waiters
-        grp = waiters.get(key)
-        if grp is None:
-            waiters[key] = [lane]
-        else:
-            grp.append(lane)
-        self._n_waiters += 1
-
-    def _side_shuffle(self, lane, ev) -> None:
-        lane.state = WAIT_SHFL
-        key = ev.wkey
-        lane.wait_key = key
-        lane.posted = ev
-        waiters = self._shfl_waiters[lane.warp_id]
-        grp = waiters.get(key)
-        if grp is None:
-            waiters[key] = [lane]
-        else:
-            grp.append(lane)
-        self._n_waiters += 1
-
-    _side_vote = _side_shuffle
-
-    # -- accounting handlers (pass 2) --------------------------------------
+    # -- accounting handlers ------------------------------------------------
     def _account_issues(self, evs) -> None:
         """Charge one warp's round: one issue per signature group, each
         group through its tag's ``_acct`` handler."""
@@ -900,7 +827,7 @@ class ThreadBlock:
             c.local_accesses += nelem
             c.mem_cycles += nelem * params.local_access_cycles
             return
-        # Pass-1 side effects already validated (and int()-truncated)
+        # The side effects already validated (and int()-truncated)
         # every index, so column arithmetic matches ``byte_address``.
         if lockstep:
             base = buf0.base
@@ -992,7 +919,7 @@ class ThreadBlock:
     def _acct_shfl(self, sig, evs, uniform) -> None:
         self.counters.issue_cycles += 1.0
 
-    # -- round end (both loops) -------------------------------------------
+    # -- round end ----------------------------------------------------------
     def _end_round(self, live_count: int) -> int:
         """Close a round: device-wide atomic contention, the
         dependent-latency stall flag, then barrier release.  Returns the
@@ -1019,9 +946,11 @@ class ThreadBlock:
     def _release_barriers(self, live_count: int) -> int:
         """Release ready groups off the maintained waiter structures.
 
-        Block-level releases go first (short-circuiting warp-level work
-        for the round), then warp barriers and shuffle/vote groups per
-        warp in ascending warp order.  Each released group is reported to
+        Block-level releases go first, then warp barriers and
+        shuffle/vote groups per warp in ascending warp order — all in the
+        same round, as inline completion does (a classic block release
+        leaves no warp waiter behind, but a counted one can).  Each
+        released group is reported to
         the monitor, when one is attached; its consumers are indifferent
         to group order and to the order of a group's tids.
         """
@@ -1056,7 +985,8 @@ class ThreadBlock:
                 for key in done_keys:
                     del bw[key]
                 self._n_waiters -= released
-                return released
+                if not self._n_waiters:
+                    return released
 
         full = self._full_mask
         for wid in range(self.num_warps):
@@ -1135,46 +1065,11 @@ class ThreadBlock:
             return (id(buf), int(ev.idx))
         return (buf.space, buf.base, int(ev.idx))
 
-    # ------------------------------------------------------------------
-    def _resolve_round(self, posted_by_warp) -> None:
-        """Resolve one instrumented round's buffered posts, warp by warp.
-
-        Pass 1 applies side effects through the ``_side`` table in commit
-        order; collective arrivals park in the waiter dicts.  Pass 2
-        charges the warp's issue groups through ``_acct``.  The order is
-        ascending warp id, lane order within a warp — unless a schedule
-        policy permutes either (every permutation is a legal interleaving
-        of the round's concurrent accesses; the sanitizer's schedule
-        explorer uses this to expose order dependence).
-        """
-        c = self.counters
-        side = self._side
-        policy = self.schedule_policy
-        warp_ids = range(self.num_warps)
-        if policy is not None:
-            warp_ids = policy.warp_order(self.block_id, c.rounds, self.num_warps)
-        for wid in warp_ids:
-            warp_posts = posted_by_warp[wid]
-            if not warp_posts:
-                continue
-            commits = warp_posts
-            if policy is not None:
-                perm = policy.commit_order(
-                    self.block_id, c.rounds, wid, len(warp_posts)
-                )
-                commits = [warp_posts[i] for i in perm]
-            for lane, ev in commits:
-                handler = side[ev.tag]
-                if handler is not None:
-                    handler(lane, ev)
-            self._account_issues([ev for _, ev in warp_posts])
-
     @staticmethod
     def _resolve_shfl_group(key: tuple, waiters) -> None:
         """Resolve a converged shuffle or vote group and wake its lanes.
 
-        Shared by both engines so data-movement results are identical by
-        construction.  ``key`` is ``(mask, mode)`` for shuffles and
+        Shared by inline completion and round-end release.  ``key`` is ``(mask, mode)`` for shuffles and
         ``(mask, ("vote", mode))`` for votes.  The mask-relative lane
         arithmetic matches :func:`repro.gpu.shuffle.resolve_shuffles`
         positionally on the ascending participant order.

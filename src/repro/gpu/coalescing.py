@@ -24,14 +24,13 @@ Issue groups
 ============
 
 :func:`sector_footprint` and :func:`bank_passes` are the cost model the
-fast interpreter charges per issue group and the JIT per compiled script
-step, so those two engines' counters agree by construction.  A group is
+block round loop charges per issue group and the JIT per compiled script
+step, so the two engines' counters agree by construction.  A group is
 given as *columns*, one per unrolled vector position: each column is a
 unit-stride ascending ``(first, last)`` index run or a sequence of the
 participating lanes' element indices.  :func:`global_sectors` and
 :func:`shared_conflict_degree` are the scalar reference definitions the
-property tests check them against; the instrumented interpreter's
-per-position accounting follows those definitions directly.
+property tests check them against.
 """
 
 from __future__ import annotations
@@ -192,10 +191,10 @@ class L1SectorCache:
     trims from the front (least recently used) after each batch, exactly
     one warp instruction's worth of accesses at a time.
 
-    Both round engines (instrumented and fast) share one instance per
-    block and present their sector batches in ascending sector order, so
-    the cache state — and therefore every downstream hit/miss counter —
-    evolves identically regardless of which engine ran the round.
+    The round loop and the JIT keep one instance per block and present
+    their sector batches in ascending sector order, so the cache state —
+    and therefore every downstream hit/miss counter — evolves
+    identically regardless of which engine ran the round.
     """
 
     __slots__ = ("cap", "_entries")

@@ -189,19 +189,17 @@ class Device:
           retry it upgrades.
 
         ``engine`` selects the block round engine (``docs/PERF.md``):
-        ``"auto"`` picks the fast interpreter whenever the launch is
-        hook-free; ``"instrumented"`` forces the reference engine;
-        ``"fast"`` the fast interpreter; ``"jit"`` trace-compiles stable
-        warps into batched NumPy scripts and deoptimizes to the fast
-        interpreter per block otherwise.  Results are bit-identical
-        across all engines.  Passing ``engine="fast"``/``"jit"``
-        together with a hook (``tracer``/``sanitize``/``schedule_policy``/
-        an active fault plan) raises
-        :class:`~repro.errors.LaunchError`, since hooks require the
-        instrumented engine.  When ``engine`` is omitted the
-        ``REPRO_ENGINE`` environment variable applies (it downgrades
-        silently under hooks so whole suites can be swept), then
-        ``"auto"``.
+        ``"auto"`` and ``"fast"`` run the block round loop, into which
+        every hook (``tracer``/``sanitize``/``schedule_policy``/a fault
+        plan) is specialized at construction; ``"jit"`` trace-compiles
+        stable warps into batched NumPy scripts and deoptimizes to the
+        round loop per block otherwise.  Results are bit-identical
+        across engines.  Passing ``engine="jit"`` together with a hook
+        raises :class:`~repro.errors.LaunchError`, since the JIT carries
+        no hook points.  When ``engine`` is omitted the ``REPRO_ENGINE``
+        environment variable applies (a ``jit`` preference falls back to
+        the round loop silently under hooks, so whole suites can be
+        swept), then ``"auto"``.
         JIT launches report the chosen engine and per-launch compile/
         deopt telemetry in ``kc.extra`` (``engine``,
         ``jit_warps_compiled``, ``jit_deopt_<reason>``).
@@ -276,10 +274,10 @@ class Device:
                     requested = coerce_engine(engine)
                 except ValueError as err:
                     raise LaunchError(str(err)) from None
-                if requested in ("fast", "jit") and hook is not None:
+                if requested == "jit" and hook is not None:
                     raise LaunchError(
-                        f"engine={requested!r} is incompatible with an attached "
-                        f"{hook} hook (hooks need the instrumented engine); "
+                        f"engine='jit' is incompatible with an attached "
+                        f"{hook} hook (the JIT carries no hook points); "
                         "drop the hook or use engine='auto'"
                     )
             else:
@@ -289,9 +287,7 @@ class Device:
                     requested = default_engine()
                 except ValueError as err:
                     raise LaunchError(str(err)) from None
-            if hook is not None:
-                resolved = "instrumented"
-            elif requested == "auto":
+            if requested == "auto" or hook is not None:
                 resolved = "fast"
             else:
                 resolved = requested

@@ -299,7 +299,7 @@ class Vote(Event):
 # every round can share one frozen instance instead of allocating a fresh
 # object per yield.  The scheduler never mutates events; interned instances
 # are handed to ``ThreadCtx`` helpers (:mod:`repro.gpu.thread`) and flow
-# through both the instrumented and the fast-path engines unchanged.
+# through the block round loop unchanged.
 #
 # Caches are bounded: a kernel that manufactures unbounded distinct
 # (kind, ops) or mask values simply falls back to fresh allocations.

@@ -444,8 +444,9 @@ class Lane:
         self.lane_id = lane_id
         self.gen = gen
         #: Bound ``gen.send`` — saves an attribute hop in the hot round
-        #: loop.  None for non-generator stand-ins (the scheduler validates
-        #: real kernels before any Lane reaches an engine).
+        #: loop; a block with a tracer or monitor swaps in a reporting
+        #: wrapper.  None for non-generator stand-ins (the scheduler
+        #: validates real kernels before any Lane reaches an engine).
         self.send = getattr(gen, "send", None)
         self.state = RUN
         #: Value to ``send`` into the generator on the next advance.

@@ -1,8 +1,8 @@
 """Trace-compiled warp engine: the JIT tier above the round interpreters.
 
-The block scheduler (:mod:`repro.gpu.block`) owns two interpreter
-engines — instrumented and fast — that both pay one Python generator
-step per lane per event.  This package adds a third tier: it re-runs a
+The block scheduler (:mod:`repro.gpu.block`) owns one round loop, the
+interpreter, which pays one Python generator step per lane per event.
+This package adds a second tier: it re-runs a
 block's kernel as a *single vectorized generator* over all of its lanes
 at once (:mod:`repro.jit.vector`), splits the resulting event trace into
 one script per warp (:mod:`repro.jit.compile`), and then consumes the
@@ -15,15 +15,16 @@ architectural side effect is committed, every stability guard
 (divergence, unsupported events, address dependences, cross-warp
 overlap) aborts compilation while the block's scalar lane generators
 are still untouched at round zero, and a failed compile simply falls
-back to the fast interpreter.  The lockstep pass over the whole block
+back to the round loop.  The lockstep pass over the whole block
 is never looser than tracing each warp on its own; when it aborts —
 control flow that is uniform per warp but not per block, or a read of
 ``lane_id``/``warp_id`` — the block is re-traced warp by warp, and
 those passes decide the verdict.  :func:`snapshot` counts both
 (``lockstep_blocks``, ``warp_retraces``).  Compiled scripts charge
 memory through the fast interpreter's cost model (:mod:`repro.gpu.coalescing`).
-``docs/PERF.md`` documents the guard ladder; the three-engine
-differential suite in ``tests/gpu`` holds the proof obligation.
+``docs/PERF.md`` documents the guard ladder; the differential suite in
+``tests/gpu`` holds the proof obligation against a frozen reference
+recording.
 
 Engine selection
 ================
@@ -35,10 +36,10 @@ the ``REPRO_ENGINE`` environment variable (re-read at each call, like
 ========================  ==================================================
 ``REPRO_ENGINE``          Meaning
 ========================  ==================================================
-unset / ``auto``          fast interpreter when hook-free (today's default)
-``instrumented``          always the instrumented reference engine
-``fast``                  the fast interpreter (hooks force instrumented)
-``jit``                   trace-compile stable warps; deopt to fast
+unset / ``auto``          the block round loop (today's default)
+``fast``                  the block round loop (same as ``auto``)
+``jit``                   trace-compile stable warps; deopt to the round
+                          loop (always, under a hook)
 ========================  ==================================================
 
 ``Device.launch(engine=...)`` overrides the environment per launch.
@@ -54,7 +55,7 @@ from repro.jit.stats import GLOBAL_STATS, JitCounters, snapshot, reset
 ENGINE_ENV = "REPRO_ENGINE"
 
 #: Valid engine preference names.
-ENGINES = ("auto", "instrumented", "fast", "jit")
+ENGINES = ("auto", "fast", "jit")
 
 
 def coerce_engine(spec: str) -> str:

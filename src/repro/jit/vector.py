@@ -290,23 +290,41 @@ class LaneVec:
             return LaneVec.from_array(op(s[1], self._vals()))
         return NotImplemented
 
+    # Division: a zero divisor lane aborts the trace, so the interpreter
+    # replay raises (or not) exactly as the scalar lane would — NumPy
+    # would silently yield 0 / inf instead.
+    def _divide(self, other, op):
+        if isinstance(other, LaneVec):
+            if not other._vals().all():
+                raise JitAbort("error", "division by zero in a lane")
+        else:
+            s = _scalar_of(other)
+            if s is not None and s[1] == 0:
+                raise JitAbort("error", "division by zero")
+        return self._numeric(other, op)
+
+    def _rdivide(self, other, op):
+        if not self._vals().all():
+            raise JitAbort("error", "division by zero in a lane")
+        return self._rnumeric(other, op)
+
     def __truediv__(self, other):
-        return self._numeric(other, lambda a, b: a / b)
+        return self._divide(other, lambda a, b: a / b)
 
     def __rtruediv__(self, other):
-        return self._rnumeric(other, lambda a, b: a / b)
+        return self._rdivide(other, lambda a, b: a / b)
 
     def __floordiv__(self, other):
-        return self._numeric(other, lambda a, b: a // b)
+        return self._divide(other, lambda a, b: a // b)
 
     def __rfloordiv__(self, other):
-        return self._rnumeric(other, lambda a, b: a // b)
+        return self._rdivide(other, lambda a, b: a // b)
 
     def __mod__(self, other):
-        return self._numeric(other, lambda a, b: a % b)
+        return self._divide(other, lambda a, b: a % b)
 
     def __rmod__(self, other):
-        return self._rnumeric(other, lambda a, b: a % b)
+        return self._rdivide(other, lambda a, b: a % b)
 
     def __pow__(self, other):
         return self._numeric(other, lambda a, b: a**b)

@@ -154,7 +154,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pool", type=int, default=0, metavar="N",
                         help="attach a warm worker pool with N forked workers")
     parser.add_argument("--engine", default=None,
-                        help="round engine for batches (fast/jit/instrumented)")
+                        help="round engine for batches (fast/jit)")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="fault plan, REPRO_FAULTS grammar "
                              "(e.g. 42:worker.crash=0.3)")

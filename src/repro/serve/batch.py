@@ -231,27 +231,27 @@ def compatible(a: PreparedLaunch, b: PreparedLaunch) -> bool:
 
 def resolve_batch_engine(engine: Optional[str], faults) -> str:
     """The round engine a batch runs under — ``Device.launch``'s ladder
-    minus the per-launch hooks batches reject anyway.
+    minus the per-launch hooks batches reject anyway: the explicit
+    choice, then ``REPRO_ENGINE``, then auto → fast.
 
-    An active fault plan forces the instrumented engine (fault sites
-    live in the instrumented block scheduler), exactly as it does for
-    solo launches; otherwise the explicit choice, then ``REPRO_ENGINE``,
-    then auto → fast.
+    An active fault plan is a hook the JIT does not carry: explicit
+    ``jit`` raises, and an environment ``jit`` preference falls back to
+    the round loop, exactly as for solo launches.
     """
     from repro.jit import coerce_engine, default_engine
 
     if engine is not None:
         resolved = coerce_engine(engine)
-        if resolved in ("fast", "jit") and faults is not None:
+        if resolved == "jit" and faults is not None:
             raise LaunchError(
-                f"engine={resolved!r} is incompatible with an attached "
-                "fault plan (fault sites need the instrumented engine)"
+                "engine='jit' is incompatible with an attached fault plan "
+                "(the JIT carries no hook points)"
             )
     else:
         resolved = default_engine()
-    if faults is not None:
-        return "instrumented"
-    return "fast" if resolved == "auto" else resolved
+    if resolved == "auto" or faults is not None:
+        return "fast"
+    return resolved
 
 
 def run_batch(

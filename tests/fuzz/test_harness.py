@@ -31,7 +31,7 @@ class TestRunProgram:
         result = run_program(plan, legs=default_legs(smoke=True,
                                                      executor=executor))
         assert result.ok, [m.describe() for m in result.mismatches]
-        assert len(result.legs) == 3
+        assert len(result.legs) == 2
         assert all(leg.ok for leg in result.legs)
 
     def test_clean_plan_passes_full_matrix(self):
@@ -50,7 +50,7 @@ class TestRunProgram:
         # cross-engine mismatch — the oracle is what catches the bug).
         oracle_flagged = {m.leg for m in result.mismatches
                           if m.against == "oracle"}
-        assert oracle_flagged == {"instrumented", "fast", "jit"}
+        assert oracle_flagged == {"fast", "jit"}
         assert all(m.what == "output:out" for m in result.mismatches), \
             [m.describe() for m in result.mismatches]
 
@@ -65,7 +65,7 @@ class TestRunProgram:
         outcome = run_leg(plan, "schedule")
         assert outcome.ok
         assert not outcome.compare_counters
-        engine_leg = run_leg(plan, "instrumented")
+        engine_leg = run_leg(plan, "fast")
         assert engine_leg.compare_counters
 
     def test_counters_never_carry_jit_telemetry(self):
@@ -76,8 +76,7 @@ class TestRunProgram:
 
     def test_error_legs_must_agree(self):
         bad = LegOutcome(leg="weird", error=("BoomError", "synthetic"))
-        good_legs = [("instrumented",
-                      lambda p: run_leg(p, "instrumented")),
+        good_legs = [("fast", lambda p: run_leg(p, "fast")),
                      ("weird", lambda p: bad)]
         result = run_program(plan_from_seed(2023), legs=good_legs)
         assert not result.ok

@@ -9,6 +9,27 @@ from repro.gpu.block import ThreadBlock
 from repro.gpu.costmodel import nvidia_a100
 from repro.gpu.device import Device
 from repro.gpu.memory import GlobalMemory
+from repro.sanitizer.monitor import SanitizerConfig, SanitizerMonitor
+
+
+def _no_op_tracer(*event):
+    pass
+
+
+# ``"instrumented"`` names the round loop with the instrumentation hooks —
+# a report-mode sanitizer monitor and a tracer — specialized in at
+# construction; any other variant is an engine name.
+def _launch_hooks(variant):
+    if variant != "instrumented":
+        return {"engine": variant}
+    return {"sanitize": SanitizerConfig(mode="report"), "tracer": _no_op_tracer}
+
+
+def _block_hooks(variant):
+    if variant != "instrumented":
+        return {"engine": variant}
+    return {"monitor": SanitizerMonitor(SanitizerConfig(mode="report")),
+            "tracer": _no_op_tracer}
 
 
 def make_block(entry, threads=32, args=(), params=None, max_rounds=100000):
@@ -336,8 +357,8 @@ class TestDeterminism:
 
 
 class TestAtomicContentionKey:
-    @pytest.mark.parametrize("engine", [None, "instrumented"])
-    def test_aliased_buffers_contend(self, engine):
+    @pytest.mark.parametrize("variant", [None, "instrumented"])
+    def test_aliased_buffers_contend(self, variant):
         """Two Buffer objects over the same storage are one address.
 
         Contention is keyed by the stable ``(space, base)`` device address,
@@ -357,12 +378,12 @@ class TestAtomicContentionKey:
             target = acc if tc.lane_id % 2 == 0 else alias
             yield from tc.atomic_add(target, 0, 1)
 
-        kc = dev.launch(k, 1, 32, args=(acc, alias), engine=engine)
+        kc = dev.launch(k, 1, 32, args=(acc, alias), **_launch_hooks(variant))
         assert acc.read(0) == 32
         assert kc.total("atomic_conflicts") == 31
 
-    @pytest.mark.parametrize("engine", [None, "instrumented"])
-    def test_local_buffers_not_conflated(self, engine):
+    @pytest.mark.parametrize("variant", [None, "instrumented"])
+    def test_local_buffers_not_conflated(self, variant):
         """Lane-private local buffers all sit at base 0 but never contend."""
         dev = Device(nvidia_a100())
 
@@ -370,13 +391,13 @@ class TestAtomicContentionKey:
             lb = tc.alloca("scratch", 1, np.int64)
             yield from tc.atomic_add(lb, 0, 1)
 
-        kc = dev.launch(k, 1, 32, engine=engine)
+        kc = dev.launch(k, 1, 32, **_launch_hooks(variant))
         assert kc.total("atomic_conflicts") == 0
 
 
 class TestRetiredLaneState:
-    @pytest.mark.parametrize("engine", [None, "instrumented"])
-    def test_pending_cleared_on_retire(self, engine):
+    @pytest.mark.parametrize("variant", [None, "instrumented"])
+    def test_pending_cleared_on_retire(self, variant):
         """A lane retiring right after a load must not pin the loaded value.
 
         ``lane.pending`` holds the value the next resume would deliver; on
@@ -397,25 +418,26 @@ class TestRetiredLaneState:
             gmem=GlobalMemory(),
             entry=k,
             args=(x,),
-            engine=engine,
+            **_block_hooks(variant),
         )
         tb.run()
         assert all(l.pending is None for l in tb.lanes)
         assert all(l.posted is None for l in tb.lanes)
 
-    @pytest.mark.parametrize("engine", ["instrumented", "fast", "jit"])
-    def test_posted_cleared_at_barrier_parks(self, engine):
+    @pytest.mark.parametrize("variant", ["instrumented", "fast", "jit"])
+    def test_posted_cleared_at_barrier_parks(self, variant):
         """A lane migrating from a shuffle to a barrier park must not drag
         its posted event along.
 
-        Only shuffle/vote waiters may carry ``lane.posted``; the fast
-        engine's barrier park sites clear it explicitly, otherwise a lane
-        whose shuffle resolved inline mid-round can retire still pinning
-        the stale event (and its payload).  The skewed arrivals below
-        drive lanes through every park site: inline same-round groups,
-        second-key same-round parks, and partial-arrival parks.  Under
-        ``engine="jit"`` the shuffle forces a deopt, so the same property
-        holds on the deopt replay path.
+        Only shuffle/vote waiters may carry ``lane.posted``; resolving a
+        group clears it for every member, inline or at release, otherwise
+        a lane can retire still pinning the stale event (and its payload).
+        The skewed arrivals below drive lanes through every park site:
+        inline same-round groups, second-key same-round parks, and
+        partial-arrival parks; the instrumented variant parks every group
+        until the round-end release.  Under ``engine="jit"`` the shuffle
+        forces a deopt, so the same property holds on the deopt replay
+        path.
         """
         from repro.gpu.thread import DONE
 
@@ -440,7 +462,7 @@ class TestRetiredLaneState:
             gmem=GlobalMemory(),
             entry=k,
             args=(),
-            engine=engine,
+            **_block_hooks(variant),
         )
         tb.run()
         for lane in tb.lanes:

@@ -1,14 +1,22 @@
-"""Differential suite: the three round engines, bit for bit.
+"""Differential suite: the block round loop and the JIT, bit for bit.
 
-The fast interpreter and the trace-compiling JIT (``docs/PERF.md``) are
-only legal because they are *observationally identical* to the
-instrumented engine: same memory state, same
+The block round loop — hook-free or with hooks specialized in — and the
+trace-compiling JIT (``docs/PERF.md``) must stay *observationally
+identical* to the reference semantics: same memory state, same
 :class:`~repro.gpu.counters.KernelCounters`, same errors with the same
-messages.  This suite proves that claim by running the same kernels
-under every engine — randomized programs mixing every event type plus
-directed kernels targeting each engine's seams (partial same-round
-arrivals, sub-mask groups, counted barriers, faulting accesses, and
-every JIT deoptimization reason) — and comparing everything.
+messages.  The reference is ``reference_engine_fixture.json``: the
+results of the buffered reference engine (``engine="instrumented"``,
+since deleted), recorded hook-free on the serial executor, twice and
+byte-identical, before its deletion — every counter field and a memory
+digest for the random-soup seeds and the streaming kernel, and the
+error type, message and memory digest of the fault and deadlock cases.
+It is an oracle: regenerating it from the engines it checks would make
+the suite a self-comparison.  Randomized programs mixing every event
+type plus directed kernels targeting each engine's seams (partial
+same-round arrivals, sub-mask groups, counted barriers, faulting
+accesses, and every JIT deoptimization reason) run under every engine
+and are compared against it, or, where it has no entry, against the
+round loop.
 
 JIT launches additionally report ``engine``/``jit_*`` telemetry keys in
 ``kc.extra``; :func:`_strip_jit_extras` removes exactly those before the
@@ -37,19 +45,22 @@ from repro.gpu.device import Device
 from repro.sanitizer.monitor import SanitizerConfig
 from repro.sanitizer.schedule import DirectedSchedule, ShuffleSchedule
 
-ENGINES = ["fast", "jit"]  # each diffed against the instrumented baseline
+ENGINES = ["fast", "jit"]  # each diffed against the reference fixture
 
-#: Random-soup legs: the hook-free engines, plus ``"hooked"`` — the
-#: instrumented engine with a report-mode sanitizer, an identity schedule
-#: policy and a no-op tracer attached, diffed against the fast engine.
+#: Random-soup legs: the hook-free engines, plus ``"hooked"`` — the round
+#: loop with a report-mode sanitizer, an identity schedule policy and a
+#: no-op tracer attached.
 LEGS = ENGINES + ["hooked"]
 
 #: The races-only, raise-on-first-race sanitizer.
 RACES = SanitizerConfig(barriers=False, sharing=False, mode="raise")
 
-#: Parent-recorded oracle for the hooked and permuted instrumented paths
+#: Recorded oracle for the hooked and permuted paths
 #: (see :func:`test_hooked_reports_pinned` / :func:`test_shuffle_schedule_pinned`).
 FIXTURE = os.path.join(os.path.dirname(__file__), "hooked_engine_fixture.json")
+
+#: The reference engine's recorded hook-free results (module docstring).
+REFERENCE = os.path.join(os.path.dirname(__file__), "reference_engine_fixture.json")
 
 
 def _strip_jit_extras(kc):
@@ -355,7 +366,7 @@ def _no_op_tracer(block_id, rnd, tid, ev):
 
 
 def _run_hooked(seed, executor, params):
-    """The random soup on the instrumented engine with every hook attached:
+    """The random soup on the round loop with every hook attached:
     a report-mode sanitizer, an identity schedule policy, a no-op tracer.
     Returns the run with the sanitizer extras stripped, plus the report."""
     kc, *mem = _run_random_kernel(
@@ -369,22 +380,20 @@ def _run_hooked(seed, executor, params):
 
 
 def _assert_leg_identical(seed, executor, params, leg):
-    """One random-soup leg against its oracle: hook-free engines against
-    the instrumented engine, the hooked leg against the fast engine (whose
-    inline completions never call the monitor, so the hooked release
-    stream is checked against the counters instead)."""
+    """One random-soup leg against the reference fixture; the hooked leg's
+    release stream is also checked against its own counters (every
+    release reaches the monitor)."""
     if leg == "hooked":
-        (ke, xe, we, ae), report = _run_hooked(seed, executor, params)
-        ki, xi, wi, ai = _run_random_kernel(seed, executor, params, "fast")
-        assert report.stats.get("releases_block", 0) == ke.syncblocks
-        assert report.stats.get("releases_warp", 0) == ke.syncwarps
+        run, report = _run_hooked(seed, executor, params)
+        assert report.stats.get("releases_block", 0) == run[0].syncblocks
+        assert report.stats.get("releases_warp", 0) == run[0].syncwarps
     else:
-        ke, xe, we, ae = _run_random_kernel(seed, executor, params, leg)
-        ki, xi, wi, ai = _run_random_kernel(seed, executor, params, "instrumented")
-    assert _strip_jit_extras(ke).identical(ki), f"seed {seed}: counters diverged"
-    assert np.array_equal(xe, xi)
-    assert np.array_equal(we, wi)
-    assert np.array_equal(ae, ai)
+        run = _run_random_kernel(seed, executor, params, leg)
+        _strip_jit_extras(run[0])
+    want = _load_reference()["random"][str(seed)]
+    assert _json_exact(_reference_record(*run)) == want, (
+        f"seed {seed}: counters or memory diverged"
+    )
 
 
 @pytest.mark.parametrize("engine", LEGS)
@@ -446,8 +455,23 @@ def _report_record(report):
     }
 
 
+def _reference_record(kc, *mem):
+    """:func:`_counters_record` plus the launch geometry: every
+    :class:`~repro.gpu.counters.KernelCounters` field the ``identical()``
+    oracle compares."""
+    record = _counters_record(kc, *mem)
+    record["num_blocks"] = kc.num_blocks
+    record["threads_per_block"] = kc.threads_per_block
+    return record
+
+
 def _load_fixture():
     with open(FIXTURE) as f:
+        return json.load(f)
+
+
+def _load_reference():
+    with open(REFERENCE) as f:
         return json.load(f)
 
 
@@ -476,7 +500,7 @@ def test_shuffle_schedule_pinned(executor, seed):
 # Directed JIT compilation and deoptimization coverage
 
 
-def _run_streaming(executor, engine, threads=64):
+def _run_streaming(executor, engine, threads=64, **hooks):
     dev = Device(nvidia_a100(), executor=executor)
     n = 4 * threads
     x = dev.from_array("x", np.arange(n, dtype=np.float32))
@@ -491,7 +515,7 @@ def _run_streaming(executor, engine, threads=64):
             yield from tc.store(y, i, v * 2.0 + 1.0)
             i += stride
 
-    kc = dev.launch(k, 2, threads, args=(x, y, n), engine=engine)
+    kc = dev.launch(k, 2, threads, args=(x, y, n), engine=engine, **hooks)
     return kc, y.to_numpy()
 
 
@@ -499,17 +523,27 @@ def test_jit_compiles_streaming_kernel(executor):
     """A convergent grid-stride stream compiles: every warp goes scripted,
     the launch reports it, and the results stay bit-identical."""
     kj, yj = _run_streaming(executor, "jit")
-    ki, yi = _run_streaming(executor, "instrumented")
     assert kj.extra["engine"] == "jit"
     assert kj.extra["jit_warps_compiled"] == 4.0  # 2 blocks x 2 warps
-    assert np.array_equal(yj, yi)
-    assert _strip_jit_extras(kj).identical(ki)
+    want = _load_reference()["streaming"]
+    assert _json_exact(_reference_record(_strip_jit_extras(kj), yj)) == want
+
+
+@pytest.mark.parametrize("engine", ["fast", "traced"])
+def test_streaming_kernel_matches_reference(executor, engine):
+    """The round loop, hook-free and traced, reproduces the reference
+    streaming run."""
+    if engine == "traced":
+        run = _run_streaming(executor, "fast", tracer=_no_op_tracer)
+    else:
+        run = _run_streaming(executor, engine)
+    assert _json_exact(_reference_record(*run)) == _load_reference()["streaming"]
 
 
 def test_non_jit_launch_has_no_jit_extras(executor):
-    """Counters from instrumented/fast launches carry no engine telemetry —
-    they stay bit-identical to pre-JIT baselines."""
-    for engine in ("instrumented", "fast"):
+    """Counters from round-loop launches carry no engine telemetry — they
+    stay bit-identical to pre-JIT baselines."""
+    for engine in ("auto", "fast"):
         kc, _ = _run_streaming(executor, engine)
         assert "engine" not in kc.extra
         assert not any(key.startswith("jit_") for key in kc.extra)
@@ -605,7 +639,7 @@ def test_jit_deopt_bit_identical(executor, reason):
         return kc, [b.to_numpy().copy() for b in bufs]
 
     kj, mj = run("jit")
-    ki, mi = run("instrumented")
+    ki, mi = run("fast")
     assert kj.extra["engine"] == "jit"
     assert kj.extra.get(f"jit_deopt_{reason}", 0) >= 1, (
         f"expected a {reason} deopt, extras: {kj.extra}"
@@ -687,7 +721,7 @@ def test_explicit_jit_with_hook_is_an_error(executor):
 
 def test_env_engine_downgrades_silently_under_hook(executor, monkeypatch):
     """A REPRO_ENGINE=jit sweep must not break hook-carrying launches: the
-    preference downgrades to instrumented and reports no jit telemetry."""
+    preference falls back to the round loop and reports no jit telemetry."""
     monkeypatch.setenv("REPRO_ENGINE", "jit")
     dev = Device(nvidia_a100(), executor=executor)
     w = dev.alloc("w", 32, np.float64)
@@ -706,12 +740,17 @@ def test_env_engine_downgrades_silently_under_hook(executor, monkeypatch):
 
 
 def _launch_expect(executor, build, exc, engine):
-    """Run ``build``'s kernel expecting ``exc``; return (type, message, mem)."""
+    """Run ``build``'s kernel expecting ``exc``; return its record: error
+    type name, message and a digest of the kernel's buffers."""
     dev = Device(nvidia_a100(), executor=executor)
     k, blocks, threads, args, bufs = build(dev)
     with pytest.raises(exc) as ei:
         dev.launch(k, blocks, threads, args=args, engine=engine)
-    return type(ei.value), str(ei.value), [b.to_numpy().copy() for b in bufs]
+    digest = hashlib.sha256()
+    for b in bufs:
+        digest.update(np.ascontiguousarray(b.to_numpy()).tobytes())
+    return {"type": type(ei.value).__name__, "message": str(ei.value),
+            "mem_sha256": digest.hexdigest()}
 
 
 def _oob_load(dev):
@@ -768,12 +807,9 @@ def _oob_jit_store(dev):
     "build", [_oob_load, _oob_store, _oob_vec_load, _oob_jit_store]
 )
 def test_memory_fault_identical(executor, build, engine):
-    """Faults carry the same type/message and leave identical memory."""
-    te, me, be = _launch_expect(executor, build, MemoryFault, engine)
-    ti, mi, bi = _launch_expect(executor, build, MemoryFault, "instrumented")
-    assert (te, me) == (ti, mi)
-    for a, b in zip(be, bi):
-        assert np.array_equal(a, b)
+    """Faults carry the reference type/message and leave its memory."""
+    got = _launch_expect(executor, build, MemoryFault, engine)
+    assert got == _load_reference()["memory_fault"][build.__name__]
 
 
 def _retired_lane_deadlock(dev):
@@ -800,7 +836,74 @@ def _counted_bar_deadlock(dev):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("build", [_retired_lane_deadlock, _counted_bar_deadlock])
 def test_deadlock_identical(executor, build, engine):
-    """Incomplete groups deadlock identically under every engine."""
-    te, me, _ = _launch_expect(executor, build, DeadlockError, engine)
-    ti, mi, _ = _launch_expect(executor, build, DeadlockError, "instrumented")
-    assert (te, me) == (ti, mi)
+    """Incomplete groups deadlock as the reference did under every engine."""
+    got = _launch_expect(executor, build, DeadlockError, engine)
+    assert got == _load_reference()["deadlock"][build.__name__]
+
+
+# ---------------------------------------------------------------------------
+# Regressions: seams where hooked and hook-free runs used to disagree
+
+
+def _counted_bar_then_syncwarp(tc):
+    if tc.warp_id == 0:
+        yield from tc.syncthreads(bar_id=1, count=32)
+    else:
+        yield from tc.syncwarp()
+    yield from tc.compute("alu")
+
+
+def _counted_bar_then_shfl(tc):
+    if tc.warp_id == 0:
+        yield from tc.syncthreads(bar_id=1, count=32)
+    else:
+        yield from tc.shfl_down(1.0, 1)
+    yield from tc.compute("alu")
+
+
+@pytest.mark.parametrize("kernel", [_counted_bar_then_syncwarp,
+                                    _counted_bar_then_shfl])
+def test_counted_barrier_releases_with_warp_groups(executor, kernel):
+    """A counted barrier releasing in the same round as a warp barrier or
+    shuffle group must not hold that group back a round: the hook-free
+    loop (which completes the warp group inline) and a sanitized launch
+    (which parks every group until the round-end release) agree."""
+
+    def run(**hooks):
+        dev = Device(nvidia_a100(), executor=executor)
+        kc = dev.launch(kernel, 1, 64, **hooks)
+        kc.extra.pop("sanitizer_findings", None)
+        kc.sanitizer = None
+        return kc
+
+    plain = run(engine="fast")
+    sanitized = run(sanitize=SanitizerConfig(mode="report"))
+    assert plain.rounds == 2
+    assert sanitized.identical(plain)
+
+
+def _div_floor_by_zero(tc, w):
+    yield from tc.store(w, tc.tid, tc.tid // 0)
+
+
+def _mod_by_zero(tc, w):
+    yield from tc.store(w, tc.tid, tc.tid % 0)
+
+
+def _div_by_lane(tc, w):
+    yield from tc.store(w, tc.tid, 7 // tc.tid)  # lane 0 divides by zero
+
+
+@pytest.mark.parametrize("leg", ["fast", "jit", "traced"])
+@pytest.mark.parametrize("kernel", [_div_floor_by_zero, _mod_by_zero,
+                                    _div_by_lane])
+def test_zero_divisor_raises_on_every_engine(executor, kernel, leg):
+    """A zero divisor in any lane raises ``ZeroDivisionError`` and stores
+    nothing: the JIT aborts its trace instead of letting NumPy yield 0."""
+    dev = Device(nvidia_a100(), executor=executor)
+    w = dev.alloc("w", 32, np.int64)
+    hooks = {"tracer": _no_op_tracer} if leg == "traced" else {}
+    engine = "fast" if leg == "traced" else leg
+    with pytest.raises(ZeroDivisionError):
+        dev.launch(kernel, 1, 32, args=(w,), engine=engine, **hooks)
+    assert not w.to_numpy().any()

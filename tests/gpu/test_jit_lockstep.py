@@ -542,7 +542,7 @@ def test_tid_equals_integral_float(executor, threads):
             yield from tc.store(y, tc.tid, 2.0)
 
     out = {}
-    for engine in ("instrumented", "fast", "jit"):
+    for engine in ("fast", "jit"):
         dev = Device(nvidia_a100(), executor=executor)
         y = dev.alloc("y", threads, np.float64)
         kc = dev.launch(k, 1, threads, args=(y,), engine=engine)
@@ -551,4 +551,4 @@ def test_tid_equals_integral_float(executor, threads):
     want[5] = 1.0
     for engine, (mem, kc) in out.items():
         assert np.array_equal(mem, want), engine
-        assert kc.identical(out["instrumented"][1]), engine
+        assert kc.identical(out["fast"][1]), engine

@@ -102,6 +102,29 @@ class TestStaleMask:
                         args=(a,), sanitize=REPORT)
         assert kc.sanitizer.by_category("stale-mask"), kc.sanitizer.text()
 
+    def test_same_round_retire_sees_round_start_states(self):
+        """Arrivals park only after their warp's scan: a lane retiring in
+        the round its siblings post a second syncwarp mask naming it sees
+        them still running, so no eager stale-mask finding fires and the
+        post-mortem divergence analysis explains the deadlock."""
+
+        def kernel(tc):
+            if tc.lane_id < 16:
+                yield from tc.syncwarp(0xFFFF)
+            elif tc.lane_id < 24:
+                yield from tc.syncwarp(0xFFFF0000)  # names lanes 24-31
+            else:
+                return
+            yield from tc.compute("alu")
+
+        kc = Device().launch(kernel, num_blocks=1, threads_per_block=32,
+                             sanitize=REPORT)
+        report = kc.sanitizer
+        assert not report.by_category("stale-mask"), report.text()
+        div = report.by_category("barrier-divergence")
+        assert div and "lane 24 retired" in div[0].message, report.text()
+        assert report.by_category("deadlock")
+
 
 class TestWorkerLockup:
     def test_absent_lane_listed_in_divergence(self):

@@ -260,7 +260,7 @@ class TestBoundedPreemption:
 
 class TestTelemetryCarveOut:
     """Regression (satellite): diffing must not flag launch-scoped jit
-    telemetry — a policy-hooked run deopts to instrumented while the
+    telemetry — a policy-hooked run takes the round loop while the
     hook-free baseline may compile, so ``extra["engine"]``/``jit_*``
     keys legitimately differ across otherwise identical runs."""
 

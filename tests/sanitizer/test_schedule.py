@@ -1,11 +1,11 @@
 """Schedule exploration: seeded permutations, divergence, replay.
 
 The exploration tests run under every round engine via the ``engine``
-fixture (``REPRO_ENGINE`` sweep).  Schedule policies are launch hooks,
-so policy-carrying launches deopt to the instrumented engine silently
-while the policy-free baseline really runs fast/jit — the divergence
-verdicts must be identical either way, and the deopt must be clean
-(no jit telemetry on hooked launches, no error).
+fixture (``REPRO_ENGINE`` sweep).  Schedule policies are launch hooks
+the JIT does not carry, so policy-carrying launches take the block round
+loop silently while the policy-free baseline really runs fast/jit — the
+divergence verdicts must be identical either way, and the fallback must
+be clean (no jit telemetry on hooked launches, no error).
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.sanitizer.schedule import (
     replay_schedule,
 )
 
-ENGINES = ("instrumented", "fast", "jit")
+ENGINES = ("fast", "jit")
 
 
 @pytest.fixture(params=ENGINES)
@@ -108,7 +108,7 @@ class TestExploration:
 
 
 class TestEngineDowngrade:
-    """Policies are hooks: fast/jit launches must deopt cleanly."""
+    """Policies are hooks: jit launches must fall back cleanly."""
 
     def test_policy_deopts_jit_launch_without_telemetry(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "jit")
@@ -128,7 +128,7 @@ class TestEngineDowngrade:
         assert "engine" not in kc_hook.extra
         assert not any(k.startswith("jit_") for k in kc_hook.extra)
 
-    @pytest.mark.parametrize("explicit", ["fast", "jit"])
+    @pytest.mark.parametrize("explicit", ["jit"])
     def test_explicit_engine_plus_policy_raises(self, explicit):
         from repro.errors import LaunchError
 
@@ -142,6 +142,22 @@ class TestEngineDowngrade:
             dev.launch(kernel, num_blocks=1, threads_per_block=64,
                        args=(a,), engine=explicit,
                        schedule_policy=ShuffleSchedule(1))
+
+    def test_explicit_fast_carries_the_policy(self):
+        """The round loop takes every hook: explicit ``fast`` plus a
+        policy runs the policy, as ``auto`` does."""
+        out = []
+        for engine in ("fast", "auto"):
+            dev = Device()
+            a = dev.alloc("a", 1, np.float64)
+
+            def kernel(tc, a):
+                yield from tc.store(a, 0, float(tc.tid // 32))
+
+            dev.launch(kernel, num_blocks=1, threads_per_block=64, args=(a,),
+                       engine=engine, schedule_policy=ShuffleSchedule(3))
+            out.append(a.read(0))
+        assert out[0] == out[1] == 0.0  # seed 3 commits warp 0 last
 
     def test_baseline_engine_does_not_change_verdict(self, engine):
         """The same divergent seed is found whatever engine the baseline

@@ -111,7 +111,7 @@ def test_hook_free_launch_builds_no_site_context(monkeypatch):
 
     dev = Device(executor=SerialExecutor())
     a = dev.alloc("a", 64, np.float64)
-    for engine in ("auto", "fast", "instrumented", "jit"):
+    for engine in ("auto", "fast", "jit"):
         dev.launch(kernel, 2, 32, args=(a,), engine=engine)
     dev.launch(kernel, 2, 32, args=(a,), tracer=lambda *ev: None)
     assert built == []
