@@ -48,7 +48,6 @@ from repro.exec.engine import (
 )
 from repro.exec.pool import (
     RetryPolicy,
-    WorkerError,
     WorkerPool,
     fork_available,
     fork_map,
@@ -66,7 +65,6 @@ __all__ = [
     "RetryPolicy",
     "SegmentOutcome",
     "SerialExecutor",
-    "WorkerError",
     "WorkerPool",
     "coerce_executor",
     "default_executor",

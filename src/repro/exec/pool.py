@@ -2,51 +2,55 @@
 
 The simulator's work units — thread blocks, schedule-exploration seeds —
 close over generator functions, device objects, and live NumPy buffers,
-none of which survive pickling.  ``fork`` sidesteps that entirely: each
+none of which survive pickling.  ``fork`` sidesteps that entirely: a
 worker is a forked child that *inherits* the parent's full state
-(copy-on-write), runs its chunk of tasks, and ships only the **results**
-back over a pipe.  Results must therefore be picklable; the task
-callables need not be.
+(copy-on-write), runs the chunks of tasks it is sent, and ships only the
+**results** back over a pipe.  Results must therefore be picklable; the
+runner need not be.
 
-:func:`fork_map` is deliberately deterministic: tasks are split into
-contiguous chunks, one worker per chunk, and results are returned in
-task order regardless of which worker finished first.  A task that
-raises is returned as an :class:`~repro.exec.record.ErrorCapsule` in its
-slot rather than aborting the whole map — callers decide what an error
-in slot *i* means (for block shards: "serial execution would have
-stopped here").
+There is one pool, :class:`WorkerPool`, with two lifetimes:
+
+* **warm** — the serve tier (:mod:`repro.serve`) forks its workers once
+  and reuses them across many :meth:`WorkerPool.map` calls; they are
+  health-checked and respawned on loss.  The runner is fixed at spawn,
+  so each payload must carry everything request-specific.
+* **one-shot** — :func:`fork_map` opens a pool whose runner is
+  ``lambda i: fn(tasks[i])``, maps it over the task *indices* and closes
+  it.  Workers fork inside that ``map``, after the caller has built the
+  pre-launch state, so unpicklable closures and live buffers are
+  inherited and only results travel back; each exits once it has
+  answered its chunk.
+
+:meth:`WorkerPool.map` is deterministic: tasks are split into contiguous
+chunks, one per worker, and results come back in task order regardless
+of which worker finished first.  A task that raises is returned as an
+:class:`~repro.exec.record.ErrorCapsule` in its slot rather than
+aborting the map — callers decide what an error in slot *i* means (for
+block shards: "serial execution would have stopped here").
 
 Worker *processes*, on the other hand, can die or wedge — naturally
 (OOM-killed, a segfaulting extension) or injected by a
 :class:`repro.faults.FaultPlan` at the ``worker.crash``/``worker.hang``
-sites.  The pool recovers instead of aborting (the recovery ladder,
-governed by :class:`RetryPolicy`):
+sites, consulted once per dispatched chunk.  The pool recovers instead
+of aborting (the recovery ladder, governed by :class:`RetryPolicy`):
 
 1. failed chunks are **retried** with capped exponential backoff, their
-   task indices **redistributed** across a fresh set of forked workers;
-2. after ``max_retries`` rounds the survivors' results are kept and the
-   still-missing tasks **degrade to in-process** serial execution, which
-   cannot suffer worker faults — the map always completes;
-3. only with ``recover=False`` does the old behaviour return: a
-   :class:`WorkerError` naming each dead worker's exit code or signal.
+   task indices **redistributed** across the surviving and respawned
+   workers;
+2. after ``max_retries`` rounds the still-missing tasks **degrade to
+   in-process** execution, which cannot suffer worker faults — the map
+   always completes.
 
-A ``deadline`` (absolute :func:`time.monotonic` value) turns the pool
+A ``deadline`` (absolute :func:`time.monotonic` value) turns the map
 into a launch watchdog: expiry kills outstanding workers and raises
-:class:`~repro.errors.LaunchTimeout` with progress counts.
+:class:`~repro.errors.LaunchTimeout` with progress counts, after handing
+the outcomes already collected to the caller's ``partial`` sink.
 
-On platforms without ``fork`` (or when ``workers <= 1``) the map runs
-in-process with identical semantics, so results never depend on the
-transport.
-
-:func:`fork_map` is the *per-launch* pool: children fork, run, and die
-with each call.  :class:`WorkerPool` is the *persistent warm* pool the
-serve tier (:mod:`repro.serve`) schedules onto: workers fork once,
-stay resident across launches, are health-checked and respawned on
-loss, and run picklable payloads through a runner fixed at spawn time.
-It reuses the same retry/redistribute/degrade ladder and the same
-``worker.crash``/``worker.hang`` fault sites.  Warm pools must be
-closed (``close()``, a ``with`` block, or the module's atexit sweep)
-so forked children never outlive the interpreter.
+On platforms without ``fork``, with ``processes=False``, or (for
+:func:`fork_map`) with one worker, the map runs in-process with identical
+semantics, so results never depend on the transport.  Pools must be
+closed (``close()``, a ``with`` block, or the module's atexit sweep) so
+forked children never outlive the interpreter.
 
 Block shards inherit the scheduler's engine selection unchanged: each
 shard runs the block round loop (or the JIT) inside a worker exactly as
@@ -69,18 +73,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import LaunchTimeout, SimulationError
+from repro.errors import LaunchTimeout
 from repro.exec.record import ErrorCapsule
-
-
-class WorkerError(SimulationError):
-    """A worker process died without delivering its results.
-
-    Raised only when recovery is disabled (``recover=False``) or by the
-    legacy single-shot path; the default pool retries, redistributes,
-    and degrades in-process instead.  The message names each failed
-    chunk's task range and its worker's exit code or fatal signal.
-    """
 
 
 #: Exit code used by injected worker crashes (distinctive in diagnostics).
@@ -96,7 +90,7 @@ DEFAULT_FAULT_HANG_TIMEOUT = 1.5
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Recovery knobs for :func:`fork_map`.
+    """Recovery knobs for :class:`WorkerPool` and :func:`fork_map`.
 
     ``max_retries`` bounds redistribution rounds (not counting the final
     in-process degradation).  Backoff before retry round *k* is
@@ -137,7 +131,7 @@ def retry_delay(policy: RetryPolicy, attempt: int, *,
     return base * (0.5 + frac)
 
 
-#: Stats keys :func:`fork_map` maintains in a caller-supplied dict.
+#: Stats keys :meth:`WorkerPool.map` maintains in a caller-supplied dict.
 STAT_KEYS = (
     "worker_deaths",
     "worker_hangs",
@@ -147,6 +141,10 @@ STAT_KEYS = (
     "degraded_tasks",
     "retry_rounds",
 )
+
+#: Keys of a pool's lifetime :attr:`WorkerPool.stats`: the per-call keys
+#: plus the pool-lifecycle events, which never reach a per-call sink.
+POOL_STAT_KEYS = STAT_KEYS + ("worker_respawns", "warm_dispatches")
 
 
 def fork_available() -> bool:
@@ -179,293 +177,15 @@ def _chunk(n_tasks: int, workers: int) -> List[range]:
     return chunks
 
 
-def _run_chunk(fn: Callable, tasks: Sequence, chunk: Sequence[int]) -> List[tuple]:
-    out = []
-    for i in chunk:
-        try:
-            out.append((i, "ok", fn(tasks[i])))
-        except BaseException as exc:  # ship, don't kill the chunk
-            out.append((i, "err", ErrorCapsule(exc)))
-    return out
-
-
-def _child_main(conn, fn: Callable, tasks: Sequence, chunk: Sequence[int],
-                faults=None, attempt: int = 0) -> None:
-    """Forked-child entry: run the chunk, ship results, exit *hard*.
-
-    ``os._exit`` matters: the child inherited the parent's interpreter
-    state (pytest hooks, atexit handlers, open benchmark sessions) and
-    must not run any of it on the way out.  Fault injection happens here,
-    before any work: a fired ``worker.crash`` dies with
-    :data:`INJECTED_CRASH_EXIT`, a fired ``worker.hang`` sleeps until
-    the parent's watchdog reaps it.  The parent re-evaluates the same
-    (stateless) predicates for provenance.
-    """
-    code = 0
+def _outcome(runner: Callable, payload) -> Tuple[str, object]:
     try:
-        if faults is not None and len(chunk):
-            coords = {"chunk": int(chunk[0]), "attempt": attempt}
-            # Hang before crash: a plan arming both (the campaign's
-            # ``--hang`` leg) pins the hang to one chunk and must not
-            # have the broader crash predicate mask it.
-            if faults.fires("worker.hang", **coords) is not None:
-                time.sleep(_HANG_SLEEP)
-            if faults.fires("worker.crash", **coords) is not None:
-                os._exit(INJECTED_CRASH_EXIT)
-        results = _run_chunk(fn, tasks, chunk)
-        try:
-            conn.send(results)
-        except Exception as exc:  # an unpicklable *result* slipped through
-            conn.send([(i, "err", ErrorCapsule(exc)) for i in chunk])
-    except BaseException:
-        code = 1
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-        os._exit(code)
+        return "ok", runner(payload)
+    except BaseException as exc:  # ship, don't kill the chunk
+        return "err", ErrorCapsule(exc)
 
 
-def _deadline_timeout(msg_done: int, n_tasks: int) -> LaunchTimeout:
-    return LaunchTimeout(
-        f"launch watchdog expired with {msg_done}/{n_tasks} work chunks done",
-        blocks_done=msg_done,
-        num_blocks=n_tasks,
-    )
-
-
-def fork_map(
-    fn: Callable,
-    tasks: Sequence,
-    workers: Optional[int] = None,
-    processes: bool = True,
-    *,
-    faults=None,
-    retry: Optional[RetryPolicy] = None,
-    deadline: Optional[float] = None,
-    recover: bool = True,
-    stats: Optional[dict] = None,
-    partial: Optional[list] = None,
-) -> List[Tuple[str, object]]:
-    """Run ``fn`` over ``tasks`` across forked workers; ordered outcomes.
-
-    Returns one ``("ok", result)`` or ``("err", ErrorCapsule)`` pair per
-    task, in task order.  ``workers=None`` uses one worker per available
-    CPU (capped at 8); ``processes=False`` forces the in-process path.
-
-    Keyword-only recovery surface: ``faults`` is an optional
-    :class:`repro.faults.FaultPlan` consulted at the worker hook sites;
-    ``retry`` a :class:`RetryPolicy`; ``deadline`` an absolute
-    :func:`time.monotonic` watchdog; ``recover=False`` restores the
-    legacy raise-on-death behaviour; ``stats`` (a dict) receives the
-    :data:`STAT_KEYS` counts for observability.
-
-    ``partial`` (a list) is the checkpoint harvest sink: when the
-    watchdog raises :class:`~repro.errors.LaunchTimeout` mid-map, the
-    ``("ok", result)`` outcomes already collected are appended to it
-    before the raise, so callers can checkpoint completed work instead
-    of discarding it (see :mod:`repro.faults.checkpoint`).
-    """
-    tasks = list(tasks)
-    if stats is not None:
-        for key in STAT_KEYS:
-            stats.setdefault(key, 0)
-    if not tasks:
-        return []
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    workers = max(1, min(int(workers), len(tasks)))
-    policy = retry if retry is not None else RetryPolicy()
-
-    if workers == 1 or not processes or not fork_available():
-        if deadline is None:
-            flat = _run_chunk(fn, tasks, range(len(tasks)))
-        else:
-            flat = []
-            for i in range(len(tasks)):
-                if time.monotonic() >= deadline:
-                    if faults is not None:
-                        faults.counters.timeouts += 1
-                    if partial is not None:
-                        partial.extend((s, p) for _, s, p in flat
-                                       if s == "ok")
-                    raise _deadline_timeout(i, len(tasks))
-                flat.extend(_run_chunk(fn, tasks, (i,)))
-        return [(status, payload) for _, status, payload in flat]
-
-    ctx = multiprocessing.get_context("fork")
-    outcomes: List[Optional[Tuple[str, object]]] = [None] * len(tasks)
-    hang = policy.hang_timeout
-    if hang is None and faults is not None:
-        hang = DEFAULT_FAULT_HANG_TIMEOUT
-
-    def spawn(chunks: List[Sequence[int]], attempt: int):
-        children = []
-        for chunk in chunks:
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_child_main,
-                args=(send_end, fn, tasks, chunk, faults, attempt),
-            )
-            proc.daemon = True
-            proc.start()
-            send_end.close()
-            # The hang clock starts at spawn, not at first poll, so the
-            # watchdogs of several hung workers expire concurrently.
-            children.append((proc, recv_end, chunk, time.monotonic()))
-        return children
-
-    def reap(children) -> None:
-        for proc, recv_end, _, _ in children:
-            try:
-                recv_end.close()
-            except Exception:
-                pass
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-
-    def collect(children, attempt: int):
-        """Drain every child; returns [(chunk, why, exitcode)] failures."""
-        failed = []
-        for pos, (proc, recv_end, chunk, started) in enumerate(children):
-            why = None
-            rows = None
-            try:
-                while rows is None and why is None:
-                    budgets = []
-                    if hang is not None:
-                        budgets.append(hang - (time.monotonic() - started))
-                    if deadline is not None:
-                        budgets.append(deadline - time.monotonic())
-                    try:
-                        if not budgets:
-                            rows = recv_end.recv()
-                        elif recv_end.poll(max(0.0, min(budgets))):
-                            rows = recv_end.recv()
-                    except EOFError:
-                        why = "died"
-                        break
-                    if rows is not None or why is not None:
-                        break
-                    now = time.monotonic()
-                    if deadline is not None and now >= deadline:
-                        reap(children[pos:])
-                        if faults is not None:
-                            faults.counters.timeouts += 1
-                        done = sum(1 for o in outcomes if o is not None)
-                        raise _deadline_timeout(done, len(tasks))
-                    if hang is not None and now - started >= hang:
-                        why = "hung"
-            finally:
-                if why is None and rows is None:
-                    pass  # LaunchTimeout path already reaped
-                else:
-                    try:
-                        recv_end.close()
-                    except Exception:
-                        pass
-            if rows is not None:
-                for i, status, payload in rows:
-                    outcomes[i] = (status, payload)
-                proc.join()
-                continue
-            if why == "hung":
-                proc.terminate()
-            proc.join()
-            failed.append((list(chunk), why, proc.exitcode))
-            if stats is not None:
-                key = "worker_deaths" if why == "died" else "worker_hangs"
-                stats[key] += 1
-            if faults is not None:
-                site = "worker.crash" if why == "died" else "worker.hang"
-                coords = {"chunk": int(chunk[0]), "attempt": attempt}
-                if faults.fires(site, **coords) is not None:
-                    faults.record(site, coords, recovered=recover,
-                                  detail=describe_exit(proc.exitcode))
-        return failed
-
-    def guarded_collect(children, attempt: int):
-        """Collect, reaping every child if the drain itself blows up.
-
-        The normal paths join each child as it is processed (and the
-        watchdog path reaps the tail), but an unexpected exception —
-        KeyboardInterrupt mid-``recv``, an unpicklable surprise — used
-        to leak live forked children.  ``reap`` is idempotent, so the
-        double-reap on the LaunchTimeout path is harmless.
-        """
-        try:
-            return collect(children, attempt)
-        except BaseException:
-            reap(children)
-            raise
-
-    chunks: List[Sequence[int]] = list(_chunk(len(tasks), workers))
-    attempt = 0
-    try:
-        failed = guarded_collect(spawn(chunks, attempt), attempt)
-
-        while failed and attempt < policy.max_retries:
-            delay = retry_delay(policy, attempt, faults=faults,
-                                salt=(len(tasks), failed[0][0][0]))
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
-            indices = sorted(i for chunk, _, _ in failed for i in chunk)
-            sub = _chunk(len(indices), workers)
-            chunks = [[indices[p] for p in r] for r in sub if len(r)]
-            if stats is not None:
-                stats["chunk_retries"] += len(failed)
-                stats["retry_rounds"] += 1
-                if len(chunks) != len(failed):
-                    stats["redistributions"] += 1
-            if faults is not None:
-                faults.counters.chunk_retries += len(failed)
-            failed = guarded_collect(spawn(chunks, attempt), attempt)
-    except LaunchTimeout:
-        if partial is not None:
-            partial.extend(o for o in outcomes
-                           if o is not None and o[0] == "ok")
-        raise
-
-    if failed:
-        if not recover:
-            parts = []
-            for chunk, why, code in failed:
-                parts.append(
-                    f"tasks {chunk[0]}..{chunk[-1]} {why} "
-                    f"({describe_exit(code)})"
-                )
-            raise WorkerError(
-                "worker process(es) failed before delivering results: "
-                + "; ".join(parts)
-            )
-        # Degradation floor: run the still-missing tasks in-process.
-        # Worker faults cannot fire here (they live in the forked child's
-        # entry), so the map is guaranteed to complete.
-        remaining = sorted(i for chunk, _, _ in failed for i in chunk)
-        if stats is not None:
-            stats["degraded_chunks"] += len(failed)
-            stats["degraded_tasks"] += len(remaining)
-        if faults is not None:
-            faults.counters.degradations += 1
-        for i, status, payload in _run_chunk(fn, tasks, remaining):
-            outcomes[i] = (status, payload)
-    return outcomes  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# Persistent warm worker pool
-# ---------------------------------------------------------------------------
-
-#: Stats keys :meth:`WorkerPool.map` maintains in a caller-supplied dict
-#: (a superset of :data:`STAT_KEYS`).
-POOL_STAT_KEYS = STAT_KEYS + ("worker_respawns", "warm_dispatches")
-
-#: Live pools swept at interpreter exit so warm workers never outlive
-#: the parent (the per-launch ``fork_map`` children are daemons joined
-#: in-band; persistent pools need the explicit sweep).
+#: Live pools swept at interpreter exit so workers never outlive the
+#: parent.
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
 _SWEEP_REGISTERED = False
 _SWEEP_LOCK = threading.Lock()
@@ -487,55 +207,51 @@ def _register_sweep() -> None:
             _SWEEP_REGISTERED = True
 
 
-def _pool_worker_main(conn, runner: Callable, faults) -> None:
-    """Forked warm-worker entry: serve commands until told to stop.
+def _pool_worker_main(conn, runner: Callable, faults, oneshot: bool,
+                      msg: tuple) -> None:
+    """Forked-worker entry: serve commands until told to stop.
 
-    Commands over the duplex pipe:
+    The first command, ``msg``, is inherited through the fork; later ones
+    arrive over the duplex pipe:
 
-    * ``("ping", nonce)`` — health check, answered ``("pong", nonce)``;
     * ``("run", attempt, [(i, payload), ...])`` — run the chunk through
-      ``runner`` and answer ``("done", [(i, status, result), ...])``;
+      ``runner`` and answer ``[(i, status, result), ...]``, then exit if
+      ``oneshot``;
     * ``("stop",)`` — exit cleanly.
 
-    Fault injection mirrors the per-launch pool: the ``worker.hang`` /
-    ``worker.crash`` sites are consulted per task with
-    ``{"chunk": task_index, "attempt": attempt}`` coordinates, so the
-    same seeded plans (and the parent's provenance re-evaluation) work
-    unchanged on the warm path.  Exits via ``os._exit`` for the same
-    reason :func:`_child_main` does: the child inherited the parent's
-    interpreter state and must not run its atexit/pytest machinery.
+    Fault injection happens once per chunk, before any of its work, at
+    coordinates ``{"chunk": first task index, "attempt": attempt}``: a
+    fired ``worker.crash`` dies with :data:`INJECTED_CRASH_EXIT`, a
+    fired ``worker.hang`` sleeps until the parent's watchdog reaps it.
+    The parent re-evaluates the same (stateless) predicates for
+    provenance.  ``os._exit`` matters: the child inherited the parent's
+    interpreter state (pytest hooks, atexit handlers, open benchmark
+    sessions) and must not run any of it on the way out.
     """
     code = 0
     try:
-        while True:
+        while msg[0] == "run":
+            _, attempt, items = msg
+            if faults is not None:
+                coords = {"chunk": int(items[0][0]), "attempt": int(attempt)}
+                # Hang before crash: a plan arming both (the campaign's
+                # ``--hang`` leg) pins the hang to one chunk and must not
+                # have the broader crash predicate mask it.
+                if faults.fires("worker.hang", **coords) is not None:
+                    time.sleep(_HANG_SLEEP)
+                if faults.fires("worker.crash", **coords) is not None:
+                    os._exit(INJECTED_CRASH_EXIT)
+            out = [(i, *_outcome(runner, payload)) for i, payload in items]
+            try:
+                conn.send(out)
+            except Exception as exc:  # an unpicklable result slipped through
+                conn.send([(i, "err", ErrorCapsule(exc)) for i, _ in items])
+            if oneshot:
+                break
             try:
                 msg = conn.recv()
             except EOFError:
                 break
-            kind = msg[0]
-            if kind == "stop":
-                break
-            if kind == "ping":
-                conn.send(("pong", msg[1]))
-                continue
-            _, attempt, items = msg
-            out = []
-            for i, payload in items:
-                if faults is not None:
-                    coords = {"chunk": int(i), "attempt": int(attempt)}
-                    if faults.fires("worker.hang", **coords) is not None:
-                        time.sleep(_HANG_SLEEP)
-                    if faults.fires("worker.crash", **coords) is not None:
-                        os._exit(INJECTED_CRASH_EXIT)
-                try:
-                    out.append((i, "ok", runner(payload)))
-                except BaseException as exc:
-                    out.append((i, "err", ErrorCapsule(exc)))
-            try:
-                conn.send(("done", out))
-            except Exception as exc:  # an unpicklable result slipped through
-                conn.send(("done", [(i, "err", ErrorCapsule(exc))
-                                    for i, _ in items]))
     except BaseException:
         code = 1
     finally:
@@ -547,7 +263,7 @@ def _pool_worker_main(conn, runner: Callable, faults) -> None:
 
 
 class _PoolWorker:
-    """Parent-side handle on one warm worker process."""
+    """Parent-side handle on one worker process."""
 
     __slots__ = ("proc", "conn", "slot", "busy_since")
 
@@ -575,19 +291,24 @@ class _PoolWorker:
 
 
 class WorkerPool:
-    """A persistent, health-checked pool of warm forked workers.
+    """A health-checked pool of forked workers running one ``runner``.
 
-    Unlike :func:`fork_map` — which forks a fresh set of children for
-    every call — a :class:`WorkerPool` forks its workers **once** and
-    reuses them across an arbitrary number of :meth:`map` calls: the
-    serve tier's "workers stay warm across launches" requirement.  The
-    trade-off is explicit: warm workers inherit the parent's state *at
-    spawn time*, so the ``runner`` callable (fixed at construction,
-    inherited by fork) must derive everything request-specific from the
-    **picklable payload** it receives — it cannot see parent state
-    created after the fork.
+    Workers fork lazily, on the first :meth:`map`, and are reused by
+    every later call until :meth:`close`.  They inherit the parent's
+    state *at spawn time*, so the ``runner`` callable (fixed at
+    construction, inherited by fork) must derive everything
+    request-specific from the **picklable payload** it receives — it
+    cannot see parent state created after the fork.  :func:`fork_map`
+    turns that into a per-call pool by making the payloads task indices
+    into a list the runner already closes over.
 
-    The PR 3 recovery ladder carries over intact:
+    A ``oneshot`` pool's workers exit as soon as they have answered
+    their chunk, and every round forks fresh ones: a pool that is closed
+    right after one :meth:`map` then overlaps each worker's exit with
+    the rest of the map instead of paying for all of them in
+    :meth:`close`.
+
+    :meth:`map` carries the recovery ladder:
 
     1. a worker that dies or hangs mid-chunk is killed, its tasks are
        retried with capped exponential backoff and **redistributed**
@@ -595,17 +316,17 @@ class WorkerPool:
     2. after ``retry.max_retries`` rounds the still-missing tasks
        **degrade to in-process** execution of ``runner`` — the map
        always completes;
-    3. the ``worker.crash``/``worker.hang`` fault sites fire exactly as
-       on the per-launch pool (coordinates ``chunk``/``attempt``), with
-       the plan captured at construction so forked children and parent
+    3. the ``worker.crash``/``worker.hang`` fault sites fire once per
+       dispatched chunk (coordinates ``chunk``/``attempt``), with the
+       plan captured at construction so forked children and parent
        agree on the schedule.
 
-    Health-checked reuse: :meth:`ensure` (called before every dispatch)
-    respawns any worker whose process has died since the last call, so
+    Health-checked reuse: every dispatch to a worker slot first respawns
+    the slot's worker if its process has died since the last call, so
     a pool survives sporadic worker loss under sustained load without
     ever being rebuilt wholesale.  Pools must be closed — ``close()``,
-    a ``with`` block, or the module's atexit sweep — so warm children
-    never outlive the interpreter.
+    a ``with`` block, or the module's atexit sweep — so children never
+    outlive the interpreter.
     """
 
     def __init__(
@@ -616,10 +337,12 @@ class WorkerPool:
         faults=None,
         retry: Optional[RetryPolicy] = None,
         processes: Optional[bool] = None,
+        oneshot: bool = False,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.runner = runner
+        self.oneshot = oneshot
         self.workers = workers or min(os.cpu_count() or 1, 8)
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
@@ -670,39 +393,55 @@ class WorkerPool:
         return [w.pid for w in self._slots if w is not None and w.alive()]
 
     # -- spawning ----------------------------------------------------------
-    def _spawn(self, slot: int) -> _PoolWorker:
+    def _spawn(self, slot: int, msg: tuple) -> _PoolWorker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(child_conn, self.runner, self.faults),
+            args=(child_conn, self.runner, self.faults, self.oneshot, msg),
         )
         proc.daemon = True
         proc.start()
         child_conn.close()
         return _PoolWorker(proc, parent_conn, slot)
 
-    def ensure(self) -> List[_PoolWorker]:
-        """Spawn missing/dead workers; return the live roster."""
-        if self._closed:
-            raise RuntimeError("WorkerPool is closed")
-        if not self.processes:
-            return []
-        live = []
+    def _retire(self, w: _PoolWorker) -> None:
+        """Kill ``w`` and free its slot for a respawn."""
+        w.busy_since = None
+        w.kill()
         with self._lock:
-            for slot in range(self.workers):
-                w = self._slots[slot]
-                if w is not None and not w.alive():
-                    w.kill()
-                    w = None
-                    self._slots[slot] = None
-                if w is None:
-                    w = self._spawn(slot)
-                    self._slots[slot] = w
-                    if self._spawned_once[slot]:
-                        self.stats["worker_respawns"] += 1
-                    self._spawned_once[slot] = True
-                live.append(w)
-        return live
+            if self._slots[w.slot] is w:
+                self._slots[w.slot] = None
+
+    def _dispatch(self, slot: int, msg: tuple) -> _PoolWorker:
+        """Hand ``msg`` to the worker in ``slot``; return that worker.
+
+        A live worker receives it over its pipe.  A missing or dead one is
+        (re)spawned with ``msg`` as its first command, inherited by fork
+        rather than pickled, so it starts work at once.  A worker that
+        dies between the health check and the send is retired, and its
+        chunk fails in this round.  The hang clock starts here, so the
+        watchdogs of several hung workers expire concurrently.
+        """
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("WorkerPool is closed")
+            w = self._slots[slot]
+            if w is not None and not w.alive():
+                w.kill()
+                w = None
+            if w is None:
+                w = self._slots[slot] = self._spawn(slot, msg)
+                if self._spawned_once[slot]:
+                    self.stats["worker_respawns"] += 1
+                self._spawned_once[slot] = True
+                w.busy_since = time.monotonic()
+                return w
+        try:
+            w.conn.send(msg)
+            w.busy_since = time.monotonic()
+        except Exception:
+            self._retire(w)
+        return w
 
     # -- dispatch ----------------------------------------------------------
     def map(
@@ -711,162 +450,177 @@ class WorkerPool:
         *,
         deadline: Optional[float] = None,
         stats: Optional[dict] = None,
+        partial: Optional[list] = None,
     ) -> List[Tuple[str, object]]:
-        """Run ``runner`` over ``payloads`` on the warm workers.
+        """Run ``runner`` over ``payloads``; ordered outcomes.
 
-        Returns ordered ``("ok", result)`` / ``("err", ErrorCapsule)``
-        pairs exactly like :func:`fork_map`.  ``stats`` (optional dict)
-        receives :data:`POOL_STAT_KEYS` increments; the pool's own
-        cumulative :attr:`stats` is always maintained.
+        Returns one ``("ok", result)`` or ``("err", ErrorCapsule)`` pair
+        per payload, in payload order.  ``deadline`` is an absolute
+        :func:`time.monotonic` watchdog.  ``stats`` (optional dict)
+        receives the :data:`STAT_KEYS` counts of this call; the pool's
+        own lifetime :attr:`stats` is always maintained.
+
+        ``partial`` (a list) is the checkpoint harvest sink: when the
+        watchdog raises :class:`~repro.errors.LaunchTimeout` mid-map, the
+        ``("ok", result)`` outcomes already collected are appended to it
+        before the raise, so callers can checkpoint completed work
+        instead of discarding it (see :mod:`repro.faults.checkpoint`).
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         payloads = list(payloads)
-        sinks = [self.stats] + ([stats] if stats is not None else [])
+        sinks = [self.stats]
         if stats is not None:
-            for key in POOL_STAT_KEYS:
+            for key in STAT_KEYS:
                 stats.setdefault(key, 0)
-        if not payloads:
-            return []
+            sinks.append(stats)
+        outcomes: List[Optional[Tuple[str, object]]] = [None] * len(payloads)
+        try:
+            self._ladder(payloads, outcomes, deadline, sinks)
+        except LaunchTimeout:
+            if partial is not None:
+                partial.extend(o for o in outcomes
+                               if o is not None and o[0] == "ok")
+            raise
+        return outcomes  # type: ignore[return-value]
 
-        n = len(payloads)
-        outcomes: List[Optional[Tuple[str, object]]] = [None] * n
-        hang = self.retry.hang_timeout
-        if hang is None and self.faults is not None:
-            hang = DEFAULT_FAULT_HANG_TIMEOUT
+    def _ladder(self, payloads, outcomes, deadline, sinks) -> None:
+        """Retry → redistribute → degrade until every outcome is filled."""
+        faults = self.faults
 
         def bump(key: str, inc: int = 1) -> None:
             for sink in sinks:
                 sink[key] += inc
 
-        def run_local(indices: Sequence[int]) -> None:
-            for i in indices:
-                if deadline is not None and time.monotonic() >= deadline:
-                    if self.faults is not None:
-                        self.faults.counters.timeouts += 1
-                    done = sum(1 for o in outcomes if o is not None)
-                    raise _deadline_timeout(done, n)
-                try:
-                    outcomes[i] = ("ok", self.runner(payloads[i]))
-                except BaseException as exc:
-                    outcomes[i] = ("err", ErrorCapsule(exc))
-
-        pending = list(range(n))
+        pending = list(range(len(payloads)))
+        failed: List[List[int]] = []
         attempt = 0
         while pending and self.processes and not self._closed:
-            workers = self.ensure()
-            if not workers:
+            failed = self._round(payloads, outcomes, pending, attempt,
+                                 deadline, bump)
+            pending = sorted(i for chunk in failed for i in chunk)
+            if not pending or attempt >= self.retry.max_retries:
                 break
-            bump("warm_dispatches")
-            chunks = _chunk(len(pending), len(workers))
-            assignments = []  # (worker, [task indices])
-            for w, r in zip(workers, chunks):
-                if not len(r):
-                    continue
-                indices = [pending[p] for p in r]
-                try:
-                    w.conn.send(
-                        ("run", attempt, [(i, payloads[i]) for i in indices])
-                    )
-                    w.busy_since = time.monotonic()
-                    assignments.append((w, indices))
-                except Exception:
-                    # Died between health check and dispatch: retry round.
-                    w.kill()
-                    with self._lock:
-                        if self._slots[w.slot] is w:
-                            self._slots[w.slot] = None
-                    assignments.append((w, indices))
-                    w.busy_since = None
+            delay = retry_delay(self.retry, attempt, faults=faults,
+                                salt=(len(payloads), pending[0]))
+            if delay > 0:
+                time.sleep(delay)
+            attempt += 1
+            bump("chunk_retries", len(failed))
+            bump("retry_rounds")
+            # A redistribution is a retry round whose re-chunking does
+            # not map each failed chunk back onto one worker.
+            if min(len(pending), self.workers) != len(failed):
+                bump("redistributions")
+                if faults is not None:
+                    faults.counters.redistributions += 1
+            if faults is not None:
+                faults.counters.chunk_retries += len(failed)
 
-            failed: List[List[int]] = []
-            for pos, (w, indices) in enumerate(assignments):
-                if w.busy_since is None:  # dispatch itself failed
-                    failed.append(indices)
-                    bump("worker_deaths")
-                    continue
-                why = None
-                rows = None
-                while rows is None and why is None:
+        if pending and failed:
+            # Degradation floor: in-process execution cannot suffer worker
+            # faults, so the map always completes.
+            bump("degraded_chunks", len(failed))
+            bump("degraded_tasks", len(pending))
+            if faults is not None:
+                faults.counters.degradations += 1
+        for done, i in enumerate(pending, len(outcomes) - len(pending)):
+            if deadline is not None and time.monotonic() >= deadline:
+                raise self._timeout(done, len(outcomes))
+            outcomes[i] = _outcome(self.runner, payloads[i])
+
+    def _round(self, payloads, outcomes, pending, attempt, deadline,
+               bump) -> List[List[int]]:
+        """Dispatch ``pending`` over the workers once; return failed chunks."""
+        faults = self.faults
+        hang = self.retry.hang_timeout
+        if hang is None and faults is not None:
+            hang = DEFAULT_FAULT_HANG_TIMEOUT
+        self.stats["warm_dispatches"] += 1
+        assignments = []  # (worker, [task indices])
+        for slot, r in enumerate(_chunk(len(pending), self.workers)):
+            # One worker at a time, so the first chunk runs while later
+            # workers are still forking.
+            indices = [pending[p] for p in r]
+            msg = ("run", attempt, [(i, payloads[i]) for i in indices])
+            assignments.append((self._dispatch(slot, msg), indices))
+
+        failed: List[List[int]] = []
+        try:
+            for w, indices in assignments:
+                rows, why = None, "died"
+                while w.busy_since is not None:
                     budgets = []
                     if hang is not None:
                         budgets.append(hang - (time.monotonic() - w.busy_since))
                     if deadline is not None:
                         budgets.append(deadline - time.monotonic())
                     try:
-                        if not budgets:
+                        if not budgets or w.conn.poll(max(0.0, min(budgets))):
                             rows = w.conn.recv()
-                        elif w.conn.poll(max(0.0, min(budgets))):
-                            rows = w.conn.recv()
+                            break
                     except EOFError:
-                        why = "died"
-                        break
-                    if rows is not None or why is not None:
                         break
                     now = time.monotonic()
                     if deadline is not None and now >= deadline:
-                        for ww, _ in assignments[pos:]:
-                            ww.kill()
-                            with self._lock:
-                                if self._slots[ww.slot] is ww:
-                                    self._slots[ww.slot] = None
-                        if self.faults is not None:
-                            self.faults.counters.timeouts += 1
                         done = sum(1 for o in outcomes if o is not None)
-                        raise _deadline_timeout(done, n)
+                        raise self._timeout(done, len(outcomes))
                     if hang is not None and now - w.busy_since >= hang:
                         why = "hung"
+                        break
                 if rows is not None:
                     w.busy_since = None
-                    for i, status, payload in rows[1]:
+                    if self.oneshot:  # the worker exits on its own
+                        w.proc.join()
+                        self._retire(w)
+                    for i, status, payload in rows:
                         outcomes[i] = (status, payload)
                     continue
                 # Worker died or hung mid-chunk: reap it, queue a retry.
-                exitcode = w.proc.exitcode
-                w.kill()
-                with self._lock:
-                    if self._slots[w.slot] is w:
-                        self._slots[w.slot] = None
+                self._retire(w)
                 failed.append(indices)
                 bump("worker_deaths" if why == "died" else "worker_hangs")
-                if self.faults is not None:
+                if faults is not None:
                     site = "worker.crash" if why == "died" else "worker.hang"
                     coords = {"chunk": int(indices[0]), "attempt": attempt}
-                    if self.faults.fires(site, **coords) is not None:
-                        self.faults.record(
-                            site, coords, recovered=True,
-                            detail=describe_exit(exitcode),
-                        )
+                    if faults.fires(site, **coords) is not None:
+                        faults.record(site, coords, recovered=True,
+                                      detail=describe_exit(w.proc.exitcode))
+        finally:
+            # Whatever cut the drain short (the watchdog, an interrupt)
+            # must not leave a worker holding a stale answer.
+            for w, _ in assignments:
+                if w.busy_since is not None:
+                    self._retire(w)
+        return failed
 
-            pending = sorted(i for indices in failed for i in indices)
-            if not pending:
-                return outcomes  # type: ignore[return-value]
-            if attempt >= self.retry.max_retries:
-                break
-            bump("chunk_retries", len(failed))
-            bump("retry_rounds")
-            bump("redistributions")
-            if self.faults is not None:
-                self.faults.counters.chunk_retries += len(failed)
-            delay = retry_delay(self.retry, attempt, faults=self.faults,
-                                salt=(len(payloads), pending[0]))
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
-
-        if pending:
-            # Degradation floor: in-process execution cannot suffer worker
-            # faults, so the map always completes.
-            if self.processes and not self._closed:
-                bump("degraded_chunks")
-                bump("degraded_tasks", len(pending))
-                if self.faults is not None:
-                    self.faults.counters.degradations += 1
-            run_local(pending)
-        return outcomes  # type: ignore[return-value]
+    def _timeout(self, done: int, n_tasks: int) -> LaunchTimeout:
+        if self.faults is not None:
+            self.faults.counters.timeouts += 1
+        return LaunchTimeout(
+            f"launch watchdog expired with {done}/{n_tasks} work chunks done",
+            blocks_done=done,
+            num_blocks=n_tasks,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"WorkerPool(workers={self.workers}, processes={self.processes}, "
             f"live={len(self.pids())}, closed={self._closed})"
         )
+
+
+def fork_map(fn: Callable, tasks: Sequence, workers: Optional[int] = None,
+             processes: bool = True, *, faults=None, retry=None, deadline=None,
+             stats=None, partial=None) -> List[Tuple[str, object]]:
+    """Run ``fn`` over ``tasks`` on a one-shot :class:`WorkerPool`: one
+    worker per CPU (at most 8) by default, in-process for one worker or
+    ``processes=False``; the keywords are the pool's and its map's."""
+    tasks = list(tasks)
+    if workers is None:
+        workers = min(os.cpu_count() or 1, 8)
+    workers = max(1, min(int(workers), len(tasks)))
+    with WorkerPool(lambda i: fn(tasks[i]), workers, faults=faults, retry=retry,
+                    processes=processes and workers > 1, oneshot=True) as pool:
+        return pool.map(range(len(tasks)), deadline=deadline, stats=stats,
+                        partial=partial)

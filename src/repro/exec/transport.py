@@ -1,8 +1,9 @@
 """Columnar block-record transport for the warm worker pool.
 
-The per-launch ``fork_map`` path ships :class:`~repro.exec.BlockRecord`
-objects whole: each record's write-set is a ``(handle, idx) -> value``
-dict of NumPy scalars, which pickles as one boxed object per cell.  For
+The per-launch ``fork_map`` path (a one-shot worker pool) ships
+:class:`~repro.exec.BlockRecord` objects whole: each record's write-set
+is a ``(handle, idx) -> value`` dict of NumPy scalars, which pickles as
+one boxed object per cell.  For
 the warm pool that cost lands on every serve request, so this module
 gives the lease a packed wire form:
 

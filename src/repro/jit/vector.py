@@ -28,7 +28,10 @@ arithmetic is exact; only non-affine results materialize to NumPy
 arrays (``int64``/``float64``), whose elementwise ``+ - * / // %`` match
 CPython's semantics bit-for-bit for in-range values.  Materializing an
 affine form whose values leave ``int64`` aborts the trace, so a lane
-range never wraps where its sub-ranges would not.  An ``int64``
+range never wraps where its sub-ranges would not.  The scalar engines'
+Python numbers are *weak* to NumPy (``float32 * tid`` stays float32), so
+arrays materialized from them are marked weak, and one meeting a strong
+operand whose promotion would differ aborts the trace.  An ``int64``
 overflow inside array arithmetic *would* diverge from Python bignums —
 kernels computing beyond 2**63 are out of scope for the JIT and are
 caught by the differential suite, not silently tolerated (see
@@ -99,6 +102,35 @@ class BoolProbe:
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+#: Dtypes a weak lane array (see :func:`_lanes`) may meet: NumPy promotes
+#: them with an int64 or float64 array exactly as with a Python number.
+_WEAK_SAFE = (np.dtype(np.int64), np.dtype(np.float64))
+
+
+def _is_weak(x) -> bool:
+    """True when the scalar engines hold ``x`` as a Python number."""
+    if isinstance(x, LaneVec):
+        return x.weak
+    return not isinstance(x, np.generic)
+
+
+def _lanes(a, b, out: np.ndarray) -> "LaneVec":
+    """``out``, computed from ``a`` and ``b``, as a LaneVec.
+
+    Thread ids and arithmetic on them are Python numbers in the scalar
+    engines, which NumPy treats as weak (``np.float32(v) * tid`` stays
+    float32), but int64/float64 arrays here.  The result is weak when
+    both operands are; a weak array meeting a strong operand of another
+    dtype would promote where no lane does, so the trace aborts.
+    """
+    weak_a, weak_b = _is_weak(a), _is_weak(b)
+    if weak_a != weak_b and isinstance(a if weak_a else b, LaneVec):
+        strong = b if weak_a else a
+        dtype = strong.arr.dtype if isinstance(strong, LaneVec) else strong.dtype
+        if dtype not in _WEAK_SAFE:
+            raise JitAbort("error", f"thread-id lanes promote against {dtype}")
+    return LaneVec(len(out), 0, 0, out, weak_a and weak_b)
+
 
 def _scalar_of(x):
     """``(tag, value)`` when ``x`` acts as one scalar across all lanes.
@@ -126,25 +158,29 @@ class LaneVec:
 
     Either ``arr`` is ``None`` and the lane values are the exact Python
     ints ``a0 + stride * lane_index``, or ``arr`` is a NumPy array of
-    length ``n`` holding materialized per-lane values.
+    length ``n`` holding materialized per-lane values.  ``weak`` marks
+    lanes that are Python numbers in the scalar engines (see
+    :func:`_lanes`): every affine form, but no loaded value.
     """
 
-    __slots__ = ("n", "a0", "stride", "arr")
+    __slots__ = ("n", "a0", "stride", "arr", "weak")
 
     #: Refuse NumPy's mixed-operand ufunc protocol so ``ndarray <op>
     #: LaneVec`` defers to our reflected dunders instead of building an
     #: object array.
     __array_ufunc__ = None
 
-    def __init__(self, n: int, a0: int = 0, stride: int = 0, arr=None) -> None:
+    def __init__(self, n: int, a0: int = 0, stride: int = 0, arr=None,
+                 weak: bool = False) -> None:
         self.n = n
         self.a0 = a0
         self.stride = stride
         self.arr = arr
+        self.weak = weak
 
     @classmethod
     def affine(cls, a0: int, stride: int, n: int) -> "LaneVec":
-        return cls(n, a0, stride, None)
+        return cls(n, a0, stride, None, True)
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "LaneVec":
@@ -206,27 +242,27 @@ class LaneVec:
         if tp is int:
             if self.arr is None:
                 return LaneVec.affine(self.a0 + other, self.stride, self.n)
-            return LaneVec.from_array(self.arr + other)
+            return LaneVec(self.n, 0, 0, self.arr + other, self.weak)
         if tp is float:
-            return LaneVec.from_array(self._vals() + other)
+            return LaneVec(self.n, 0, 0, self._vals() + other, self.weak)
         if tp is LaneVec:
             if self.arr is None and other.arr is None:
                 return LaneVec.affine(
                     self.a0 + other.a0, self.stride + other.stride, self.n
                 )
-            return LaneVec.from_array(self._vals() + other._vals())
+            return _lanes(self, other, self._vals() + other._vals())
         s = _scalar_of(other)
         if s is not None:
             tag, v = s
             if tag == "i" and self.arr is None:
                 return LaneVec.affine(self.a0 + v, self.stride, self.n)
-            return LaneVec.from_array(self._vals() + v)
+            return _lanes(self, other, self._vals() + v)
         if isinstance(other, LaneVec):
             if self.arr is None and other.arr is None:
                 return LaneVec.affine(
                     self.a0 + other.a0, self.stride + other.stride, self.n
                 )
-            return LaneVec.from_array(self._vals() + other._vals())
+            return _lanes(self, other, self._vals() + other._vals())
         return NotImplemented
 
     __radd__ = __add__
@@ -237,13 +273,13 @@ class LaneVec:
             tag, v = s
             if tag == "i" and self.arr is None:
                 return LaneVec.affine(self.a0 - v, self.stride, self.n)
-            return LaneVec.from_array(self._vals() - v)
+            return _lanes(self, other, self._vals() - v)
         if isinstance(other, LaneVec):
             if self.arr is None and other.arr is None:
                 return LaneVec.affine(
                     self.a0 - other.a0, self.stride - other.stride, self.n
                 )
-            return LaneVec.from_array(self._vals() - other._vals())
+            return _lanes(self, other, self._vals() - other._vals())
         return NotImplemented
 
     def __rsub__(self, other):
@@ -252,7 +288,7 @@ class LaneVec:
             tag, v = s
             if tag == "i" and self.arr is None:
                 return LaneVec.affine(v - self.a0, -self.stride, self.n)
-            return LaneVec.from_array(v - self._vals())
+            return _lanes(other, self, v - self._vals())
         return NotImplemented
 
     def __mul__(self, other):
@@ -260,17 +296,17 @@ class LaneVec:
         if tp is int:
             if self.arr is None:
                 return LaneVec.affine(self.a0 * other, self.stride * other, self.n)
-            return LaneVec.from_array(self.arr * other)
+            return LaneVec(self.n, 0, 0, self.arr * other, self.weak)
         if tp is float:
-            return LaneVec.from_array(self._vals() * other)
+            return LaneVec(self.n, 0, 0, self._vals() * other, self.weak)
         s = _scalar_of(other)
         if s is not None:
             tag, v = s
             if tag == "i" and self.arr is None:
                 return LaneVec.affine(self.a0 * v, self.stride * v, self.n)
-            return LaneVec.from_array(self._vals() * v)
+            return _lanes(self, other, self._vals() * v)
         if isinstance(other, LaneVec):
-            return LaneVec.from_array(self._vals() * other._vals())
+            return _lanes(self, other, self._vals() * other._vals())
         return NotImplemented
 
     __rmul__ = __mul__
@@ -279,15 +315,15 @@ class LaneVec:
         """Materialized binary op against a scalar or another LaneVec."""
         s = _scalar_of(other)
         if s is not None:
-            return LaneVec.from_array(op(self._vals(), s[1]))
+            return _lanes(self, other, op(self._vals(), s[1]))
         if isinstance(other, LaneVec):
-            return LaneVec.from_array(op(self._vals(), other._vals()))
+            return _lanes(self, other, op(self._vals(), other._vals()))
         return NotImplemented
 
     def _rnumeric(self, other, op):
         s = _scalar_of(other)
         if s is not None:
-            return LaneVec.from_array(op(s[1], self._vals()))
+            return _lanes(other, self, op(s[1], self._vals()))
         return NotImplemented
 
     # Division: a zero divisor lane aborts the trace, so the interpreter
@@ -335,13 +371,13 @@ class LaneVec:
     def __neg__(self):
         if self.arr is None:
             return LaneVec.affine(-self.a0, -self.stride, self.n)
-        return LaneVec.from_array(-self.arr)
+        return LaneVec(self.n, 0, 0, -self.arr, self.weak)
 
     def __pos__(self):
         return self
 
     def __abs__(self):
-        return LaneVec.from_array(np.abs(self._vals()))
+        return LaneVec(self.n, 0, 0, np.abs(self._vals()), self.weak)
 
     # -- comparisons ---------------------------------------------------------
     def _compare(self, other, op, swapped: bool = False) -> "BoolProbe":

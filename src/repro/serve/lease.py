@@ -1,9 +1,10 @@
 """Warm-pool lease: batched block execution on persistent workers.
 
-The per-launch fork pool (``repro.exec.pool.fork_map``) relies on fork
-inheriting the *current* parent state — kernel closures, live buffers —
-which is exactly what a persistent pool cannot do: warm workers were
-forked once, at boot, and see nothing created afterwards.  The lease
+The per-launch ``repro.exec.pool.fork_map`` opens a one-shot pool whose
+workers fork inside the launch, inheriting the *current* parent state —
+kernel closures, live buffers — which is exactly what a persistent pool
+cannot do: warm workers were forked once, at boot, and see nothing
+created afterwards.  The lease
 bridges that gap by making every request **self-describing**:
 
 1. the worker's runner is fixed at pool construction and closes over

@@ -1,13 +1,18 @@
 """Self-healing worker pool: crash/hang retry, degradation, diagnostics.
 
-Worker faults are injected only inside the forked child
-(:func:`repro.exec.pool._child_main`), so the in-process degradation rung
-is always fault-free — these tests never ``os._exit`` the test process.
+Worker faults are injected only inside the forked worker
+(:func:`repro.exec.pool._pool_worker_main`), so the in-process
+degradation rung is always fault-free — these tests never ``os._exit``
+the test process.
 """
+
+import multiprocessing
+import time
 
 import pytest
 
-from repro.exec import WorkerError, fork_available, fork_map
+from repro.errors import LaunchTimeout
+from repro.exec import fork_available, fork_map
 from repro.exec.pool import (
     INJECTED_CRASH_EXIT,
     RetryPolicy,
@@ -68,16 +73,27 @@ class TestCrashRecovery:
         assert stats["degraded_tasks"] >= 1
         assert plan.counters.degradations == 1
 
-    def test_recover_false_raises_with_diagnostics(self):
+    def test_redistribution_counts_on_the_plan(self):
+        # Seed 29 kills one of the four first-round chunks; its six tasks
+        # are re-chunked over all four workers, which is a redistribution
+        # on both the per-call stats and the plan's counters.
+        stats = {}
+        plan = crash_plan(prob=0.5, attempts=1, seed=29)
+        out = fork_map(square, TASKS, workers=4, faults=plan, stats=stats)
+        assert out == EXPECT
+        assert stats["worker_deaths"] == 1
+        assert stats["redistributions"] == 1
+        assert plan.counters.redistributions == 1
+
+    def test_crash_provenance_names_exit_code(self):
         plan = crash_plan(prob=1.0, attempts=99)
         policy = RetryPolicy(max_retries=1, backoff=0.0)
-        with pytest.raises(WorkerError) as exc:
-            fork_map(square, TASKS, workers=2, faults=plan,
-                     retry=policy, recover=False)
-        msg = str(exc.value)
-        assert "died" in msg
-        assert f"exit code {INJECTED_CRASH_EXIT}" in msg
-        assert "tasks" in msg  # names the lost task ranges
+        out = fork_map(square, TASKS, workers=2, faults=plan, retry=policy)
+        assert out == EXPECT
+        crashes = [f for f in plan.log if f.site == "worker.crash"]
+        assert crashes
+        assert all(f.detail == f"exit code {INJECTED_CRASH_EXIT}"
+                   for f in crashes)
 
 
 @needs_fork
@@ -102,6 +118,29 @@ class TestHangRecovery:
             FaultSpec("worker.hang", match=(("chunk", 0),)),))
         out = fork_map(square, TASKS, workers=4, faults=plan)
         assert out == EXPECT
+
+
+def slow_square(task):
+    if task >= 12:
+        time.sleep(5.0)
+    return task * task
+
+
+@needs_fork
+class TestWatchdogHarvest:
+    def test_forked_deadline_harvests_finished_chunks(self):
+        # Two workers, chunks 0..11 and 12..23: the first finishes at
+        # once, the second sleeps past the deadline.  The watchdog kills
+        # it and hands the finished chunk's outcomes to ``partial``.
+        sink = []
+        started = time.monotonic()
+        with pytest.raises(LaunchTimeout) as exc:
+            fork_map(slow_square, TASKS, workers=2,
+                     deadline=started + 1.0, partial=sink)
+        assert time.monotonic() - started < 4.0
+        assert exc.value.blocks_done == 12
+        assert sink == [("ok", t * t) for t in range(12)]
+        assert multiprocessing.active_children() == []
 
 
 class TestDiagnostics:

@@ -695,6 +695,64 @@ def test_runtime_kernel_deopts_as_alloc(executor, monkeypatch):
     assert "jit_deopt_error" not in extra
 
 
+# One kernel function per case: the trace verdict is cached per code object.
+def _scaled_by_tid_f32(dev):
+    x = dev.from_array("x", (np.arange(64) * 1.37 + 0.3).astype(np.float32))
+    y = dev.alloc("y", 64, np.float32)
+
+    def k(tc, x, y):
+        v = yield from tc.load(x, tc.tid)
+        yield from tc.store(y, tc.tid, v * tc.tid + 0.1)
+
+    return k, (x, y), [y]
+
+
+def _scaled_by_tid_mod_f32(dev):
+    x = dev.from_array("x", (np.arange(64) * 1.37 + 0.3).astype(np.float32))
+    y = dev.alloc("y", 64, np.float32)
+
+    def k(tc, x, y):
+        v = yield from tc.load(x, tc.tid)
+        yield from tc.store(y, tc.tid, v * (tc.tid % 5) + 0.1)
+
+    return k, (x, y), [y]
+
+
+def _scaled_by_tid_f64(dev):
+    x = dev.from_array("x", np.arange(64) * 1.37 + 0.3)
+    y = dev.alloc("y", 64, np.float64)
+
+    def k(tc, x, y):
+        v = yield from tc.load(x, tc.tid)
+        yield from tc.store(y, tc.tid, v * tc.tid + 0.1)
+
+    return k, (x, y), [y]
+
+
+@pytest.mark.parametrize("build,compiles", [
+    (_scaled_by_tid_f32, False),
+    (_scaled_by_tid_mod_f32, False),
+    (_scaled_by_tid_f64, True),
+], ids=["float32", "float32-mod", "float64"])
+def test_thread_id_lanes_promote_like_python_ints(executor, build, compiles):
+    """The round loop sees ``tid`` as a Python int, which NumPy treats as
+    weak: ``float32 * tid`` stays float32.  The JIT's id lanes are int64
+    arrays, so it compiles where they promote alike (float64) and deopts
+    where they would not, bit-identical either way."""
+    def run(engine):
+        dev = Device(nvidia_a100(), executor=executor)
+        k, args, bufs = build(dev)
+        kc = dev.launch(k, 1, 64, args=args, engine=engine)
+        return kc, [b.to_numpy().copy() for b in bufs]
+
+    kj, mj = run("jit")
+    ki, mi = run("fast")
+    assert (kj.extra.get("jit_warps_compiled", 0) == 2.0) == compiles
+    for a, b in zip(mj, mi):
+        assert np.array_equal(a, b)
+    assert _strip_jit_extras(kj).identical(ki)
+
+
 # ---------------------------------------------------------------------------
 # Engine selection and validation
 
