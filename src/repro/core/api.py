@@ -43,7 +43,7 @@ from repro.codegen.directives import (
 from repro.codegen.irbuilder import compile_kernel
 from repro.codegen.program import CompiledKernel
 from repro.gpu.counters import KernelCounters
-from repro.gpu.device import Device
+from repro.gpu.device import Device, runtime_extras
 from repro.runtime.icv import DEFAULT_SHARING_BYTES, ExecMode, LaunchConfig
 from repro.runtime.state import RuntimeCounters
 
@@ -386,8 +386,7 @@ def launch(
             backoff=backoff,
             resume=resume,
         )
-        kc.extra.update(rc.as_dict())
-        kc.extra["simd_len"] = float(cfg.simd_len)
+        kc.extra.update(runtime_extras(rc, cfg.simd_len))
         return LaunchResult(kernel=kernel, cfg=cfg, counters=kc, runtime=rc)
 
     if stream is not None:

@@ -84,12 +84,13 @@ MAX_AUTO_WORKERS = 8
 
 @dataclass(frozen=True)
 class GridSegment:
-    """One sub-launch of a segmented (batched) grid.
+    """One kernel and its grid inside a :class:`LaunchPlan`.
 
-    The serve tier's batcher coalesces compatible small launches into a
-    single grid by concatenating their block ranges: segment *i*
-    occupies global block ids ``[offset_i, offset_i + num_blocks)`` but
-    its blocks execute with **local** coordinates — ``block_id`` in
+    A solo launch is a plan of exactly one segment; the serve tier's
+    batcher coalesces compatible small launches into one plan by
+    concatenating their block ranges.  Segment *i* occupies global
+    block ids ``[offset_i, offset_i + num_blocks)`` but its blocks
+    execute with **local** coordinates — ``block_id`` in
     ``[0, num_blocks)`` and ``num_blocks`` equal to the segment's own
     grid — so every lane observes exactly what a solo launch of that
     request would have shown it.  That, plus the ascending-block-id
@@ -105,11 +106,13 @@ class GridSegment:
 
 @dataclass
 class SegmentOutcome:
-    """Per-segment slice of a segmented launch's outcome.
+    """Per-segment slice of a launch's outcome.
 
     ``error`` carries the :class:`~repro.exec.record.ErrorCapsule` a
-    solo launch of this segment would have *raised*; other segments are
-    unaffected (each segment has its own serial-cutoff semantics).
+    solo launch of this segment *raises* (``Device.launch`` re-raises
+    it); other segments are unaffected (each segment has its own
+    serial-cutoff semantics).  A report-mode deadlock truncates the
+    segment without setting ``error``.
     """
 
     blocks: List[BlockCounters] = field(default_factory=list)
@@ -119,18 +122,20 @@ class SegmentOutcome:
 
 @dataclass
 class LaunchPlan:
-    """Everything an executor needs to run one kernel launch.
+    """Everything an executor needs to run one grid of segments.
 
-    Built by :meth:`repro.gpu.device.Device.launch` after validation and
-    sanitizer resolution; executors never consult the global sanitizer
-    session or touch ``device.last_launch`` — the device applies those
-    only after a successful merge.
+    ``segments`` names the kernels: one :class:`GridSegment` for a solo
+    launch (built by :meth:`repro.gpu.device.Device.launch` after
+    validation and sanitizer resolution), several for a batch (built by
+    :func:`repro.serve.batch.run_batch`), concatenated in ascending
+    global block id.  ``num_blocks`` is their total.  Executors never
+    consult the global sanitizer session or touch ``device.last_launch``
+    — the device applies those only after a successful merge.
     """
 
-    entry: object
-    args: tuple
-    num_blocks: int
+    segments: Tuple[GridSegment, ...]
     threads_per_block: int
+    args: tuple = ()
     max_rounds: int = DEFAULT_MAX_ROUNDS
     #: Resolved :class:`~repro.sanitizer.monitor.SanitizerConfig` (None =
     #: not sanitizing) and the report label.
@@ -162,12 +167,6 @@ class LaunchPlan:
     #: Per-launch :class:`repro.jit.stats.JitCounters` when ``engine`` is
     #: ``"jit"``; also rides ``side_state`` so worker deltas merge back.
     jit_stats: object = None
-    #: Segmented (batched) grid: one :class:`GridSegment` per coalesced
-    #: sub-launch, concatenated in ascending global block id.  When set,
-    #: ``entry`` is unused, ``num_blocks`` must equal the segment total,
-    #: and hooks (tracer/sanitizer/schedule_policy) are
-    #: rejected — batched launches are hook-free by construction.
-    segments: Optional[Tuple[GridSegment, ...]] = None
     #: Optional :class:`repro.faults.checkpoint.LaunchCheckpoint`.  The
     #: parallel engine merges its completed block records instead of
     #: re-executing those blocks, and harvests newly completed blocks
@@ -175,62 +174,47 @@ class LaunchPlan:
     #: block error) so ``launch(retries=..., resume=True)`` resumes from
     #: where the last attempt got to instead of from zero.
     checkpoint: object = None
+    #: Total blocks over all segments.
+    num_blocks: int = field(init=False)
 
-    # -- segmented-grid geometry ------------------------------------------
-    def segment_spans(self) -> List[Tuple[int, int]]:
-        """``(start, end)`` global block-id span per segment."""
-        spans = []
-        start = 0
-        for seg in self.segments or ():
-            spans.append((start, start + seg.num_blocks))
-            start += seg.num_blocks
-        return spans
+    def __post_init__(self) -> None:
+        self.num_blocks = sum(s.num_blocks for s in self.segments)
 
-    def block_binding(self, block_id: int) -> Tuple[int, object, int, int]:
-        """``(segment_index, entry, local_block_id, local_num_blocks)``
-        for one global block id (identity for unsegmented plans)."""
-        if self.segments is None:
-            return 0, self.entry, block_id, self.num_blocks
+    def block_binding(self, block_id: int) -> Tuple[object, int, int]:
+        """``(entry, local_block_id, local_num_blocks)`` for one global
+        block id."""
         offset = 0
-        for si, seg in enumerate(self.segments):
+        for seg in self.segments:
             if block_id < offset + seg.num_blocks:
-                return si, seg.entry, block_id - offset, seg.num_blocks
+                return seg.entry, block_id - offset, seg.num_blocks
             offset += seg.num_blocks
         raise LaunchError(
-            f"block id {block_id} outside segmented grid of {offset} blocks"
+            f"block id {block_id} outside grid of {offset} blocks"
         )
 
     def validate_segments(self) -> None:
-        """Reject plan shapes the segmented executors do not support."""
-        if self.segments is None:
-            return
-        total = sum(s.num_blocks for s in self.segments)
-        if total != self.num_blocks:
-            raise LaunchError(
-                f"segmented plan covers {total} blocks but num_blocks is "
-                f"{self.num_blocks}"
-            )
-        if (self.tracer is not None or self.config is not None
+        """Hooks (tracer, sanitizer, schedule policy) need exactly one
+        segment: batched launches are hook-free by construction."""
+        if len(self.segments) != 1 and (
+                self.tracer is not None or self.config is not None
                 or self.schedule_policy is not None):
             raise LaunchError(
-                "segmented (batched) launches are hook-free: tracer, "
-                "sanitizer, and schedule_policy require solo launches"
+                "tracer, sanitizer, and schedule_policy require a "
+                "one-segment (solo) launch"
             )
 
 
 @dataclass
 class ExecOutcome:
-    """What an executor hands back to ``Device.launch`` for composition."""
+    """What an executor hands back for counter composition."""
 
-    blocks: List[BlockCounters]
-    shared_used: int
+    #: One outcome per plan segment, in plan order.
+    segments: List[SegmentOutcome]
     report: object = None
     cross_block_conflicts: int = 0
     #: Worker-pool recovery stats (:data:`repro.exec.pool.STAT_KEYS`);
     #: None when execution never touched the pool.
     recovery: Optional[dict] = None
-    #: Per-segment outcomes for segmented (batched) plans; None otherwise.
-    segments: Optional[List[SegmentOutcome]] = None
     #: Checkpoint/resume split (``plan.checkpoint``): blocks merged from
     #: a prior attempt's checkpoint vs blocks executed this attempt.
     blocks_resumed: int = 0
@@ -248,72 +232,19 @@ def _make_monitor(plan: LaunchPlan):
 class SerialExecutor:
     """The reference executor: the classic sequential block loop.
 
-    Byte-for-byte the behaviour ``Device.launch`` always had — one
-    shared monitor for the whole launch, blocks run in ascending id
-    against live global memory, a report-mode deadlock truncates the
-    loop without updating the deadlocked block's shared high-water mark.
+    Segments run in plan order, each its blocks in ascending *local* id
+    against live global memory — byte-for-byte what a solo launch of
+    that segment does, because segments touch disjoint buffers.  A
+    solo launch shares one monitor across its blocks.  An error inside
+    a segment is captured into its :class:`SegmentOutcome` after the
+    partial state committed, and execution continues with the next
+    segment; a report-mode deadlock truncates the segment instead,
+    without updating the deadlocked block's shared high-water mark.
     """
 
     def execute(self, device, plan: LaunchPlan) -> ExecOutcome:
-        if plan.segments is not None:
-            return self._execute_segments(device, plan)
-        monitor = _make_monitor(plan)
-        blocks: List[BlockCounters] = []
-        shared_used = 0
-        for block_id in range(plan.num_blocks):
-            if plan.deadline is not None and time.monotonic() >= plan.deadline:
-                if plan.faults is not None:
-                    plan.faults.counters.timeouts += 1
-                raise LaunchTimeout(
-                    f"launch watchdog expired after {block_id}/"
-                    f"{plan.num_blocks} blocks",
-                    blocks_done=block_id,
-                    num_blocks=plan.num_blocks,
-                    progress=[(i, b.rounds) for i, b in enumerate(blocks)],
-                )
-            block = ThreadBlock(
-                block_id=block_id,
-                num_threads=plan.threads_per_block,
-                params=device.params,
-                gmem=device.gmem,
-                entry=plan.entry,
-                args=plan.args,
-                num_blocks=plan.num_blocks,
-                max_rounds=plan.max_rounds,
-                tracer=plan.tracer,
-                monitor=monitor,
-                schedule_policy=plan.schedule_policy,
-                faults=plan.faults,
-                engine=plan.engine,
-                jit_stats=plan.jit_stats,
-            )
-            try:
-                blocks.append(block.run())
-            except DeadlockError:
-                if not plan.report_mode:
-                    raise
-                # Report mode: the deadlock finding is already recorded by
-                # the analyzer; remaining blocks are skipped because the
-                # launch cannot produce trustworthy results past this point.
-                blocks.append(block.counters)
-                break
-            shared_used = max(shared_used, block.shared.used)
-        report = monitor.finalize() if monitor is not None else None
-        return ExecOutcome(blocks=blocks, shared_used=shared_used, report=report)
-
-    def _execute_segments(self, device, plan: LaunchPlan) -> ExecOutcome:
-        """Sequential reference loop for a segmented (batched) grid.
-
-        Each segment runs its blocks in ascending *local* id against
-        live global memory — byte-for-byte what a solo launch of that
-        segment would do, because segments touch disjoint buffers.  An
-        error inside a segment is captured into its
-        :class:`SegmentOutcome` (the solo launch would have raised it
-        after committing the partial state, which is exactly the state
-        this loop leaves behind) and execution continues with the next
-        segment.
-        """
         plan.validate_segments()
+        monitor = _make_monitor(plan)
         seg_outs = [SegmentOutcome() for _ in plan.segments]
         done = 0
         for out, seg in zip(seg_outs, plan.segments):
@@ -321,11 +252,13 @@ class SerialExecutor:
                 if plan.deadline is not None and time.monotonic() >= plan.deadline:
                     if plan.faults is not None:
                         plan.faults.counters.timeouts += 1
+                    ran = [b for o in seg_outs for b in o.blocks]
                     raise LaunchTimeout(
                         f"launch watchdog expired after {done}/"
                         f"{plan.num_blocks} blocks",
                         blocks_done=done,
                         num_blocks=plan.num_blocks,
+                        progress=[(i, b.rounds) for i, b in enumerate(ran)],
                     )
                 block = ThreadBlock(
                     block_id=local_id,
@@ -336,6 +269,9 @@ class SerialExecutor:
                     args=plan.args,
                     num_blocks=seg.num_blocks,
                     max_rounds=plan.max_rounds,
+                    tracer=plan.tracer,
+                    monitor=monitor,
+                    schedule_policy=plan.schedule_policy,
                     faults=plan.faults,
                     engine=plan.engine,
                     jit_stats=plan.jit_stats,
@@ -343,19 +279,21 @@ class SerialExecutor:
                 try:
                     out.blocks.append(block.run())
                 except Exception as err:
-                    # The solo launch raises here; the batch demuxes the
-                    # error to its request and runs the other segments.
+                    # The error ends the segment, as a solo launch raises
+                    # here.  A report-mode deadlock ends it too, with no
+                    # error: the analyzer already recorded the finding,
+                    # and later blocks cannot produce trustworthy results.
                     out.blocks.append(block.counters)
-                    out.error = ErrorCapsule(err)
+                    if not (plan.report_mode and isinstance(err, DeadlockError)):
+                        out.error = ErrorCapsule(err)
                     done += seg.num_blocks - local_id
                     break
                 out.shared_used = max(out.shared_used, block.shared.used)
                 done += 1
-        return ExecOutcome(
-            blocks=[b for o in seg_outs for b in o.blocks],
-            shared_used=max((o.shared_used for o in seg_outs), default=0),
-            segments=seg_outs,
-        )
+        report = None
+        if monitor is not None and seg_outs[0].error is None:
+            report = monitor.finalize()
+        return ExecOutcome(segments=seg_outs, report=report)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialExecutor()"
@@ -442,19 +380,19 @@ class ParallelExecutor:
 
         records: List[BlockRecord] = list(resumed)
         stats: dict = {}
-        if block_ids:
-            workers = min(workers, len(block_ids))
-            size = self.shard_size or -(-len(block_ids) // workers)
-            shards = [block_ids[s:s + size]
-                      for s in range(0, len(block_ids), size)]
+        harvest: Optional[list] = [] if ckpt is not None else None
+        try:
+            if block_ids:
+                workers = min(workers, len(block_ids))
+                size = self.shard_size or -(-len(block_ids) // workers)
+                shards = [block_ids[s:s + size]
+                          for s in range(0, len(block_ids), size)]
 
-            def run_shard(ids):
-                return [self._run_block(device, plan, watermark, b)
-                        for b in ids]
+                def run_shard(ids):
+                    return [self._run_block(device, plan, watermark, b)
+                            for b in ids]
 
-            retry = plan.retry if plan.retry is not None else RetryPolicy()
-            harvest: Optional[list] = [] if ckpt is not None else None
-            try:
+                retry = plan.retry if plan.retry is not None else RetryPolicy()
                 shard_err = None
                 for status, payload in fork_map(
                     run_shard,
@@ -476,18 +414,20 @@ class ParallelExecutor:
                     records.extend(payload)
                 if shard_err is not None:
                     shard_err.reraise()
-                outcome = self._merge(device, plan, records)
-            except BaseException:
-                if ckpt is not None:
-                    # Harvest what did complete — the timeout sink's
-                    # shards plus any fully collected records — so the
-                    # next attempt resumes instead of starting over.
-                    for _, payload in harvest or ():
-                        ckpt.add(payload)
-                    ckpt.add(records)
-                raise
-        else:
-            outcome = self._merge(device, plan, records)
+            outcome = merge_records(device, plan, records)
+        except BaseException:
+            if ckpt is not None:
+                # Harvest what did complete — the timeout sink's shards
+                # plus any fully collected records — so the next attempt
+                # resumes instead of starting over.
+                for _, payload in harvest or ():
+                    ckpt.add(payload)
+                ckpt.add(records)
+            raise
+        if ckpt is not None and any(o.error for o in outcome.segments):
+            # A merged block error fails this attempt: keep the completed
+            # records for the next one.
+            ckpt.add(records)
         outcome.blocks_resumed = len(resumed)
         outcome.blocks_replayed = len(records) - len(resumed)
         if any(stats.values()):
@@ -498,9 +438,9 @@ class ParallelExecutor:
     def _run_block(self, device, plan: LaunchPlan, watermark: int, block_id: int) -> BlockRecord:
         """Run one block in isolation against the pre-launch snapshot.
 
-        ``block_id`` is the *global* grid id (the merge key); for
-        segmented plans the block executes with its segment's local
-        coordinates so lanes observe exactly the solo-launch geometry.
+        ``block_id`` is the *global* grid id (the merge key); the block
+        executes with its segment's local coordinates so lanes observe
+        exactly the solo-launch geometry.
         """
         gmem = device.gmem
         rec = GlobalWriteRecorder(watermark, track_reads=plan.config is not None)
@@ -508,7 +448,7 @@ class ParallelExecutor:
         side_base = snapshot_numeric(plan.side_state)
         record = BlockRecord(block_id)
         block = None
-        _, entry, local_id, local_blocks = plan.block_binding(block_id)
+        entry, local_id, local_blocks = plan.block_binding(block_id)
         try:
             block = ThreadBlock(
                 block_id=local_id,
@@ -545,10 +485,6 @@ class ParallelExecutor:
                 record.report = monitor.finalize()
         return record
 
-    # ------------------------------------------------------------------
-    def _merge(self, device, plan: LaunchPlan, records: List[BlockRecord]) -> ExecOutcome:
-        return merge_records(device, plan, records)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ParallelExecutor(workers={self.workers}, "
@@ -559,25 +495,42 @@ class ParallelExecutor:
 def merge_records(device, plan: LaunchPlan, records: List[BlockRecord]) -> ExecOutcome:
     """Fold per-block records into the serial outcome, ascending id.
 
+    Within each segment the serial-cutoff rule applies independently:
+    the lowest-id error is the one the serial loop would have hit, and
+    blocks past it never ran, so their records are dropped — while
+    *other* segments are untouched (solo launches of unrelated requests
+    cannot observe each other's failures).  The surviving records then
+    apply in one ascending-global-id pass, which equals running the
+    segments back-to-back because they touch disjoint buffers.  The
+    error lands in the segment's :class:`SegmentOutcome` after the
+    partial state, mirroring the serial loop, where every write before
+    the raise is already committed; a deadlock under a report-mode
+    sanitizer instead truncates the segment.
+
     Module-level (rather than a :class:`ParallelExecutor` method) so the
     serve tier's warm-pool lease can feed records produced by persistent
     remote workers through the *identical* merge the in-process engine
     uses — one deterministic-merge implementation for every transport.
     """
     records.sort(key=lambda r: r.block_id)
-
-    if plan.segments is not None:
-        return _merge_segments(device, plan, records)
-
-    # Deterministic cutoff: the lowest-id error is the one the serial
-    # loop would have hit; nothing past it ever ran serially.
-    error_rec: Optional[BlockRecord] = None
-    applied = records
-    for i, r in enumerate(records):
+    seg_outs = [SegmentOutcome() for _ in plan.segments]
+    applied: List[BlockRecord] = []
+    segs = iter(zip(seg_outs, plan.segments))
+    out, end, cut = None, 0, False
+    for r in records:
+        while r.block_id >= end:
+            out, seg = next(segs)
+            end += seg.num_blocks
+            cut = False
+        if cut:
+            continue
+        applied.append(r)
+        out.blocks.append(r.counters)
+        out.shared_used = max(out.shared_used, r.shared_used)
         if r.error is not None:
-            error_rec = r
-            applied = records[: i + 1]
-            break
+            cut = True
+            if not (r.deadlock and plan.report_mode):
+                out.error = r.error
 
     gmem = device.gmem
     if plan.config is not None and _sanitized_cross_block_sharing(applied):
@@ -595,71 +548,17 @@ def merge_records(device, plan: LaunchPlan, records: List[BlockRecord]) -> ExecO
         # snapshot; re-execute the ground truth.
         return SerialExecutor().execute(device, plan)
     apply_deltas(plan.side_state, [r.side_deltas for r in applied])
-
-    # An error that serial execution would have raised re-raises here,
-    # after the partial state landed — mirroring the serial loop, where
-    # every write before the raise is already committed.  A deadlock
-    # under a report-mode sanitizer instead truncates the launch.
-    if error_rec is not None and not (error_rec.deadlock and plan.report_mode):
-        error_rec.error.reraise()
-
-    blocks = [r.counters for r in applied]
-    shared_used = max((r.shared_used for r in applied), default=0)
     conflicts = _find_cross_block_conflicts(gmem, applied)
 
     report = None
-    if plan.config is not None:
+    if plan.config is not None and seg_outs[0].error is None:
         report = _merge_reports(plan, applied)
         for finding in conflicts:
             report.add(finding)
     return ExecOutcome(
-        blocks=blocks,
-        shared_used=shared_used,
+        segments=seg_outs,
         report=report,
         cross_block_conflicts=len(conflicts),
-    )
-
-
-def _merge_segments(device, plan: LaunchPlan, records: List[BlockRecord]) -> ExecOutcome:
-    """Segmented merge: per-segment serial cutoff, one global apply pass.
-
-    Records arrive sorted by global block id.  Within each segment the
-    serial-cutoff rule applies independently — blocks past the segment's
-    lowest-id error never ran in the solo launch, so their records are
-    dropped — while *other* segments are untouched (solo launches of
-    unrelated requests cannot observe each other's failures).  The
-    surviving records then apply in one ascending-global-id pass, which
-    equals running the solo launches back-to-back because segments touch
-    disjoint buffers.
-    """
-    spans = plan.segment_spans()
-    seg_outs = [SegmentOutcome() for _ in spans]
-    applied: List[BlockRecord] = []
-    si = 0
-    cut = False
-    for r in records:
-        while r.block_id >= spans[si][1]:
-            si += 1
-            cut = False
-        if cut:
-            continue
-        out = seg_outs[si]
-        applied.append(r)
-        out.blocks.append(r.counters)
-        out.shared_used = max(out.shared_used, r.shared_used)
-        if r.error is not None:
-            out.error = r.error
-            cut = True
-
-    if _apply_records(device.gmem, applied):
-        return SerialExecutor().execute(device, plan)
-    apply_deltas(plan.side_state, [r.side_deltas for r in applied])
-    conflicts = _find_cross_block_conflicts(device.gmem, applied)
-    return ExecOutcome(
-        blocks=[r.counters for r in applied],
-        shared_used=max((o.shared_used for o in seg_outs), default=0),
-        cross_block_conflicts=len(conflicts),
-        segments=seg_outs,
     )
 
 

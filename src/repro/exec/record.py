@@ -185,16 +185,20 @@ class ErrorCapsule:
             val = getattr(exc, name, None)
             if val is not None:
                 self.attrs[name] = val
+        #: The live exception: in-process re-raises hand back this very
+        #: object, whatever its class.
         self.exception: Optional[BaseException] = exc
+
+    def __getstate__(self):
+        exc = self.exception
         try:
             pickle.loads(pickle.dumps(exc))
         except Exception:
             # Unpicklable (e.g. a kernel raised something holding a live
-            # generator); fall back to reconstruction from the fields.
-            self.exception = None
-
-    def __getstate__(self):
-        return (self.exception, self.type_name, self.message, self.attrs)
+            # generator, or a function-local class); the far side
+            # reconstructs it from the fields.
+            exc = None
+        return (exc, self.type_name, self.message, self.attrs)
 
     def __setstate__(self, state):
         self.exception, self.type_name, self.message, self.attrs = state

@@ -35,6 +35,7 @@ from repro.gpu.costmodel import CostParams, nvidia_a100
 from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import Buffer, GlobalMemory
 from repro.gpu.sm import compose_kernel_cycles
+from repro.exec.state import delta_numeric, restore_numeric, snapshot_numeric
 
 #: CUDA-style upper bound on block size.
 MAX_THREADS_PER_BLOCK = 1024
@@ -212,101 +213,31 @@ class Device:
                     f"threads_per_block must be in [1, {MAX_THREADS_PER_BLOCK}], "
                     f"got {threads_per_block}"
                 )
-            config = None
-            label = None
-            session = None
-            report_mode = False
-            if sanitize in (None, False, "off"):
-                if sanitize is None and _GLOBAL_SANITIZER is not None:
-                    session = _GLOBAL_SANITIZER
-                    config = session.config
-                    label = getattr(entry, "__qualname__", None) or repr(entry)
-                    report_mode = True
-            else:
-                from repro.sanitizer.monitor import SanitizerConfig
+            # Imported lazily: repro.exec pulls in the sanitizer package,
+            # which imports this module.
+            from repro.exec.engine import GridSegment, LaunchPlan
+            from repro.jit import JitCounters, resolve_engine
 
-                config = SanitizerConfig.coerce(sanitize)
-                label = getattr(entry, "__qualname__", None) or repr(entry)
-                report_mode = config.mode == "report"
-
-            # Imported lazily: repro.exec pulls in the sanitizer package, which
-            # imports this module.
-            from repro.exec import default_executor
-            from repro.exec.engine import LaunchPlan, SerialExecutor
-            from repro.exec.state import (
-                delta_numeric,
-                restore_numeric,
-                snapshot_numeric,
-            )
-
-            exec_ = executor if executor is not None else self.executor
-            if exec_ is None:
-                exec_ = default_executor()
-            if tracer is not None and not isinstance(exec_, SerialExecutor):
-                # Tracing observes live generators through a host closure,
-                # which only the in-process serial interleaving supports.
-                exec_ = SerialExecutor()
-
-            if faults is None:
-                faults = self.faults
-            if faults is None:
-                from repro.faults import default_faults
-
-                faults_ = default_faults()
-            else:
-                faults_ = None if faults is False else faults
-
-            # Round-engine preference: explicit ``engine=`` kwarg, then
-            # REPRO_ENGINE, then ``auto``.
-            from repro.jit import JitCounters, coerce_engine, default_engine
-
-            hook = None
-            if tracer is not None:
-                hook = "tracer"
-            elif config is not None:
-                hook = "sanitizer"
-            elif schedule_policy is not None:
-                hook = "schedule_policy"
-            elif faults_ is not None:
-                hook = "fault plan"
-            if engine is not None:
-                try:
-                    requested = coerce_engine(engine)
-                except ValueError as err:
-                    raise LaunchError(str(err)) from None
-                if requested == "jit" and hook is not None:
-                    raise LaunchError(
-                        f"engine='jit' is incompatible with an attached "
-                        f"{hook} hook (the JIT carries no hook points); "
-                        "drop the hook or use engine='auto'"
-                    )
-            else:
-                # Environment-sourced preferences downgrade silently so whole
-                # test suites can be swept under e.g. REPRO_ENGINE=jit.
-                try:
-                    requested = default_engine()
-                except ValueError as err:
-                    raise LaunchError(str(err)) from None
-            if requested == "auto" or hook is not None:
-                resolved = "fast"
-            else:
-                resolved = requested
+            config, label, report_mode, session = _resolve_sanitizer(
+                sanitize, entry)
+            exec_ = self._resolve_executor(executor, tracer)
+            faults_ = self._resolve_faults(faults)
+            resolved = resolve_engine(
+                engine, _hook_name(tracer, config, schedule_policy, faults_))
             jit_stats = JitCounters() if resolved == "jit" else None
 
             user_side = tuple(side_state)
+            # Fault counters and JIT telemetry ride the side-state merge so
+            # bumps made inside forked workers travel back to the
+            # coordinator deterministically.
             plan_side = user_side
             if faults_ is not None:
-                # Ride the fault counters on the side-state merge so bumps made
-                # inside forked workers travel back to the coordinator.
-                plan_side = user_side + (faults_.counters,)
+                plan_side += (faults_.counters,)
             if jit_stats is not None:
-                # Same trick for JIT telemetry: per-block compile/deopt counts
-                # bumped inside forked workers merge back deterministically.
-                plan_side = plan_side + (jit_stats,)
+                plan_side += (jit_stats,)
             plan = LaunchPlan(
-                entry=entry,
+                segments=(GridSegment(entry, num_blocks),),
                 args=tuple(args),
-                num_blocks=num_blocks,
                 threads_per_block=threads_per_block,
                 max_rounds=max_rounds,
                 config=config,
@@ -319,7 +250,6 @@ class Device:
                 engine=resolved,
                 jit_stats=jit_stats,
             )
-
             if checkpoint is None and resume:
                 from repro.faults.checkpoint import LaunchCheckpoint
 
@@ -328,123 +258,109 @@ class Device:
                     exec_, "supports_checkpoint", False):
                 plan.checkpoint = checkpoint
 
-            max_attempts = int(retries) + 1
-            need_snapshot = max_attempts > 1 or (
-                faults_ is not None
-                and any(s.site == "memory.bitflip" for s in faults_.specs)
-            )
             fc_base = None
             if faults_ is not None:
                 faults_.launch_index += 1
                 fc_base = snapshot_numeric((faults_.counters,))
-            side_base = snapshot_numeric(user_side) if max_attempts > 1 else None
+            outcome = self._run_attempts(
+                exec_, plan, user_side, timeout, int(retries) + 1, backoff)
 
-            # Executors raise before any coordinator-side bookkeeping happens,
-            # so a failed launch leaves last_launch and the sanitizer session
-            # exactly as they were.  With retries armed, a SimulationError
-            # (timeout, unrepaired memory fault, worker failure, injected
-            # breakage) rolls global memory and side state back to the
-            # pre-launch snapshot and re-executes after capped backoff.
-            attempt = 0
-            leak_mark = self.gmem.mark()
-            snapshot = None
-            while True:
-                if need_snapshot:
-                    from repro.faults.scrub import MemorySnapshot
-
-                    # Chained: attempt 0 pays the full copy; every retry
-                    # advances the previous snapshot for O(dirty pages)
-                    # (the failed attempt was rolled back through marked
-                    # write paths, so the bitmap covers all divergence).
-                    snapshot = MemorySnapshot(self.gmem, base=snapshot)
-                if faults_ is not None:
-                    faults_.launch_attempt = attempt
-                plan.deadline = (
-                    time.monotonic() + timeout if timeout is not None else None
-                )
-                try:
-                    if faults_ is not None:
-                        self._inject_memory_faults(faults_, snapshot, attempt)
-                    outcome = exec_.execute(self, plan)
-                    break
-                except SimulationError as err:
-                    if isinstance(err, LaunchTimeout) and err.timeout is None:
-                        err.timeout = timeout
-                    if attempt + 1 >= max_attempts:
-                        # Terminal failure: reclaim sharing-space overflow
-                        # allocations the dying kernel could not release
-                        # in-band (the lockstep loop stopped resuming lanes).
-                        from repro.runtime.sharing import release_leaked_overflow
-
-                        release_leaked_overflow(self.gmem, leak_mark)
-                        raise
-                    if snapshot is not None:
-                        snapshot.restore()
-                    if side_base is not None:
-                        restore_numeric(user_side, side_base)
-                    if faults_ is not None:
-                        faults_.counters.launch_retries += 1
-                        faults_.counters.rollbacks += 1
-                    time.sleep(min(1.0, backoff * (2 ** attempt)))
-                    attempt += 1
-
-            kc = KernelCounters(
-                num_blocks=num_blocks, threads_per_block=threads_per_block
-            )
-            kc.blocks = outcome.blocks
-            cycles, resident, waves = compose_kernel_cycles(
-                self.params, kc.blocks, threads_per_block,
-                outcome.shared_used, regs_per_thread,
-            )
-            kc.cycles = cycles
-            kc.blocks_per_sm = resident
-            kc.waves = waves
-            kc.extra["shared_bytes_per_block"] = float(outcome.shared_used)
-            kc.extra["regs_per_thread"] = float(regs_per_thread)
-            if outcome.report is not None:
-                kc.sanitizer = outcome.report
-                kc.extra["sanitizer_findings"] = float(len(outcome.report.findings))
-                if session is not None:
-                    session.add(outcome.report)
-            if outcome.cross_block_conflicts:
-                kc.extra["cross_block_conflicts"] = float(outcome.cross_block_conflicts)
-            if jit_stats is not None:
-                # JIT launches only: hook-free launches without an engine
-                # preference carry no extra keys, so their counters stay
-                # bit-identical to every pre-JIT baseline.
-                kc.extra["engine"] = "jit"
-                for key, value in jit_stats.extra_items():
-                    kc.extra[key] = value
-            if outcome.recovery:
-                for key, val in sorted(outcome.recovery.items()):
-                    if val:
-                        kc.extra[f"pool_{key}"] = float(val)
-            if plan.checkpoint is not None:
-                kc.extra["blocks_resumed"] = float(outcome.blocks_resumed)
-                kc.extra["blocks_replayed"] = float(outcome.blocks_replayed)
+            kc = launch_counters(self.params, outcome.segments[0], num_blocks,
+                                 threads_per_block, regs_per_thread)
+            _add_launch_extras(kc, plan, outcome, session)
             if faults_ is not None:
-                # Per-launch deltas only: a plan under which nothing fired adds
-                # no keys, keeping counters bit-identical to a plane-less run.
-                delta = delta_numeric((faults_.counters,), fc_base)[0]
-                injected = sum(
-                    delta.get(k, 0)
-                    for k in ("worker_crashes", "worker_hangs", "bitflips",
-                              "forced_overflows", "atomic_transients")
-                )
-                for key, value in (
-                    ("faults", injected),
-                    ("faults_detected", delta.get("detected", 0)),
-                    ("faults_recovered", delta.get("recovered", 0)),
-                    ("faults_unrecovered", delta.get("unrecovered", 0)),
-                    ("faults_retries",
-                     delta.get("chunk_retries", 0) + delta.get("launch_retries", 0)),
-                    ("faults_degradations", delta.get("degradations", 0)),
-                    ("faults_timeouts", delta.get("timeouts", 0)),
-                ):
-                    if value:
-                        kc.extra[key] = float(value)
+                _add_fault_extras(kc, faults_, fc_base)
             self.last_launch = kc
             return kc
+
+    # -- launch steps ----------------------------------------------------
+    def _resolve_executor(self, executor, tracer):
+        """The launch's executor: the argument, the device's, then the
+        process default.  Tracing observes live generators through a host
+        closure, which only the in-process serial interleaving supports."""
+        from repro.exec import SerialExecutor, default_executor
+
+        exec_ = executor if executor is not None else self.executor
+        if exec_ is None:
+            exec_ = default_executor()
+        if tracer is not None and not isinstance(exec_, SerialExecutor):
+            exec_ = SerialExecutor()
+        return exec_
+
+    def _resolve_faults(self, faults):
+        """The launch's fault plan (None = faults off): the argument, the
+        device's, then ``REPRO_FAULTS``; ``False`` forces faults off."""
+        if faults is None:
+            faults = self.faults
+        if faults is None:
+            from repro.faults import default_faults
+
+            return default_faults()
+        return None if faults is False else faults
+
+    def _run_attempts(self, exec_, plan, user_side, timeout, max_attempts,
+                      backoff):
+        """Execute the plan, rolling back and retrying on failure.
+
+        Executors raise (or return the segment error, re-raised here)
+        before any coordinator-side bookkeeping happens, so a failed
+        launch leaves ``last_launch`` and the sanitizer session exactly as
+        they were.  With retries armed, a SimulationError (timeout,
+        unrepaired memory fault, worker failure, injected breakage) rolls
+        global memory and side state back to the pre-launch snapshot and
+        re-executes after capped exponential backoff.
+        """
+        faults_ = plan.faults
+        need_snapshot = max_attempts > 1 or (
+            faults_ is not None
+            and any(s.site == "memory.bitflip" for s in faults_.specs)
+        )
+        side_base = snapshot_numeric(user_side) if max_attempts > 1 else None
+        attempt = 0
+        leak_mark = self.gmem.mark()
+        snapshot = None
+        while True:
+            if need_snapshot:
+                from repro.faults.scrub import MemorySnapshot
+
+                # Chained: attempt 0 pays the full copy; every retry
+                # advances the previous snapshot for O(dirty pages)
+                # (the failed attempt was rolled back through marked
+                # write paths, so the bitmap covers all divergence).
+                snapshot = MemorySnapshot(self.gmem, base=snapshot)
+            if faults_ is not None:
+                faults_.launch_attempt = attempt
+            plan.deadline = (
+                time.monotonic() + timeout if timeout is not None else None
+            )
+            try:
+                if faults_ is not None:
+                    self._inject_memory_faults(faults_, snapshot, attempt)
+                outcome = exec_.execute(self, plan)
+                error = outcome.segments[0].error
+                if error is not None:
+                    error.reraise()
+                return outcome
+            except SimulationError as err:
+                if isinstance(err, LaunchTimeout) and err.timeout is None:
+                    err.timeout = timeout
+                if attempt + 1 >= max_attempts:
+                    # Terminal failure: reclaim sharing-space overflow
+                    # allocations the dying kernel could not release
+                    # in-band (the lockstep loop stopped resuming lanes).
+                    from repro.runtime.sharing import release_leaked_overflow
+
+                    release_leaked_overflow(self.gmem, leak_mark)
+                    raise
+                if snapshot is not None:
+                    snapshot.restore()
+                if side_base is not None:
+                    restore_numeric(user_side, side_base)
+                if faults_ is not None:
+                    faults_.counters.launch_retries += 1
+                    faults_.counters.rollbacks += 1
+                time.sleep(min(1.0, backoff * (2 ** attempt)))
+                attempt += 1
 
     def _inject_memory_faults(self, plan, snapshot, attempt: int) -> None:
         """Fire the ``memory.bitflip`` site, then run the ECC-style scrub.
@@ -478,3 +394,113 @@ class Device:
             raise
         plan.record("memory.bitflip", coords, recovered=True,
                     detail=f"{flips} flip(s) across {pages} dirty page(s)")
+
+
+def _resolve_sanitizer(sanitize, entry):
+    """``(config, label, report_mode, session)`` for a launch: the
+    explicit ``sanitize=`` argument, else the process-wide session (in
+    report mode), else no sanitizer."""
+    if sanitize in (None, False, "off"):
+        if sanitize is None and _GLOBAL_SANITIZER is not None:
+            return (_GLOBAL_SANITIZER.config, _entry_label(entry), True,
+                    _GLOBAL_SANITIZER)
+        return None, None, False, None
+    from repro.sanitizer.monitor import SanitizerConfig
+
+    config = SanitizerConfig.coerce(sanitize)
+    return config, _entry_label(entry), config.mode == "report", None
+
+
+def _entry_label(entry) -> str:
+    return getattr(entry, "__qualname__", None) or repr(entry)
+
+
+def _hook_name(tracer, config, schedule_policy, faults) -> Optional[str]:
+    """The first hook a launch attaches, as :func:`repro.jit.resolve_engine`
+    names it (None = hook-free)."""
+    for name, hook in (("tracer", tracer), ("sanitizer", config),
+                       ("schedule_policy", schedule_policy),
+                       ("fault plan", faults)):
+        if hook is not None:
+            return name
+    return None
+
+
+def launch_counters(params, out, num_blocks: int, threads_per_block: int,
+                    regs_per_thread: int, extra=None) -> KernelCounters:
+    """Compose one segment outcome into :class:`KernelCounters`.
+
+    The one composition both launch paths share: ``Device.launch`` for
+    its single segment and ``run_batch`` per request.  Cycles come from
+    the cost model's :func:`~repro.gpu.sm.compose_kernel_cycles`;
+    ``extra`` (e.g. :func:`runtime_extras`) is appended after the
+    geometry keys.
+    """
+    kc = KernelCounters(num_blocks=num_blocks, threads_per_block=threads_per_block)
+    kc.blocks = out.blocks
+    kc.cycles, kc.blocks_per_sm, kc.waves = compose_kernel_cycles(
+        params, kc.blocks, threads_per_block, out.shared_used, regs_per_thread,
+    )
+    kc.extra["shared_bytes_per_block"] = float(out.shared_used)
+    kc.extra["regs_per_thread"] = float(regs_per_thread)
+    if extra:
+        kc.extra.update(extra)
+    return kc
+
+
+def runtime_extras(rc, simd_len: int) -> dict:
+    """``kc.extra`` entries of an OpenMP launch: its runtime-counter
+    values and SIMD group size."""
+    extra = rc.as_dict()
+    extra["simd_len"] = float(simd_len)
+    return extra
+
+
+def _add_launch_extras(kc: KernelCounters, plan, outcome, session) -> None:
+    """Attach what only a solo launch reports: the sanitizer report, the
+    merge's cross-block conflicts, JIT telemetry, pool recovery stats and
+    the checkpoint/resume split."""
+    if outcome.report is not None:
+        kc.sanitizer = outcome.report
+        kc.extra["sanitizer_findings"] = float(len(outcome.report.findings))
+        if session is not None:
+            session.add(outcome.report)
+    if outcome.cross_block_conflicts:
+        kc.extra["cross_block_conflicts"] = float(outcome.cross_block_conflicts)
+    if plan.jit_stats is not None:
+        # JIT launches only: hook-free launches without an engine
+        # preference carry no extra keys, so their counters stay
+        # bit-identical to every pre-JIT baseline.
+        kc.extra["engine"] = "jit"
+        for key, value in plan.jit_stats.extra_items():
+            kc.extra[key] = value
+    if outcome.recovery:
+        for key, val in sorted(outcome.recovery.items()):
+            if val:
+                kc.extra[f"pool_{key}"] = float(val)
+    if plan.checkpoint is not None:
+        kc.extra["blocks_resumed"] = float(outcome.blocks_resumed)
+        kc.extra["blocks_replayed"] = float(outcome.blocks_replayed)
+
+
+def _add_fault_extras(kc: KernelCounters, faults, base) -> None:
+    """Per-launch fault-counter deltas: a plan under which nothing fired
+    adds no keys, keeping counters bit-identical to a plane-less run."""
+    delta = delta_numeric((faults.counters,), base)[0]
+    injected = sum(
+        delta.get(k, 0)
+        for k in ("worker_crashes", "worker_hangs", "bitflips",
+                  "forced_overflows", "atomic_transients")
+    )
+    for key, value in (
+        ("faults", injected),
+        ("faults_detected", delta.get("detected", 0)),
+        ("faults_recovered", delta.get("recovered", 0)),
+        ("faults_unrecovered", delta.get("unrecovered", 0)),
+        ("faults_retries",
+         delta.get("chunk_retries", 0) + delta.get("launch_retries", 0)),
+        ("faults_degradations", delta.get("degradations", 0)),
+        ("faults_timeouts", delta.get("timeouts", 0)),
+    ):
+        if value:
+            kc.extra[key] = float(value)

@@ -42,13 +42,15 @@ unset / ``auto``          the block round loop (today's default)
                           loop (always, under a hook)
 ========================  ==================================================
 
-``Device.launch(engine=...)`` overrides the environment per launch.
+``Device.launch(engine=...)`` and ``run_batch(engine=...)`` override the
+environment per launch; both resolve through :func:`resolve_engine`.
 """
 
 from __future__ import annotations
 
 import os
 
+from repro.errors import LaunchError
 from repro.jit.stats import GLOBAL_STATS, JitCounters, snapshot, reset
 
 #: Environment variable naming the round-engine preference.
@@ -81,6 +83,33 @@ def default_engine() -> str:
     return coerce_engine(spec)
 
 
+def resolve_engine(engine, hook=None) -> str:
+    """The round engine a launch runs under: ``"fast"`` or ``"jit"``.
+
+    The ladder is the explicit ``engine`` choice, then ``REPRO_ENGINE``,
+    then auto → fast.  ``hook`` names an attached hook (``"tracer"``,
+    ``"sanitizer"``, ``"schedule_policy"``, ``"fault plan"``) or is None;
+    the JIT carries no hook points, so a hook downgrades the engine to
+    the round loop — silently for an environment preference (whole
+    suites can be swept under ``REPRO_ENGINE=jit``), while an explicit
+    ``engine="jit"`` raises :class:`~repro.errors.LaunchError`, as does
+    an unknown engine name from either source.
+    """
+    try:
+        requested = default_engine() if engine is None else coerce_engine(engine)
+    except ValueError as err:
+        raise LaunchError(str(err)) from None
+    if engine is not None and requested == "jit" and hook is not None:
+        raise LaunchError(
+            f"engine='jit' is incompatible with an attached {hook} hook "
+            "(the JIT carries no hook points); drop the hook or use "
+            "engine='auto'"
+        )
+    if requested == "auto" or hook is not None:
+        return "fast"
+    return requested
+
+
 __all__ = [
     "ENGINE_ENV",
     "ENGINES",
@@ -88,6 +117,7 @@ __all__ = [
     "JitCounters",
     "coerce_engine",
     "default_engine",
+    "resolve_engine",
     "reset",
     "snapshot",
 ]

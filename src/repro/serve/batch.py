@@ -1,14 +1,15 @@
 """Launch coalescing: many small requests, one segmented grid.
 
-The executor substrate already merges per-block effects
-deterministically in ascending block id; batching rides that machinery
-by concatenating compatible requests into one
-:class:`~repro.exec.GridSegment`-typed plan.  Each request's blocks
-execute with **local** coordinates (block 0..n-1 of its own grid) so
-every lane — and the JIT's trace-cache key — observes exactly what a
-solo launch would have shown it; only the merge order uses global ids.
-The result is bit-identical to running the requests one at a time
-(tested by the hypothesis property in ``tests/serve``).
+A solo launch is a :class:`~repro.exec.LaunchPlan` of one
+:class:`~repro.exec.GridSegment`; a batch is the same plan with one
+segment per compatible request, run by the same executors, merged by
+the same :func:`~repro.exec.merge_records`, and composed into counters
+by the same :func:`~repro.gpu.device.launch_counters`.  Each request's
+blocks execute with **local** coordinates (block 0..n-1 of its own
+grid) so every lane — and the JIT's trace-cache key — observes exactly
+what a solo launch would have shown it; only the merge order uses
+global ids.  The result is bit-identical to running the requests one at
+a time (tested by the hypothesis property in ``tests/serve``).
 
 Eligibility (:func:`compatible`): same ``threads_per_block``, hook-free
 (no tracer/sanitizer/races/schedule-policy — enforced by
@@ -17,11 +18,10 @@ disjoint global buffers — guaranteed here by construction, because
 :func:`prepare` allocates each request's buffers fresh from its input
 arrays.  Per-request telemetry demuxes from the per-segment outcome:
 block counters, shared high-water mark, runtime-counter deltas, and the
-cost model's cycle composition are all computed per segment, exactly as
-``Device.launch`` composes them for a solo grid.  Launch-scoped JIT
-telemetry (``kc.extra["jit_*"]``) is the one deliberate exception: it
-cannot be attributed to a single request inside a batch, so batched
-counters omit it (documented in ``docs/SERVE.md``).
+cost model's cycle composition.  Launch-scoped telemetry — JIT
+(``kc.extra["engine"]``/``["jit_*"]``), pool recovery, fault deltas and
+cross-block conflicts — cannot be attributed to a single request inside
+a batch, so batched counters omit it (documented in ``docs/SERVE.md``).
 """
 
 from __future__ import annotations
@@ -32,11 +32,14 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import LaunchError
+from repro.errors import LaunchError, LaunchTimeout
 from repro.exec import GridSegment, LaunchPlan, SerialExecutor, merge_records
 from repro.exec.record import ErrorCapsule
 from repro.gpu.counters import KernelCounters
-from repro.gpu.sm import compose_kernel_cycles
+from repro.gpu.device import launch_counters, runtime_extras
+# Unused here, but kept as a module attribute: profilers wrap it by name.
+from repro.gpu.sm import compose_kernel_cycles  # noqa: F401
+from repro.jit import JitCounters, resolve_engine
 from repro.runtime.icv import DEFAULT_SHARING_BYTES
 
 __all__ = [
@@ -44,7 +47,6 @@ __all__ = [
     "PreparedLaunch",
     "compatible",
     "prepare",
-    "recycle",
     "release",
     "run_batch",
 ]
@@ -153,60 +155,6 @@ def prepare(
     )
 
 
-def recycle(
-    device,
-    catalog,
-    prepared: PreparedLaunch,
-    args: Dict[str, np.ndarray],
-    *,
-    out: Optional[Sequence[str]] = None,
-) -> PreparedLaunch:
-    """Rebind a completed request's state to a new request **in place**.
-
-    The cheap-cloning path for sustained same-shape traffic: instead of
-    allocating fresh buffers per request (and growing the allocator's
-    churn), the previous request's buffers are refilled from the new
-    input arrays — ``fill_from`` marks every page dirty, so snapshots
-    and the merge see the refill like any other write — and a fresh
-    entry/runtime-counter pair is bound over them.  Geometry is carried
-    over from ``prepared``; arg names, shapes, and dtypes must match
-    (anything else needs a real :func:`prepare`).  Returns ``prepared``.
-    """
-    if prepared.buffers.keys() != args.keys():
-        raise LaunchError(
-            f"recycle arg mismatch for {prepared.name!r}: have "
-            f"{sorted(prepared.buffers)}, got {sorted(args)}"
-        )
-    cfg = prepared.cfg
-    with device.lock:
-        for arg_name in sorted(args):
-            buf = prepared.buffers[arg_name]
-            arr = np.ascontiguousarray(args[arg_name]).reshape(-1)
-            if arr.size != buf.size or arr.dtype != buf.dtype:
-                raise LaunchError(
-                    f"recycle shape/dtype mismatch on {arg_name!r}: buffer "
-                    f"is {buf.size} x {buf.dtype}, array is "
-                    f"{arr.size} x {arr.dtype}"
-                )
-            buf.fill_from(arr)
-    entry, new_cfg, rc = catalog.build_entry(
-        prepared.name,
-        device.gmem,
-        prepared.buffers,
-        num_teams=cfg.num_teams,
-        team_size=cfg.team_size,
-        simd_len=cfg.simd_len,
-        sharing_bytes=cfg.sharing_bytes,
-        params=device.params,
-    )
-    prepared.cfg = new_cfg
-    prepared.rc = rc
-    prepared.entry = entry
-    if out is not None:
-        prepared.out = tuple(out)
-    return prepared
-
-
 def release(device, prepared: PreparedLaunch) -> None:
     """Free a prepared request's buffers (after outputs are read)."""
     with device.lock:
@@ -227,31 +175,6 @@ def compatible(a: PreparedLaunch, b: PreparedLaunch) -> bool:
     request in a batch runs under the batch's engine.)
     """
     return a.threads_per_block == b.threads_per_block
-
-
-def resolve_batch_engine(engine: Optional[str], faults) -> str:
-    """The round engine a batch runs under — ``Device.launch``'s ladder
-    minus the per-launch hooks batches reject anyway: the explicit
-    choice, then ``REPRO_ENGINE``, then auto → fast.
-
-    An active fault plan is a hook the JIT does not carry: explicit
-    ``jit`` raises, and an environment ``jit`` preference falls back to
-    the round loop, exactly as for solo launches.
-    """
-    from repro.jit import coerce_engine, default_engine
-
-    if engine is not None:
-        resolved = coerce_engine(engine)
-        if resolved == "jit" and faults is not None:
-            raise LaunchError(
-                "engine='jit' is incompatible with an attached fault plan "
-                "(the JIT carries no hook points)"
-            )
-    else:
-        resolved = default_engine()
-    if resolved == "auto" or faults is not None:
-        return "fast"
-    return resolved
 
 
 def run_batch(
@@ -290,13 +213,9 @@ def run_batch(
                 f"threads_per_block={tpb}, {p.name!r} has "
                 f"{p.threads_per_block}"
             )
-    resolved = resolve_batch_engine(engine, faults)
-
-    jit_stats = None
-    if resolved == "jit":
-        from repro.jit import JitCounters
-
-        jit_stats = JitCounters()
+    resolved = resolve_engine(
+        engine, "fault plan" if faults is not None else None)
+    jit_stats = JitCounters() if resolved == "jit" else None
 
     segments = tuple(
         GridSegment(p.entry, p.num_blocks, label=p.name) for p in prepared
@@ -304,11 +223,8 @@ def run_batch(
     side = tuple(p.rc for p in prepared)
     use_lease = lease is not None
     plan = LaunchPlan(
-        entry=None,
-        args=(),
-        num_blocks=sum(p.num_blocks for p in prepared),
-        threads_per_block=tpb,
         segments=segments,
+        threads_per_block=tpb,
         side_state=side if use_lease else (
             side + ((faults.counters,) if faults is not None else ())
         ),
@@ -320,30 +236,24 @@ def run_batch(
     exec_ = executor if executor is not None else SerialExecutor()
 
     with device.lock:
-        if use_lease:
-            records = lease.run(device, prepared, engine=resolved,
-                                deadline=plan.deadline)
-            outcome = merge_records(device, plan, records)
-        else:
-            outcome = exec_.execute(device, plan)
+        try:
+            if use_lease:
+                records = lease.run(device, prepared, engine=resolved,
+                                    deadline=plan.deadline)
+                outcome = merge_records(device, plan, records)
+            else:
+                outcome = exec_.execute(device, plan)
+        except LaunchTimeout as err:
+            if err.timeout is None:
+                err.timeout = timeout
+            raise
 
         results: List[LaunchOutcome] = []
         for p, seg in zip(prepared, outcome.segments):
-            kc = KernelCounters(
-                num_blocks=p.num_blocks, threads_per_block=tpb
+            kc = launch_counters(
+                device.params, seg, p.num_blocks, tpb, p.regs_per_thread,
+                runtime_extras(p.rc, p.cfg.simd_len),
             )
-            kc.blocks = list(seg.blocks)
-            cycles, resident, waves = compose_kernel_cycles(
-                device.params, kc.blocks, tpb, seg.shared_used,
-                p.regs_per_thread,
-            )
-            kc.cycles = cycles
-            kc.blocks_per_sm = resident
-            kc.waves = waves
-            kc.extra["shared_bytes_per_block"] = float(seg.shared_used)
-            kc.extra["regs_per_thread"] = float(p.regs_per_thread)
-            kc.extra.update(p.rc.as_dict())
-            kc.extra["simd_len"] = float(p.cfg.simd_len)
             outputs = {}
             if read_outputs:
                 # ``to_numpy`` already returns a fresh host copy.

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.exec import ParallelExecutor, WorkerPool
-from repro.exec.engine import LaunchPlan
+from repro.exec.engine import GridSegment, LaunchPlan
 from repro.exec.record import BlockRecord
 from repro.exec.transport import pack_records, unpack_records
 
@@ -94,9 +94,7 @@ def make_runner(catalog, params):
             params=params,
         )
         plan = LaunchPlan(
-            entry=entry,
-            args=(),
-            num_blocks=cfg.num_teams,
+            segments=(GridSegment(entry, cfg.num_teams),),
             threads_per_block=cfg.block_dim,
             side_state=(rc,),
             engine=payload["engine"],
