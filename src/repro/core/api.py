@@ -308,7 +308,7 @@ def launch(
     ``result.sanitizer``; a
     :class:`~repro.sanitizer.monitor.SanitizerConfig` gives full control.
     ``schedule_policy`` permutes warp/commit order (see
-    :func:`repro.sanitizer.explore_schedules`).
+    :func:`repro.sanitizer.explore_schedules_dpor`).
 
     ``executor`` selects the launch engine for this call (e.g. a
     :class:`repro.exec.ParallelExecutor`); by default the device's

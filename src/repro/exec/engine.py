@@ -770,4 +770,5 @@ def _merge_reports(plan: LaunchPlan, records: Sequence[BlockRecord]):
         merged.notes.extend(rep.notes)
         merged.merge_stats(rep.stats)
         merged.truncated += rep.truncated
+        merged.dependent.extend(rep.dependent)
     return merged

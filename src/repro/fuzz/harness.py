@@ -11,9 +11,9 @@ leg                       what it pins
 ``fast-parallel``         round loop under the in-process parallel executor
 ``jit-parallel``          jit engine under the in-process parallel executor
 ``schedule``              round loop under a seeded
-                          :class:`~repro.sanitizer.ShuffleSchedule` (warp and
-                          commit order permuted — race-free programs must not
-                          notice)
+                          :class:`~repro.sanitizer.BoundedPreemptionSchedule`
+                          with no budget (warp and commit order permuted every
+                          round — race-free programs must not notice)
 ``batch``                 segmented serve batching: the program prepared
                           twice, coalesced into one grid by
                           :func:`repro.serve.run_batch`, both demuxed results
@@ -176,9 +176,9 @@ def _solo_leg(plan: KernelPlan, *, engine: Optional[str], parallel: bool,
         executor = ParallelExecutor(workers=2, processes=False)
     policy = None
     if schedule_seed is not None:
-        from repro.sanitizer import ShuffleSchedule
+        from repro.sanitizer import BoundedPreemptionSchedule
 
-        policy = ShuffleSchedule(schedule_seed)
+        policy = BoundedPreemptionSchedule(schedule_seed)
     try:
         result = omp.launch(
             dev, tree, args=buffers, engine=engine, executor=executor,

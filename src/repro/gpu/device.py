@@ -158,7 +158,8 @@ class Device:
         individual detectors.
 
         ``schedule_policy`` (e.g. a seeded
-        :class:`~repro.sanitizer.schedule.ShuffleSchedule`) permutes warp
+        :class:`~repro.sanitizer.schedule.BoundedPreemptionSchedule` or a
+        :class:`~repro.sanitizer.schedule.DirectedSchedule`) permutes warp
         resolution and commit order per round — a legal interleaving used
         by the schedule explorer.  Both options are zero-cost when unset.
 

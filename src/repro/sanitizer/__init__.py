@@ -10,8 +10,9 @@ monitor hooks (:mod:`repro.gpu.block`):
   analysis with block/warp/lane/round provenance;
 * :mod:`~repro.sanitizer.sharing_audit` — variable-sharing-space audit
   (global fallbacks, over-reads, leaked overflow allocations);
-* :mod:`~repro.sanitizer.schedule` — seeded exploration of legal warp /
-  commit orderings with deterministic replay-by-seed.
+* :mod:`~repro.sanitizer.schedule` — DPOR exploration of legal warp /
+  commit orderings, driven by the race detector's racing and atomic
+  dependent pairs, with deterministic replay.
 
 Three ways in:
 
@@ -39,14 +40,10 @@ from repro.sanitizer.schedule import (
     BoundedPreemptionSchedule,
     DirectedSchedule,
     DporResult,
-    ExplorationResult,
     LoopController,
     RunStats,
-    ShuffleSchedule,
-    explore_schedules,
     explore_schedules_dpor,
     replay_directed,
-    replay_schedule,
     strip_launch_telemetry,
 )
 
@@ -55,7 +52,6 @@ __all__ = [
     "BoundedPreemptionSchedule",
     "DirectedSchedule",
     "DporResult",
-    "ExplorationResult",
     "Finding",
     "LoopController",
     "RunStats",
@@ -63,13 +59,10 @@ __all__ = [
     "SanitizerMonitor",
     "SanitizerReport",
     "SanitizerSession",
-    "ShuffleSchedule",
     "activate",
     "deactivate",
-    "explore_schedules",
     "explore_schedules_dpor",
     "replay_directed",
-    "replay_schedule",
     "session",
     "strip_launch_telemetry",
 ]

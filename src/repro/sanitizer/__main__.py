@@ -125,8 +125,8 @@ def main(argv=None) -> int:
                         help="suppress the target script's own stdout")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="run launches through the parallel block "
-                             "executor (and fan schedule exploration out "
-                             "over N worker processes)")
+                             "executor with N workers (DPOR schedule "
+                             "exploration stays sequential)")
     args = parser.parse_args(argv)
 
     if args.list:

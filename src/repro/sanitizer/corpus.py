@@ -17,6 +17,10 @@ for it.  The corpus is the sanitizer's negative test set — run it with
 * one order-dependent kernel with *no* default-schedule symptom — the
   DPOR schedule explorer finds its divergent interleaving
   deterministically from the racing pair (no seed lottery).
+
+Atomic dependences reach DPOR through the same race detector, which
+records them as dependent pairs rather than findings; DPOR reverses them
+like racing pairs (see :mod:`repro.sanitizer.races`).
 """
 
 from __future__ import annotations
@@ -29,11 +33,7 @@ import numpy as np
 from repro.gpu.device import Device
 from repro.sanitizer.monitor import SanitizerConfig
 from repro.sanitizer.report import SanitizerReport
-from repro.sanitizer.schedule import (
-    ShuffleSchedule,
-    explore_schedules,
-    explore_schedules_dpor,
-)
+from repro.sanitizer.schedule import explore_schedules_dpor
 
 #: Sanitize in report mode so a case can carry several findings.
 _REPORT = SanitizerConfig(mode="report")
@@ -261,9 +261,10 @@ def _order_dependent(workers=None) -> CaseResult:
     — no seed lottery: the race detector reports the warp-0/warp-1 store
     pair on ``a[0]``, the backtracking point reverses exactly that pair,
     and the reversed schedule flips the result.  ``workers`` is accepted
-    for CLI symmetry; directed exploration is sequential.
+    for the corpus's uniform case signature and unused: the explorer's
+    runs are sequential, each seeding the next.
     """
-    result = explore_schedules_dpor(order_dependent_run, workers=workers)
+    result = explore_schedules_dpor(order_dependent_run)
     got = result.report.categories() if result.order_dependent else []
     detail = result.text()
     if result.divergent_backtrack is not None:
@@ -313,8 +314,9 @@ def by_name(name: str) -> CorpusCase:
 def run_all(workers=None) -> List[CaseResult]:
     """Run every corpus case; each result says whether the bug was caught.
 
-    ``workers`` routes every case through the parallel launch engine
-    (and the schedule explorer's seed fan-out) — the corpus doubles as a
-    differential fixture for the executors.
+    ``workers`` routes every sanitizer case through the parallel launch
+    engine — the corpus doubles as a differential fixture for the
+    executors.  The order-dependent case runs DPOR, which is sequential
+    and ignores it.
     """
     return [case.run(workers=workers) for case in CASES]

@@ -28,6 +28,19 @@ happens-before.  Atomic-vs-atomic contention and atomic-write vs plain
 read are treated as synchronized, matching the simulator's established
 race semantics.  Lane-``local`` buffers are private by construction and
 not tracked.
+
+Synchronized is not order-independent: a float ``atomicAdd`` sums in
+commit order, and a plain read sees an atomic or not depending on which
+commits first.  So within one block and one round, every pair of lanes
+touching one element where one access is an atomic and the other an
+atomic or a plain read is recorded as a **dependent pair** in
+:attr:`SanitizerReport.dependent`, for the DPOR schedule explorer to
+reverse.  They are not findings.  One pair is kept per element and
+reversal (the two warps, or one warp's commit order), taken against the
+element's last same-round access, so each atomic pays O(1) for it, and
+reads pay only once their buffer has seen an atomic.  Cross-round pairs
+are not recorded: the round structure orders them, so no round-local
+schedule can reverse them.
 """
 
 from __future__ import annotations
@@ -75,7 +88,7 @@ class Access:
 class _Cell:
     """Shadow state of one buffer element."""
 
-    __slots__ = ("write", "reads", "atomics", "avc")
+    __slots__ = ("write", "reads", "atomics", "avc", "last", "last_atomic")
 
     def __init__(self) -> None:
         self.write: Optional[Access] = None
@@ -84,10 +97,18 @@ class _Cell:
         #: The location's atomic release clock (acquire/release edges),
         #: made by its first atomic.
         self.avc: Optional[Clock] = None
+        #: The last read or atomic, and the last atomic, once the buffer
+        #: has seen an atomic: the other end of a dependent pair.
+        self.last: Optional[Access] = None
+        self.last_atomic: Optional[Access] = None
 
 
 class _Shadow(dict):
     """One buffer's shadow cells, ``{idx: cell}``, made on first touch."""
+
+    #: Set by the buffer's first atomic; from then on reads are tracked
+    #: as the other end of dependent pairs.
+    atomic = False
 
     def __missing__(self, idx: int) -> _Cell:
         cell = self[idx] = _Cell()
@@ -116,6 +137,9 @@ class RaceDetector:
         #: ``(idxs, access)`` in order; see :meth:`on_event`.
         self._unwritten: Dict[int, List[Tuple[tuple, Access]]] = {}
         self._reported: set = set()
+        #: ``(id(buf), idx, block, round, warp, warp)`` of each dependent
+        #: pair recorded: one per element and reversal.
+        self._depended: set = set()
 
     # -- lane bookkeeping --------------------------------------------------
     def clock_of(self, key: LaneKey) -> Clock:
@@ -184,18 +208,20 @@ class RaceDetector:
         me = Access(key, clock.get(key, 0), rnd, site, kind, warp)
         unwritten = self._unwritten.get(id(buf))
         if unwritten is not None:
-            # Until a buffer's first plain write no read can race, so reads
-            # are only logged: most buffers (kernel inputs) are never
-            # written.  The first write replays the log into the cells, in
-            # order, before its own checks.
+            # Until a buffer's first plain write or atomic no read can race
+            # or depend, so reads are only logged: most buffers (kernel
+            # inputs) are never written.  The first write or atomic replays
+            # the log into the cells, in order, before its own checks.
             if kind is READ:
                 unwritten.append((idxs, me))
                 return
-            if kind is WRITE:
-                del self._unwritten[id(buf)]
-                for logged, read in unwritten:
-                    for idx in logged:
-                        cells[int(idx)].reads[read.key] = read
+            del self._unwritten[id(buf)]
+            for logged, read in unwritten:
+                for idx in logged:
+                    cells[int(idx)].reads[read.key] = read
+        if kind is ATOMIC and not cells.atomic:
+            self._first_atomic(cells, block_id, rnd)
+        track = cells.atomic
         for idx in idxs:
             idx = int(idx)
             cell = cells[idx]
@@ -212,10 +238,21 @@ class RaceDetector:
                 self._report(buf, idx, w, me)
             if kind is READ:
                 cell.reads[key] = me
+                if track:
+                    other = cell.last_atomic
+                    if other is not None and other.round == rnd \
+                            and other.key >> TID_BITS == block_id:
+                        self._depend(buf, idx, other, me)
+                    cell.last = me
             elif kind is ATOMIC:
                 cell.atomics[key] = me
                 # Release: publish this lane's clock on the location.
                 join_into(cell.avc, clock)
+                other = cell.last
+                if other is not None and other.round == rnd \
+                        and other.key >> TID_BITS == block_id:
+                    self._depend(buf, idx, other, me)
+                cell.last = cell.last_atomic = me
             else:
                 # Plain write: also conflicts with every unordered read and
                 # atomic.
@@ -228,6 +265,27 @@ class RaceDetector:
                 cell.write = me
                 cell.reads.clear()
                 cell.atomics.clear()
+
+    @staticmethod
+    def _first_atomic(cells: _Shadow, block_id: int, rnd: int) -> None:
+        """Start tracking a buffer's reads for dependent pairs, seeding
+        each cell with a read this block made earlier in this round."""
+        cells.atomic = True
+        for cell in cells.values():
+            for read in cell.reads.values():
+                if read.round == rnd and read.key >> TID_BITS == block_id:
+                    cell.last = read
+
+    def _depend(self, buf, idx: int, first: Access, second: Access) -> None:
+        """Record one same-round dependent pair, once per reversal."""
+        dedup = (id(buf), idx, first.key >> TID_BITS, first.round,
+                 first.warp, second.warp)
+        if dedup in self._depended:
+            return
+        self._depended.add(dedup)
+        self.report.dependent.append((
+            (buf.name, idx), _provenance(first), _provenance(second),
+            (second.site, first.site)))
 
     # -- reporting ---------------------------------------------------------
     def _report(self, buf, idx: int, first: Access, second: Access) -> None:
@@ -242,7 +300,6 @@ class RaceDetector:
             self.report.truncated += 1
             return
         block, tid = lane_of(second.key)
-        first_block, first_tid = lane_of(first.key)
         message = (
             f"data race in block {block} on {buf.name!r}[{idx}]: "
             f"{second.describe()} conflicts with {first.describe()}"
@@ -255,13 +312,13 @@ class RaceDetector:
             round=second.round,
             address=(buf.name, idx),
             sites=(second.site, first.site),
-            extra={
-                "first": {"block": first_block, "tid": first_tid,
-                          "kind": first.kind, "round": first.round,
-                          "warp": first.warp},
-                "second": {"block": block, "tid": tid,
-                           "kind": second.kind, "round": second.round,
-                           "warp": second.warp},
-            },
+            extra={"first": _provenance(first), "second": _provenance(second)},
         )
         self.report.add(finding)
+
+
+def _provenance(access: Access) -> Dict[str, object]:
+    """One end of a racing or dependent pair, as the explorer reads it."""
+    block, tid = lane_of(access.key)
+    return {"block": block, "tid": tid, "kind": access.kind,
+            "round": access.round, "warp": access.warp}

@@ -113,6 +113,11 @@ class SanitizerReport:
         #: Detector statistics (accesses checked, barriers observed, ...).
         self.stats: Dict[str, float] = {}
         self.truncated = 0
+        #: Same-round atomic dependences, ``(address, first, second,
+        #: sites)``, that the DPOR explorer reverses (see
+        #: :mod:`repro.sanitizer.races`).  Not findings: they stay out of
+        #: the rendered report, its dict form and its stats.
+        self.dependent: List[tuple] = []
 
     # -- recording ---------------------------------------------------------
     def add(self, finding: Finding) -> None:
@@ -148,6 +153,7 @@ class SanitizerReport:
         self.notes.extend(other.notes)
         self.merge_stats(other.stats)
         self.truncated += other.truncated
+        self.dependent.extend(other.dependent)
 
     def merge_stats(self, stats: Dict[str, float]) -> None:
         """Fold another report's stats in: counts add, high-water marks

@@ -1,34 +1,26 @@
-"""Schedule exploration: seeded sampling and DPOR over warp/commit order.
+"""Schedule exploration: DPOR over warp/commit order.
 
 The block scheduler is deterministic: warps resolve in ascending id and
 side effects commit in lane order, so every launch is one — legal but
 fixed — interleaving.  Order-dependent bugs (racy accumulations, missing
-barriers) can therefore produce stable, plausible-looking results.  Two
-explorers expose them:
+barriers, float atomics summing in commit order) can therefore produce
+stable, plausible-looking results.  :func:`explore_schedules_dpor`
+exposes them by dynamic partial-order reduction: each run executes under
+the happens-before sanitizer, and each same-round pair of conflicting
+accesses spawns one *backtracking point* — a :class:`DirectedSchedule`
+that reverses exactly that pair.  The pairs are the race detector's
+racing pairs plus the *dependent pairs* it records for atomics (two
+atomics, or an atomic and a plain read, on one element in one round:
+synchronized, so not a race, but still order-dependent).  Only schedules
+whose directive sets differ are executed (equivalent interleavings are
+pruned), deterministically, with no seed lottery.  Kernels whose pair
+graph exceeds the preemption budget, or whose races span rounds, fall
+back to seeded :class:`BoundedPreemptionSchedule` sampling.  Budgets and
+statistics follow ``simsched``'s ``LoopController``/``RunStats`` shape;
+the default controller stops after 64 runs.
 
-* :func:`explore_schedules` — ``simsched``-style random sampling: a
-  :class:`ShuffleSchedule` re-permutes, per scheduling round, (a) the
-  order in which warps' side effects resolve and (b) the commit order of
-  events within each warp — both drawn from a seeded PRNG, so **every
-  schedule is replayable from its integer seed alone**.
-
-* :func:`explore_schedules_dpor` — dynamic partial-order reduction: each
-  run executes under the happens-before sanitizer, racing event pairs
-  are extracted from the vector-clock race detector's findings, and each
-  same-round pair spawns one *backtracking point* — a
-  :class:`DirectedSchedule` that reverses exactly that pair.  Only
-  schedules whose directive sets differ are executed (equivalent
-  interleavings are pruned), so the explorer covers every inequivalent
-  warp-order/commit-order neighbourhood of the race graph in far fewer
-  runs than blind sampling — and deterministically, with no seed
-  lottery.  Kernels whose race graph exceeds the preemption budget fall
-  back to seeded :class:`BoundedPreemptionSchedule` sampling.  Budgets
-  and statistics follow ``simsched``'s ``LoopController``/``RunStats``
-  shape.
-
-Every schedule — sampled, directed, or bounded-preemption — is
-replayable from its integer seed or directive tuple alone
-(:func:`replay_schedule`, :func:`replay_directed`).
+Every schedule — directed or seeded — is replayable from its directive
+list or ``(seed, budget, horizon)`` alone (:func:`replay_directed`).
 
 Output diffing knows one documented carve-out: launch-scoped JIT
 telemetry (``extra["engine"]``, ``extra["jit_*"]``) is excluded from
@@ -51,49 +43,14 @@ import numpy as np
 from repro.sanitizer.report import Finding, SanitizerReport
 
 
-class ShuffleSchedule:
-    """Seeded schedule policy consumed by the block scheduler.
-
-    ``warp_order(block, round, n)`` permutes the order in which the
-    round's warps resolve; ``commit_order(block, round, warp, n)``
-    permutes side-effect application within one warp's posts.  The policy
-    is *stateless*: each permutation is drawn from a PRNG seeded by
-    ``(seed, block, round, warp)`` alone, never by call order.  That
-    keeps a run replayable from the integer seed — and, because a
-    block's schedule no longer depends on which blocks ran before it,
-    one policy object yields identical schedules whether the blocks
-    execute serially or sharded across the parallel executor's workers.
-    (String seeding hashes via SHA-512, so permutations are stable
-    across processes and ``PYTHONHASHSEED`` values.)
-    """
-
-    def __init__(self, seed: int) -> None:
-        self.seed = int(seed)
-
-    def _perm(self, n: int, *key) -> Sequence[int]:
-        order = list(range(n))
-        rng = random.Random(":".join(str(k) for k in (self.seed,) + key))
-        rng.shuffle(order)
-        return order
-
-    def warp_order(self, block_id: int, rnd: int, n: int) -> Sequence[int]:
-        return self._perm(n, "w", block_id, rnd)
-
-    def commit_order(self, block_id: int, rnd: int, warp_id: int, n: int) -> Sequence[int]:
-        return self._perm(n, "c", block_id, rnd, warp_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShuffleSchedule(seed={self.seed})"
-
-
 @dataclass
 class OutputDiff:
     """One output array that changed under a permuted schedule.
 
     ``seed`` is the replay handle of the schedule that produced the
-    divergence: an integer for sampled :class:`ShuffleSchedule` /
-    :class:`BoundedPreemptionSchedule` runs, a directive-tuple string
-    for :class:`DirectedSchedule` backtracking runs.
+    divergence: an integer for :class:`BoundedPreemptionSchedule`
+    fallback runs, a directive-tuple string for :class:`DirectedSchedule`
+    backtracking runs.
     """
 
     seed: object
@@ -116,6 +73,8 @@ class RunStats:
     ``pruned_equivalent`` counts candidate schedules skipped because an
     equivalent directive set already ran (the partial-order reduction),
     ``pruned_budget`` those dropped for exceeding the preemption budget.
+    ``racing_pairs`` counts data races, ``dependent_pairs`` the atomic
+    dependences the race detector hands over besides.
     """
 
     runs: int = 0
@@ -125,6 +84,7 @@ class RunStats:
     pruned_equivalent: int = 0
     pruned_budget: int = 0
     racing_pairs: int = 0
+    dependent_pairs: int = 0
     cross_round_pairs: int = 0
     backtrack_points: int = 0
     distinct_outcomes: int = 0
@@ -139,6 +99,7 @@ class RunStats:
             f"pruned={self.pruned_equivalent}+{self.pruned_budget} "
             f"(equivalent+budget), racing_pairs={self.racing_pairs} "
             f"({self.cross_round_pairs} cross-round), "
+            f"dependent_pairs={self.dependent_pairs}, "
             f"backtracks={self.backtrack_points}, "
             f"distinct_outcomes={self.distinct_outcomes}, "
             f"wall={self.wall_seconds:.3f}s, stop={self.stop_reason}"
@@ -153,6 +114,7 @@ class RunStats:
             "pruned_equivalent": self.pruned_equivalent,
             "pruned_budget": self.pruned_budget,
             "racing_pairs": self.racing_pairs,
+            "dependent_pairs": self.dependent_pairs,
             "cross_round_pairs": self.cross_round_pairs,
             "backtrack_points": self.backtrack_points,
             "distinct_outcomes": self.distinct_outcomes,
@@ -165,7 +127,8 @@ class RunStats:
 class LoopController:
     """Exploration budget, in the spirit of ``simsched``'s ``LoopController``.
 
-    ``max_runs``/``max_seconds`` bound the loop; with
+    ``max_runs``/``max_seconds`` bound the loop (None = unbounded; the
+    explorer's default controller sets ``max_runs=64``); with
     ``stop_on_first_divergence`` (the default) exploration ends at the
     first divergent schedule — the minimized repro — instead of mapping
     the whole outcome space.
@@ -186,56 +149,6 @@ class LoopController:
                 and time.monotonic() - started >= self.max_seconds):
             return "max_seconds"
         return None
-
-
-@dataclass
-class ExplorationResult:
-    """Outcome of an N-schedule fuzz loop over one kernel."""
-
-    schedules_run: int
-    baseline: Dict[str, np.ndarray]
-    diffs: List[OutputDiff] = field(default_factory=list)
-    #: Seeds whose run raised (e.g. a DeadlockError only some orders hit).
-    errored: List[tuple] = field(default_factory=list)
-    report: SanitizerReport = field(default_factory=lambda: SanitizerReport("explore"))
-    #: Exploration statistics (runs, wall time, stop reason).
-    stats: RunStats = field(default_factory=RunStats)
-
-    @property
-    def divergent_seeds(self) -> List[int]:
-        seeds: List[int] = []
-        for d in self.diffs:
-            if d.seed not in seeds:
-                seeds.append(d.seed)
-        for seed, _ in self.errored:
-            if seed not in seeds:
-                seeds.append(seed)
-        return seeds
-
-    @property
-    def reproduced(self) -> Optional[int]:
-        """First seed demonstrating order dependence (None if stable)."""
-        seeds = self.divergent_seeds
-        return seeds[0] if seeds else None
-
-    @property
-    def order_dependent(self) -> bool:
-        return bool(self.divergent_seeds)
-
-    def text(self) -> str:
-        lines = [f"==== schedule exploration: {self.schedules_run} schedule(s) ===="]
-        if not self.order_dependent:
-            lines.append("outputs stable under every explored schedule")
-        else:
-            lines.append(
-                f"ORDER DEPENDENCE: {len(self.divergent_seeds)} divergent "
-                f"seed(s); replay with seed {self.reproduced}"
-            )
-            for d in self.diffs:
-                lines.append("  " + d.describe())
-            for seed, err in self.errored:
-                lines.append(f"  seed {seed}: raised {err}")
-        return "\n".join(lines)
 
 
 #: ``kc.extra`` keys excluded from divergence comparison: launch-scoped
@@ -294,110 +207,6 @@ def _diff_outputs(
         if diff is not None:
             diffs.append(diff)
     return diffs
-
-
-def explore_schedules(
-    run: Callable[[Optional[ShuffleSchedule]], Dict[str, np.ndarray]],
-    schedules: int = 16,
-    base_seed: int = 1,
-    stop_on_divergence: bool = True,
-    workers: Optional[int] = None,
-    controller: Optional[LoopController] = None,
-) -> ExplorationResult:
-    """Fuzz a kernel across ``schedules`` seeded warp/commit orderings.
-
-    ``run(policy)`` must build a *fresh* device + buffers, launch with
-    ``schedule_policy=policy`` (None = default order), and return a dict
-    of named output arrays (entries that are plain dicts — e.g.
-    ``kc.extra`` — diff key-wise, under the launch-scoped JIT telemetry
-    carve-out).  Each divergence is reported with the seed that
-    reproduces it deterministically via :func:`replay_schedule`.
-
-    ``workers`` > 1 fans the seeds out over forked worker processes
-    (seeds are independent by construction); results are then folded in
-    seed order with the exact serial semantics — same ``schedules_run``
-    count, same first divergence, same early stop.  Speculative runs
-    past the stopping point are simply discarded.
-
-    ``controller`` bounds the loop (``max_runs``/``max_seconds``); its
-    ``stop_on_first_divergence`` is ignored here in favour of the legacy
-    ``stop_on_divergence`` flag.
-    """
-    started = time.monotonic()
-    result = ExplorationResult(schedules_run=0, baseline=run(None))
-    stats = result.stats
-    stats.runs = 1  # the baseline
-    report = result.report
-    seeds = [base_seed + i for i in range(schedules)]
-
-    def run_seed(seed):
-        """-> ("ok", outputs) or ("raised", (type name, message))."""
-        try:
-            return "ok", run(ShuffleSchedule(seed))
-        except Exception as err:  # deadlocks/races only some orders reach
-            return "raised", (type(err).__name__, str(err))
-
-    completed = None
-    if workers is not None and workers > 1 and len(seeds) > 1:
-        from repro.exec.pool import fork_map
-
-        completed = []
-        for status, payload in fork_map(run_seed, seeds, workers=workers):
-            if status == "err":  # infrastructure failure, not a kernel error
-                payload.reraise()
-            completed.append(payload)
-    for i, seed in enumerate(seeds):
-        if controller is not None:
-            reason = controller.should_stop(stats, started, divergent=False)
-            if reason is not None:
-                stats.stop_reason = reason
-                break
-        result.schedules_run += 1
-        stats.runs += 1
-        status, payload = completed[i] if completed is not None else run_seed(seed)
-        if status == "raised":
-            err_type, err_msg = payload
-            result.errored.append((seed, f"{err_type}: {err_msg}"))
-            report.add(Finding(
-                category="schedule-divergence",
-                message=(
-                    f"schedule seed {seed} raised {err_type} while "
-                    f"the default schedule completed: {err_msg}"
-                ),
-                extra={"seed": seed},
-            ))
-            if stop_on_divergence:
-                break
-            continue
-        outputs = payload
-        diffs = _diff_outputs(seed, result.baseline, outputs)
-        if diffs:
-            result.diffs.extend(diffs)
-            for d in diffs:
-                report.add(Finding(
-                    category="schedule-divergence",
-                    message=(
-                        "kernel output depends on warp/commit order: "
-                        + d.describe()
-                        + f" — replay deterministically with seed {d.seed}"
-                    ),
-                    address=(d.name, 0),
-                    extra={"seed": d.seed, "max_abs_diff": d.max_abs_diff},
-                ))
-            if stop_on_divergence:
-                break
-    if result.order_dependent and stop_on_divergence:
-        stats.stop_reason = "divergence"
-    stats.wall_seconds = time.monotonic() - started
-    report.stats["schedules_run"] = float(result.schedules_run)
-    return result
-
-
-def replay_schedule(
-    run: Callable[[Optional[ShuffleSchedule]], Dict[str, np.ndarray]], seed: int
-) -> Dict[str, np.ndarray]:
-    """Re-run one explored schedule by seed (deterministic repro)."""
-    return run(ShuffleSchedule(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -470,25 +279,36 @@ class DirectedSchedule:
 
 
 class BoundedPreemptionSchedule:
-    """Seeded schedule perturbing at most ``budget`` rounds per block.
+    """Seeded schedule policy consumed by the block scheduler.
 
-    The fallback for kernels whose race graph is too large for directed
-    backtracking: instead of permuting *every* round (a
-    :class:`ShuffleSchedule`), only ``budget`` pseudo-randomly chosen
-    rounds in ``[0, horizon)`` are permuted — the schedule-space
-    analogue of preemption-bounded model checking, where most divergent
-    behaviours need only a few ill-placed context switches.  Stateless
-    and replayable from ``(seed, budget, horizon)`` alone; the same
-    SHA-512 string seeding as :class:`ShuffleSchedule` keeps it stable
-    across processes and ``PYTHONHASHSEED`` values.
+    ``warp_order(block, round, n)`` permutes the order in which the
+    round's warps resolve; ``commit_order(block, round, warp, n)``
+    permutes side-effect application within one warp's posts.  With
+    ``budget=None`` every round is permuted.  With an integer budget only
+    ``budget`` pseudo-randomly chosen rounds in ``[0, horizon)`` per block
+    are — the schedule-space analogue of preemption-bounded model
+    checking, where most divergent behaviours need only a few ill-placed
+    context switches; DPOR's fallback runs this way.
+
+    The policy is *stateless*: each permutation is drawn from a PRNG
+    seeded by ``(seed, block, round, warp)`` alone, never by call order.
+    That keeps a run replayable from ``(seed, budget, horizon)`` — and,
+    because a block's schedule does not depend on which blocks ran
+    before it, one policy object yields identical schedules whether the
+    blocks execute serially or sharded across the parallel executor's
+    workers.  (String seeding hashes via SHA-512, so permutations are
+    stable across processes and ``PYTHONHASHSEED`` values.)
     """
 
-    def __init__(self, seed: int, budget: int = 4, horizon: int = 64) -> None:
+    def __init__(self, seed: int, budget: Optional[int] = None,
+                 horizon: int = 64) -> None:
         self.seed = int(seed)
-        self.budget = int(budget)
+        self.budget = None if budget is None else int(budget)
         self.horizon = int(horizon)
 
     def _preempted(self, block_id: int, rnd: int) -> bool:
+        if self.budget is None:
+            return True
         if rnd >= self.horizon:
             return False
         rng = random.Random(f"{self.seed}:pb:{block_id}")
@@ -532,7 +352,8 @@ def _pair_label(address, first: Dict, second: Dict) -> str:
 
 @dataclass
 class BacktrackPoint:
-    """One racing pair and the directed schedule that reverses it."""
+    """One racing or dependent pair and the directed schedule that
+    reverses it."""
 
     schedule: DirectedSchedule
     directive: tuple
@@ -540,14 +361,20 @@ class BacktrackPoint:
     first: Dict[str, object]
     second: Dict[str, object]
     sites: Tuple[str, ...] = ()
+    #: True for an atomic dependence, False for a data race.
+    dependent: bool = False
 
     def pair_label(self) -> str:
         return _pair_label(self.address, self.first, self.second)
 
+    def pair_name(self) -> str:
+        noun = "dependent pair (atomic)" if self.dependent else "racing pair"
+        return f"{noun} {self.pair_label()}"
+
     def describe(self) -> str:
         kind = "commit order" if self.directive[0] == "commit" else "warp order"
         return (
-            f"reverse {kind} for racing pair {self.pair_label()} "
+            f"reverse {kind} for {self.pair_name()} "
             f"via {self.schedule.to_spec()}"
         )
 
@@ -585,8 +412,12 @@ class DporResult:
     def text(self) -> str:
         lines = [f"==== DPOR exploration: {self.stats.describe()} ===="]
         if not self.order_dependent:
-            lines.append(
-                "outputs stable under every inequivalent explored schedule")
+            if self.stats.stop_reason in ("max_runs", "max_seconds"):
+                lines.append(f"outputs stable within {self.stats.runs} runs "
+                             f"(stopped on {self.stats.stop_reason})")
+            else:
+                lines.append(
+                    "outputs stable under every inequivalent explored schedule")
         else:
             lines.append(
                 f"ORDER DEPENDENCE: replay with schedule "
@@ -649,7 +480,9 @@ def _finding_delta_msg(reports, baseline_cats) -> str:
 
 
 def _extract_pairs(reports) -> List[tuple]:
-    """Racing pairs from the vector-clock detector's findings."""
+    """Racing pairs from the vector-clock detector's findings, then the
+    dependent pairs it recorded, as ``(address, first, second, sites,
+    dependent)``."""
     pairs = []
     for report in reports:
         for f in report.findings:
@@ -659,7 +492,8 @@ def _extract_pairs(reports) -> List[tuple]:
             second = f.extra.get("second")
             if not first or not second:
                 continue
-            pairs.append((f.address, first, second, tuple(f.sites)))
+            pairs.append((f.address, first, second, tuple(f.sites), False))
+        pairs.extend(pair + (True,) for pair in report.dependent)
     return pairs
 
 
@@ -678,24 +512,32 @@ def explore_schedules_dpor(
     fallback_schedules: int = 16,
     fallback_seed: int = 1,
     fallback_horizon: int = 64,
-    workers: Optional[int] = None,
 ) -> DporResult:
     """Systematic order-dependence search by dynamic partial-order reduction.
 
+    ``run(policy)`` must build a *fresh* device + buffers, launch with
+    ``schedule_policy=policy``, and return a dict of named output arrays
+    (entries that are plain dicts — e.g. ``kc.extra`` — diff key-wise,
+    under the launch-scoped JIT telemetry carve-out).  The baseline runs
+    under an empty :class:`DirectedSchedule` (identical to the default
+    order).
+
     Each run executes under the happens-before sanitizer (a process-wide
     report-mode session is installed around the ``run`` callback, and
-    restored afterwards).  The vector-clock race detector's findings are
-    the dynamic race graph: every same-round racing pair yields one
-    backtracking point — a :class:`DirectedSchedule` extending the
-    current schedule with the directive that reverses exactly that pair.
-    Directive sets are canonical, so schedules that would replay an
-    already-executed interleaving of conflicting events are pruned
+    restored afterwards).  The race detector's findings and the
+    dependent pairs it records for atomics are the dynamic conflict
+    graph: every same-round pair yields one backtracking point — a
+    :class:`DirectedSchedule` extending the current schedule with the
+    directive that reverses exactly that pair.  Directive sets are
+    canonical, so schedules that would replay an already-executed
+    interleaving of conflicting events are pruned
     (``stats.pruned_equivalent``) rather than run: the explorer executes
-    only inequivalent warp-order/commit-order schedules.
+    only inequivalent warp-order/commit-order schedules, sequentially,
+    since each run's pairs seed the next candidates.
 
     Directed schedules carry at most ``preemption_budget`` directives;
     candidates beyond the budget are counted in ``stats.pruned_budget``.
-    When the race graph needs more than the budget allows — budget
+    When the conflict graph needs more than the budget allows — budget
     prunes happened, or racing pairs span rounds (cross-round pairs are
     ordered by the lockstep round structure and cannot be reversed by a
     round-local directive; only a control-flow change reached through
@@ -703,22 +545,20 @@ def explore_schedules_dpor(
     ``fallback_schedules`` seeded :class:`BoundedPreemptionSchedule`
     runs, each perturbing at most ``preemption_budget`` rounds.
 
-    ``run(policy)`` has the :func:`explore_schedules` contract.  The
-    baseline runs under an empty :class:`DirectedSchedule` (identical to
-    the default order).  ``workers`` is accepted for CLI symmetry with
-    :func:`explore_schedules` but ignored: directed exploration is
-    inherently sequential (each run's races seed the next candidates).
+    ``controller`` defaults to ``LoopController(max_runs=64)``: atomic
+    dependences make the candidate space grow combinatorially with the
+    warps and rounds that share an element, so the default search is
+    bounded, and a stable verdict then reads "stable within N runs".
 
     Every divergence is replayable from ``result.divergent_spec`` alone:
     a directive list (:func:`replay_directed`) or a fallback integer
-    seed (:func:`replay_schedule` with a
-    :class:`BoundedPreemptionSchedule`).
+    seed (``run(BoundedPreemptionSchedule(seed, preemption_budget,
+    fallback_horizon))``).
     """
-    del workers  # directed runs are sequential by construction
     from repro.gpu import device as _device_mod
     from repro import sanitizer as _san
 
-    controller = controller or LoopController()
+    controller = controller or LoopController(max_runs=64)
     started = time.monotonic()
     result = DporResult(baseline={})
     stats = result.stats
@@ -752,7 +592,7 @@ def explore_schedules_dpor(
         if result.divergent_spec is None:
             result.divergent_spec = spec
             result.divergent_backtrack = point
-        label = "racing pair " + point.pair_label() if point is not None \
+        label = point.pair_name() if point is not None \
             else "bounded-preemption schedule"
         if error is not None:
             err_type, err_msg = error
@@ -782,14 +622,18 @@ def explore_schedules_dpor(
             ))
 
     def ingest_pairs(sched: DirectedSchedule, reports) -> None:
-        """Turn a run's racing pairs into backtracking candidates."""
-        for address, first, second, sites in _extract_pairs(reports):
+        """Turn a run's racing and dependent pairs into backtracking
+        candidates."""
+        for address, first, second, sites, dependent in _extract_pairs(reports):
             pkey = _pair_key(address, first, second)
             if pkey not in seen_pairs:
                 seen_pairs.add(pkey)
-                stats.racing_pairs += 1
-                if first.get("round") != second.get("round"):
-                    stats.cross_round_pairs += 1
+                if dependent:
+                    stats.dependent_pairs += 1
+                else:
+                    stats.racing_pairs += 1
+                    if first.get("round") != second.get("round"):
+                        stats.cross_round_pairs += 1
             if (first.get("round") != second.get("round")
                     or first.get("block") != second.get("block")
                     or first.get("warp") is None
@@ -813,6 +657,7 @@ def explore_schedules_dpor(
             point = BacktrackPoint(
                 schedule=new, directive=directive, address=address,
                 first=dict(first), second=dict(second), sites=sites,
+                dependent=dependent,
             )
             result.backtracks.append(point)
             stats.backtrack_points += 1

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exec import ParallelExecutor, SerialExecutor
 from repro.gpu.device import Device
-from repro.sanitizer.schedule import ShuffleSchedule
+from repro.sanitizer.schedule import BoundedPreemptionSchedule
 
 
 def _mixed_kernel(n_cells):
@@ -44,7 +44,7 @@ def _run(executor, num_blocks, threads, seed):
     n_cells = num_blocks * threads
     out = dev.alloc("out", n_cells, np.float64)
     acc = dev.alloc("acc", num_blocks, np.float64)
-    policy = ShuffleSchedule(seed) if seed else None
+    policy = BoundedPreemptionSchedule(seed) if seed else None
     kc = dev.launch(
         _mixed_kernel(n_cells),
         num_blocks=num_blocks,
@@ -100,8 +100,9 @@ def test_all_decompositions_agree_exactly():
     workers=st.integers(min_value=2, max_value=4),
 )
 def test_schedule_policy_decomposes_per_block(num_blocks, workers):
-    """A ShuffleSchedule must give each block the same permutations no
-    matter which worker runs it (the policy is stateless by key)."""
+    """A BoundedPreemptionSchedule must give each block the same
+    permutations no matter which worker runs it (the policy is stateless
+    by key)."""
 
     def kernel(tc, out, mark):
         yield from tc.store(out, tc.global_tid, float(tc.tid))
@@ -114,7 +115,7 @@ def test_schedule_policy_decomposes_per_block(num_blocks, workers):
         out = dev.alloc("out", num_blocks * 64, np.float64)
         mark = dev.alloc("mark", num_blocks, np.float64)
         kc = dev.launch(kernel, num_blocks=num_blocks, threads_per_block=64,
-                        args=(out, mark), schedule_policy=ShuffleSchedule(99))
+                        args=(out, mark), schedule_policy=BoundedPreemptionSchedule(99))
         return np.concatenate([dev.to_numpy(out), dev.to_numpy(mark)]), kc
 
     out_s, kc_s = run(SerialExecutor())
@@ -126,8 +127,8 @@ def test_schedule_policy_decomposes_per_block(num_blocks, workers):
 def test_stateless_shuffle_schedule_is_call_order_independent():
     """Unit check of the statelessness the engine relies on: permutations
     depend only on (seed, block, round, warp), not on query order."""
-    a = ShuffleSchedule(5)
-    b = ShuffleSchedule(5)
+    a = BoundedPreemptionSchedule(5)
+    b = BoundedPreemptionSchedule(5)
     # Query b in a scrambled order; answers must match a's.
     keys = [(blk, rnd) for blk in range(4) for rnd in range(3)]
     want = {k: list(a.warp_order(k[0], k[1], 8)) for k in keys}

@@ -43,7 +43,7 @@ from repro.errors import DeadlockError, LaunchError, MemoryFault
 from repro.gpu.costmodel import amd_mi100, benchmark_profile, nvidia_a100
 from repro.gpu.device import Device
 from repro.sanitizer.monitor import SanitizerConfig
-from repro.sanitizer.schedule import DirectedSchedule, ShuffleSchedule
+from repro.sanitizer.schedule import BoundedPreemptionSchedule, DirectedSchedule
 
 ENGINES = ["fast", "jit"]  # each diffed against the reference fixture
 
@@ -490,7 +490,7 @@ def test_shuffle_schedule_pinned(executor, seed):
     and memory."""
     run = _run_random_kernel(
         seed, executor, nvidia_a100(), "auto",
-        schedule_policy=ShuffleSchedule(2023),
+        schedule_policy=BoundedPreemptionSchedule(2023),
     )
     want = _load_fixture()["shuffle_2023"][str(seed)]
     assert _json_exact(_counters_record(*run)) == want

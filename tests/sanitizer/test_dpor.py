@@ -4,7 +4,9 @@ budgets, fallback, replay, and the jit-telemetry diff carve-out.
 The headline regression (promoted from the corpus's old blind seed
 fan-out): DPOR must find the order-dependent divergence *the race graph
 points at*, deterministically, with strictly fewer executed schedules
-than seed sampling needs — and the statistics must prove the pruning.
+than seed sampling needed — and the statistics must prove the pruning.
+Atomic dependences have their own regressions in
+``test_dpor_atomics.py``.
 """
 
 import numpy as np
@@ -15,11 +17,15 @@ from repro.sanitizer.schedule import (
     BoundedPreemptionSchedule,
     DirectedSchedule,
     LoopController,
-    explore_schedules,
     explore_schedules_dpor,
     replay_directed,
     strip_launch_telemetry,
 )
+
+
+#: Runs the deleted seed sampler executed on ``order_dependent_run`` with
+#: 64 seeds and no early stop: the baseline plus one run per seed.
+SAMPLED_RUNS = 65
 
 
 def stable_run(policy):
@@ -60,20 +66,18 @@ class TestDirectedExploration:
         assert "racing pair" in result.text()
 
     def test_strictly_fewer_runs_than_sampling_with_pruning_stats(self):
-        """The acceptance bar: every divergence sampling finds, with
-        strictly fewer executed schedules, and stats that prove the
-        partial-order reduction did the work."""
-        sampled = explore_schedules(order_dependent_run, schedules=64,
-                                    stop_on_divergence=False)
+        """The acceptance bar: the divergence sampling found, with
+        strictly fewer executed schedules than its recorded run count, and
+        stats that prove the partial-order reduction did the work."""
         directed = explore_schedules_dpor(order_dependent_run)
-        assert sampled.order_dependent
         assert directed.order_dependent
-        assert directed.stats.runs < sampled.stats.runs
+        assert directed.stats.runs < SAMPLED_RUNS
         # The reduction is visible: many candidate schedules collapsed
         # into already-executed directive sets instead of running.
         assert directed.stats.pruned_equivalent > 0
         assert directed.stats.candidates > directed.stats.runs
         assert directed.stats.racing_pairs > 0
+        assert directed.stats.dependent_pairs == 0  # stores, no atomics
         assert directed.stats.backtrack_points >= 1
         # Sampling needed a seed; DPOR derived the schedule from the race.
         assert directed.divergent_spec == directed.divergent_backtrack \
@@ -96,8 +100,9 @@ class TestDirectedExploration:
         assert "stable" in result.text()
 
     def test_atomic_reduction_is_not_flagged(self):
-        """Atomics on one cell are synchronized — no racing pairs, no
-        divergence, regardless of commit order."""
+        """Atomics on one cell are synchronized — no racing pairs — and
+        an integer-valued sum is exact in any commit order: the dependent
+        pairs are reversed and no divergence is found."""
         from repro.gpu.device import Device
 
         def reduction_run(policy):
@@ -113,6 +118,8 @@ class TestDirectedExploration:
 
         result = explore_schedules_dpor(reduction_run)
         assert not result.order_dependent
+        assert result.stats.racing_pairs == 0
+        assert result.stats.dependent_pairs > 0
         assert result.baseline["t"][0] == sum(range(64))
 
     def test_divergent_error_found_directed(self):
@@ -270,24 +277,45 @@ class TestTelemetryCarveOut:
         stripped = strip_launch_telemetry(extra)
         assert stripped == {"cycles": 100.0, "shared_bytes": 64.0}
 
-    def test_jit_only_counter_difference_is_not_divergence(self):
-        def telemetry_run(policy):
-            if policy is None:  # hook-free baseline: really compiled
-                return {"counters": {"engine": "jit",
-                                     "jit_traces_compiled": 3.0,
-                                     "cycles": 100.0}}
-            return {"counters": {"cycles": 100.0}}  # hooked: deopted
+    @staticmethod
+    def benign_race_run(counters_for):
+        """Both warps store 1.0 to ``a[0]``: a race DPOR reverses with no
+        effect on memory.  ``counters_for(policy)`` supplies the run's
+        counters output."""
+        from repro.gpu.device import Device
 
-        result = explore_schedules(telemetry_run, schedules=4)
+        def run(policy):
+            dev = Device()
+            a = dev.alloc("a", 1, np.float64)
+
+            def kernel(tc, a):
+                yield from tc.store(a, 0, 1.0)
+
+            dev.launch(kernel, num_blocks=1, threads_per_block=64, args=(a,),
+                       schedule_policy=policy)
+            return {"a": dev.to_numpy(a), "counters": counters_for(policy)}
+
+        return run
+
+    def test_jit_only_counter_difference_is_not_divergence(self):
+        def counters_for(policy):
+            if not policy.directives:  # the baseline: really compiled
+                return {"engine": "jit", "jit_traces_compiled": 3.0,
+                        "cycles": 100.0}
+            return {"cycles": 100.0}  # a reversed run: deopted
+
+        result = explore_schedules_dpor(self.benign_race_run(counters_for))
+        assert result.stats.runs > 1  # reversed runs were compared
         assert not result.order_dependent, result.text()
 
     def test_real_counter_difference_still_diverges(self):
-        def broken_run(policy):
-            cycles = 100.0 if policy is None else 101.0
-            return {"counters": {"engine": "jit", "cycles": cycles}}
+        def counters_for(policy):
+            cycles = 101.0 if policy.directives else 100.0
+            return {"engine": "jit", "cycles": cycles}
 
-        result = explore_schedules(broken_run, schedules=4)
+        result = explore_schedules_dpor(self.benign_race_run(counters_for))
         assert result.order_dependent
+        assert result.diffs[0].name == "counters"
 
     def test_dpor_end_to_end_under_jit_sweep(self, monkeypatch):
         """The whole DPOR loop under REPRO_ENGINE=jit: baseline and

@@ -1,4 +1,4 @@
-"""Schedule exploration: seeded permutations, divergence, replay.
+"""Schedule exploration: seeded permutations, DPOR divergence, replay.
 
 The exploration tests run under every round engine via the ``engine``
 fixture (``REPRO_ENGINE`` sweep).  Schedule policies are launch hooks
@@ -13,9 +13,10 @@ import pytest
 
 from repro.gpu.device import Device
 from repro.sanitizer.schedule import (
-    ShuffleSchedule,
-    explore_schedules,
-    replay_schedule,
+    BoundedPreemptionSchedule,
+    LoopController,
+    explore_schedules_dpor,
+    replay_directed,
 )
 
 ENGINES = ("fast", "jit")
@@ -56,23 +57,23 @@ def stable_run(policy):
 
 class TestExploration:
     def test_order_dependence_reproduced_within_64_schedules(self, engine):
-        result = explore_schedules(order_dependent_run, schedules=64)
+        result = explore_schedules_dpor(order_dependent_run)
         assert result.order_dependent
         assert result.reproduced is not None
-        assert result.schedules_run <= 64
+        assert result.stats.runs <= 64
         assert result.report.by_category("schedule-divergence")
         assert "replay" in result.text()
 
     def test_stable_kernel_never_diverges(self, engine):
-        result = explore_schedules(stable_run, schedules=16)
+        result = explore_schedules_dpor(stable_run)
         assert not result.order_dependent
         assert result.reproduced is None
-        assert result.schedules_run == 16
+        assert result.stats.runs == 1  # no conflicting pair to reverse
         assert result.report.clean
         assert "stable" in result.text()
 
     def test_divergence_only_some_schedules_hit_is_reported(self, engine):
-        """A deadlock only a permuted order reaches shows up as errored."""
+        """A deadlock only a reversed order reaches shows up as errored."""
 
         def racy_then_diverge(policy):
             dev = Device()
@@ -100,11 +101,13 @@ class TestExploration:
                        args=(flag,), schedule_policy=policy)
             return {"flag": dev.to_numpy(flag)}
 
-        result = explore_schedules(racy_then_diverge, schedules=32,
-                                   stop_on_divergence=False)
+        ctl = LoopController(max_runs=64, stop_on_first_divergence=False)
+        result = explore_schedules_dpor(racy_then_diverge, controller=ctl)
         assert result.order_dependent
         assert result.errored, result.text()
-        assert "DeadlockError" in result.errored[0][1]
+        # The explorer's report-mode session turns the deadlock into
+        # findings on a completed launch instead of a DeadlockError.
+        assert "deadlock" in result.errored[0][1]
 
 
 class TestEngineDowngrade:
@@ -124,7 +127,8 @@ class TestEngineDowngrade:
         assert kc_free.extra.get("engine") == "jit"
         # ...the hooked launch silently deopts: no jit telemetry keys.
         kc_hook = dev.launch(kernel, num_blocks=1, threads_per_block=64,
-                             args=(a,), schedule_policy=ShuffleSchedule(1))
+                             args=(a,),
+                             schedule_policy=BoundedPreemptionSchedule(1))
         assert "engine" not in kc_hook.extra
         assert not any(k.startswith("jit_") for k in kc_hook.extra)
 
@@ -141,7 +145,7 @@ class TestEngineDowngrade:
         with pytest.raises(LaunchError, match="hook"):
             dev.launch(kernel, num_blocks=1, threads_per_block=64,
                        args=(a,), engine=explicit,
-                       schedule_policy=ShuffleSchedule(1))
+                       schedule_policy=BoundedPreemptionSchedule(1))
 
     def test_explicit_fast_carries_the_policy(self):
         """The round loop takes every hook: explicit ``fast`` plus a
@@ -155,43 +159,47 @@ class TestEngineDowngrade:
                 yield from tc.store(a, 0, float(tc.tid // 32))
 
             dev.launch(kernel, num_blocks=1, threads_per_block=64, args=(a,),
-                       engine=engine, schedule_policy=ShuffleSchedule(3))
+                       engine=engine,
+                       schedule_policy=BoundedPreemptionSchedule(3))
             out.append(a.read(0))
         assert out[0] == out[1] == 0.0  # seed 3 commits warp 0 last
 
     def test_baseline_engine_does_not_change_verdict(self, engine):
-        """The same divergent seed is found whatever engine the baseline
-        (policy-free) run resolved to — memory is bit-identical across
-        the engine ladder, so the diff is engine-invariant."""
-        result = explore_schedules(order_dependent_run, schedules=64)
+        """The same divergent schedule is found whatever engine the
+        process prefers — memory is bit-identical across the engine
+        ladder, so the diff is engine-invariant."""
+        result = explore_schedules_dpor(order_dependent_run)
         assert result.order_dependent
-        assert result.reproduced == 3  # first divergent seed is stable
+        # Warp 1's store moved ahead of warp 0's in round 0.
+        assert result.reproduced == [["warp", 0, 0, 0, 1]]
 
 
 class TestReplay:
     def test_replay_by_seed_is_deterministic(self, engine):
-        result = explore_schedules(order_dependent_run, schedules=64)
-        seed = result.reproduced
-        first = replay_schedule(order_dependent_run, seed)
-        second = replay_schedule(order_dependent_run, seed)
+        """The replay handle is the divergent schedule's directive spec."""
+        result = explore_schedules_dpor(order_dependent_run)
+        spec = result.reproduced
+        first = replay_directed(order_dependent_run, spec)
+        second = replay_directed(order_dependent_run, spec)
         assert np.array_equal(first["a"], second["a"])
 
     def test_replay_reproduces_the_divergent_output(self, engine):
-        result = explore_schedules(order_dependent_run, schedules=64)
-        seed = result.reproduced
+        result = explore_schedules_dpor(order_dependent_run)
+        spec = result.reproduced
         baseline = result.baseline["a"]
-        replayed = replay_schedule(order_dependent_run, seed)["a"]
+        replayed = replay_directed(order_dependent_run, spec)["a"]
         assert not np.array_equal(replayed, baseline)
 
     def test_same_seed_same_permutations(self):
-        a = ShuffleSchedule(7)
-        b = ShuffleSchedule(7)
+        a = BoundedPreemptionSchedule(7)
+        b = BoundedPreemptionSchedule(7)
         for rnd in range(5):
             assert list(a.warp_order(0, rnd, 8)) == list(b.warp_order(0, rnd, 8))
             assert list(a.commit_order(0, rnd, 0, 6)) == list(b.commit_order(0, rnd, 0, 6))
 
     def test_different_seeds_differ_somewhere(self):
-        a = [tuple(ShuffleSchedule(s).warp_order(0, 0, 16)) for s in range(8)]
+        a = [tuple(BoundedPreemptionSchedule(s).warp_order(0, 0, 16))
+             for s in range(8)]
         assert len(set(a)) > 1
 
 
@@ -212,8 +220,9 @@ class TestPolicyCorrectnessEnvelope:
                        args=(total,), schedule_policy=policy)
             return {"t": dev.to_numpy(total)}
 
-        result = explore_schedules(reduction_run, schedules=8)
-        assert not result.order_dependent
+        result = explore_schedules_dpor(reduction_run)
+        assert not result.order_dependent, result.text()
+        assert result.stats.dependent_pairs > 0  # the atomics were reversed
         assert result.baseline["t"][0] == sum(range(64)) * 2
 
     def test_costs_are_order_independent(self):
@@ -229,5 +238,5 @@ class TestPolicyCorrectnessEnvelope:
 
         kc1 = dev1.launch(kernel, num_blocks=1, threads_per_block=64, args=(a1,))
         kc2 = dev2.launch(kernel, num_blocks=1, threads_per_block=64, args=(a2,),
-                          schedule_policy=ShuffleSchedule(3))
+                          schedule_policy=BoundedPreemptionSchedule(3))
         assert kc1.cycles == kc2.cycles

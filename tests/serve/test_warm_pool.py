@@ -63,14 +63,13 @@ class TestWarmReuse:
         with WorkerPool(_pid_of, workers=2) as pool:
             pool.map(range(4))
             victim = pool.pids()[0]
+            proc = next(w.proc for w in pool._slots
+                        if w is not None and w.pid == victim)
             os.kill(victim, signal.SIGKILL)
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                try:
-                    os.waitpid(victim, os.WNOHANG)
-                except ChildProcessError:
-                    break
-                time.sleep(0.01)
+            # Reap through the Process handle, so multiprocessing sees the
+            # exit and drops the child from active_children().
+            proc.join(5)
+            assert proc.exitcode == -signal.SIGKILL
             out = pool.map(range(4))
             assert all(s == "ok" for s, _ in out)
             assert victim not in pool.pids()
