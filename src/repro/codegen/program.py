@@ -10,14 +10,14 @@ launched many times with different geometries and argument bindings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import CodegenError
 from repro.codegen.directives import Target
 from repro.codegen.outline import OutlinedTask
 from repro.codegen.spmdization import SpmdReport
 from repro.runtime.dispatch import DispatchTable
-from repro.runtime.icv import ExecMode
+from repro.runtime.icv import DEFAULT_SHARING_BYTES, ExecMode, LaunchConfig
 
 
 @dataclass
@@ -72,6 +72,33 @@ class CompiledKernel:
     @property
     def parallel_mode(self) -> ExecMode:
         return self.report.parallel_mode
+
+    def launch_config(self, num_teams: int, team_size: int,
+                      simd_len: Optional[int] = None, *,
+                      sharing_bytes: int = DEFAULT_SHARING_BYTES,
+                      params=None) -> LaunchConfig:
+        """Resolve one launch's geometry and modes.
+
+        ``simd_len`` defaults to the simd construct's ``simdlen`` clause,
+        else 1 (pre-paper two-level behaviour), and is forced to 1 when
+        the tree has no simd construct (§5.4) — otherwise group lanes
+        would execute leaf loop bodies redundantly.  Solo, batched and
+        warm-pool launches all resolve geometry here, so they agree
+        bit for bit.
+        """
+        if simd_len is None:
+            simd_len = self.simdlen_hint or 1
+        if not self.has_simd:
+            simd_len = 1
+        return LaunchConfig(
+            num_teams=num_teams,
+            team_size=team_size,
+            simd_len=simd_len,
+            teams_mode=self.teams_mode,
+            parallel_mode=self.parallel_mode,
+            sharing_bytes=sharing_bytes,
+            params=params,
+        )
 
     def make_entry(self, cfg, gmem, counters, args: Dict[str, object]):
         """Bind launch arguments and produce the per-thread entry generator."""

@@ -337,14 +337,6 @@ def launch(
     args = dict(args or {})
     if isinstance(kernel, Target):
         kernel = compile_kernel(kernel, tuple(sorted(args)), name=name)
-    if simd_len is None:
-        # Honour the simd construct's simdlen clause; default to the
-        # two-level behaviour (group size 1) like pre-paper LLVM.
-        simd_len = kernel.simdlen_hint or 1
-    if not kernel.has_simd:
-        # §5.4: without a simd construct the group size is always one —
-        # otherwise group lanes would execute leaf loop bodies redundantly.
-        simd_len = 1
     hint_teams, hint_threads = kernel.launch_hints
     if num_teams is None:
         num_teams = hint_teams
@@ -355,15 +347,9 @@ def launch(
             "launch needs num_teams and team_size — pass them or put "
             "num_teams/thread_limit clauses on the teams construct"
         )
-    cfg = LaunchConfig(
-        num_teams=num_teams,
-        team_size=team_size,
-        simd_len=simd_len,
-        teams_mode=kernel.teams_mode,
-        parallel_mode=kernel.parallel_mode,
-        sharing_bytes=sharing_bytes,
-        params=device.params,
-    )
+    cfg = kernel.launch_config(num_teams, team_size, simd_len,
+                               sharing_bytes=sharing_bytes,
+                               params=device.params)
     def _run() -> LaunchResult:
         # Entry binding happens inside the stream's turn so a queued
         # launch observes buffer contents as of its ordered position,

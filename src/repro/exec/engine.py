@@ -63,11 +63,11 @@ from repro.gpu.block import DEFAULT_MAX_ROUNDS, ThreadBlock
 from repro.gpu.counters import BlockCounters
 from repro.exec.pool import RetryPolicy, fork_available, fork_map
 from repro.exec.record import (
-    OP_ATOMIC,
     OP_STORE,
     BlockRecord,
     ErrorCapsule,
     GlobalWriteRecorder,
+    last_writes,
 )
 from repro.exec.state import (
     apply_deltas,
@@ -533,7 +533,8 @@ def merge_records(device, plan: LaunchPlan, records: List[BlockRecord]) -> ExecO
                 out.error = r.error
 
     gmem = device.gmem
-    if plan.config is not None and _sanitized_cross_block_sharing(applied):
+    cells = _CellIndex(gmem, applied)
+    if plan.config is not None and cells.shared():
         # The serial launch runs ONE monitor across all blocks, so its
         # happens-before analysis flags cross-block races; per-block
         # monitors cannot see them.  Whenever blocks share a tracked
@@ -548,11 +549,18 @@ def merge_records(device, plan: LaunchPlan, records: List[BlockRecord]) -> ExecO
         # snapshot; re-execute the ground truth.
         return SerialExecutor().execute(device, plan)
     apply_deltas(plan.side_state, [r.side_deltas for r in applied])
-    conflicts = _find_cross_block_conflicts(gmem, applied)
+    conflicts = cells.conflicts(gmem)
 
     report = None
     if plan.config is not None and seg_outs[0].error is None:
-        report = _merge_reports(plan, applied)
+        from repro.sanitizer.report import SanitizerReport
+
+        # The race detector stops adding race findings once the shared
+        # serial monitor's report is full; the merge re-applies that cap.
+        report = SanitizerReport(plan.label or "kernel")
+        for r in applied:
+            if r.report is not None:
+                report.merge(r.report, race_cap=plan.config.max_findings)
         for finding in conflicts:
             report.add(finding)
     return ExecOutcome(
@@ -566,41 +574,154 @@ class _StaleAtomicRead(Exception):
     """Internal: merge-time read validation failed for one atomic."""
 
 
-def _sanitized_cross_block_sharing(records: Sequence[BlockRecord]) -> bool:
-    """True when blocks share a tracked cell in a way the launch-wide
-    serial monitor could flag as a cross-block race: a plain write
-    against *any* other block's access, or an atomic against another
-    block's plain access.  Read-read and atomic-atomic sharing is
-    race-free (and atomic results are still read-validated by
-    :func:`_apply_records`)."""
-    readers: Dict[Tuple[int, int], set] = {}
-    writers: Dict[Tuple[int, int], set] = {}
-    atomics: Dict[Tuple[int, int], set] = {}
-    for r in records:
-        b = r.block_id
-        for cell in r.read_cells:
-            readers.setdefault(cell, set()).add(b)
-        for cell in r.write_set:
-            writers.setdefault(cell, set()).add(b)
-        for op in r.oplog:
-            cell = (op[1], op[2])
-            if op[0] == OP_STORE:
-                writers.setdefault(cell, set()).add(b)
-            else:
-                atomics.setdefault(cell, set()).add(b)
-    for cell, wb in writers.items():
-        others = (
-            readers.get(cell, set())
-            | wb
-            | atomics.get(cell, set())
-        )
-        if len(wb) > 1 or others - wb:
-            return True
-    for cell, ab in atomics.items():
-        plain = readers.get(cell, set()) | writers.get(cell, set())
-        if plain - ab:
-            return True
-    return False
+#: Access-kind bits of one block on one cell in :class:`_CellIndex`.
+_READ, _WRITE, _ATOMIC = 1, 2, 4
+
+
+class _CellIndex:
+    """Every tracked cell the merged records touch, built once per merge.
+
+    Per buffer handle, read straight from the records' columns:
+
+    * ``cells`` — ``(idx, block, kinds)`` sorted by cell, then block, one
+      row per block that touches the cell; ``kinds`` ORs the block's
+      ``_READ`` (sanitizer read sets), ``_WRITE`` and ``_ATOMIC`` bits;
+    * ``stores`` — ``(idx, block, values)`` in the same order, one row per
+      block that plainly stores the cell (write-set columns plus the
+      last oplog store per cell), values in the buffer's dtype.
+
+    Both cross-block checks query it with array operations and walk only
+    the cells that more than one block touches.
+    """
+
+    def __init__(self, gmem, records: Sequence[BlockRecord]) -> None:
+        parts: Dict[int, list] = {}  # handle -> [(idx, block, kind, values)]
+        for r in records:
+            b = r.block_id
+            for handle, (idx, vals) in r.write_set.items():
+                parts.setdefault(handle, []).append((idx, b, _WRITE, vals))
+            stores: Dict[int, Tuple[list, list]] = {}
+            atomics: Dict[int, list] = {}
+            reads: Dict[int, list] = {}
+            for op in r.oplog:
+                if op[0] == OP_STORE:
+                    cols = stores.setdefault(op[1], ([], []))
+                    cols[0].append(op[2])
+                    cols[1].append(op[3])
+                else:
+                    atomics.setdefault(op[1], []).append(op[2])
+            for handle, (idxs, vals) in stores.items():
+                idx, vals = last_writes(
+                    np.asarray(idxs, dtype=np.int64),
+                    np.asarray(vals, dtype=gmem.lookup(handle).dtype))
+                parts.setdefault(handle, []).append((idx, b, _WRITE, vals))
+            for handle, idx in r.read_cells:
+                reads.setdefault(handle, []).append(idx)
+            for kind, cells in ((_ATOMIC, atomics), (_READ, reads)):
+                for handle, idxs in cells.items():
+                    parts.setdefault(handle, []).append(
+                        (np.asarray(idxs, dtype=np.int64), b, kind, None))
+        self.cells = {}
+        self.stores = {}
+        for handle, rows in parts.items():
+            idx, blk, kind, perm = _columns(rows)
+            idx, blk, kind = idx[perm], blk[perm], kind[perm]
+            first = _starts((idx[1:] != idx[:-1]) | (blk[1:] != blk[:-1]))
+            self.cells[handle] = (idx[first], blk[first],
+                                  np.bitwise_or.reduceat(kind, first))
+            writes = [row for row in rows if row[3] is not None]
+            if writes:
+                idx, blk, _, perm = _columns(writes)
+                vals = np.concatenate([row[3] for row in writes])
+                self.stores[handle] = (idx[perm], blk[perm], vals[perm])
+
+    def shared(self) -> bool:
+        """True when blocks share a tracked cell in a way the launch-wide
+        serial monitor could flag as a cross-block race: a plain write
+        against *any* other block's access, or an atomic against another
+        block's plain access.  Read-read and atomic-atomic sharing is
+        race-free (and atomic results are still read-validated by
+        :func:`_apply_records`)."""
+        for idx, _, kind in self.cells.values():
+            start = _starts(idx[1:] != idx[:-1])
+            blocks = np.diff(np.append(start, idx.size))
+            writes, atomics = (
+                np.add.reduceat(((kind & bit) != 0).astype(np.int64), start)
+                for bit in (_WRITE, _ATOMIC))
+            if ((writes > 1) | ((writes > 0) & (blocks > writes))
+                    | ((atomics > 0) & (blocks > atomics))).any():
+                return True
+        return False
+
+    def conflicts(self, gmem) -> List[object]:
+        """Flag cells where distinct blocks' non-atomic writes collide.
+
+        Two blocks plainly storing *different* bits to one cell, or one
+        block plainly storing a cell another block updates atomically,
+        is a cross-block data race the per-block monitors cannot see —
+        and the one situation where the merged result is merely *a*
+        legal interleaving rather than the serial one.  Blocks storing
+        identical bits commute, so they are no conflict.
+        """
+        from repro.sanitizer.report import Finding
+
+        findings = []
+        for handle in sorted(self.stores):
+            idx, blk, vals = self.stores[handle]
+            bits = np.ascontiguousarray(vals).view(np.uint8).reshape(idx.size, -1)
+            differ = (idx[1:] == idx[:-1]) & (bits[1:] != bits[:-1]).any(axis=1)
+            clash = set(idx[1:][differ].tolist())
+            c_idx, c_blk, kind = self.cells[handle]
+            hit = (((kind & (_WRITE | _ATOMIC)) == _ATOMIC)
+                   & np.isin(c_idx, idx))
+            foreign: Dict[int, List[int]] = {}
+            for i, b in zip(c_idx[hit].tolist(), c_blk[hit].tolist()):
+                foreign.setdefault(i, []).append(b)
+            name = gmem.lookup(handle).name
+            for i in sorted(clash | set(foreign)):
+                lo, hi = np.searchsorted(idx, [i, i + 1])
+                writers = blk[lo:hi].tolist()
+                if i in clash:
+                    findings.append(Finding(
+                        category="cross-block-write-conflict",
+                        message=(
+                            f"blocks {writers} store conflicting values to "
+                            f"{name!r}[{i}] with no inter-block ordering; "
+                            f"the merged result keeps block {writers[-1]}'s "
+                            "value (the serial interleaving), but any order "
+                            "is legal"
+                        ),
+                        address=(name, i),
+                        extra={"blocks": writers},
+                    ))
+                if i in foreign:
+                    findings.append(Finding(
+                        category="cross-block-write-conflict",
+                        message=(
+                            f"block(s) {writers} plainly store {name!r}[{i}] "
+                            f"while block(s) {foreign[i]} update it "
+                            "atomically; plain stores do not compose with "
+                            "cross-block atomics"
+                        ),
+                        address=(name, i),
+                        extra={"blocks": writers, "atomic_blocks": foreign[i]},
+                    ))
+        return findings
+
+
+def _columns(rows):
+    """``(idx, block, kind)`` columns of ``(idx, block, kind, ...)`` rows,
+    plus the permutation that sorts them by cell, then block."""
+    idx = np.concatenate([row[0] for row in rows])
+    blk, kind = (np.concatenate([np.full(row[0].size, row[k], dtype=dtype)
+                                 for row in rows])
+                 for k, dtype in ((1, np.int64), (2, np.int8)))
+    return idx, blk, kind, np.lexsort((blk, idx))
+
+
+def _starts(boundary: np.ndarray) -> np.ndarray:
+    """Group start positions of a sorted column, given ``col[1:] != col[:-1]``."""
+    return np.flatnonzero(np.concatenate(([True], boundary)))
 
 
 def _apply_records(gmem, records: Sequence[BlockRecord]) -> bool:
@@ -618,25 +739,12 @@ def _apply_records(gmem, records: Sequence[BlockRecord]) -> bool:
     added: List[object] = []
     try:
         for r in records:
-            # Columnar apply: group the write-set by buffer (first-seen
-            # handle order), then one gather (old values, canonical
-            # bounds fault) + one scatter per buffer instead of a Python
-            # read/write round-trip per cell.  Cells are unique within a
-            # record, so per-buffer grouping cannot reorder conflicting
-            # writes.
-            by_handle: Dict[int, Tuple[list, list]] = {}
-            for (handle, idx), value in r.write_set.items():
-                cols = by_handle.get(handle)
-                if cols is None:
-                    cols = by_handle[handle] = ([], [])
-                cols[0].append(idx)
-                cols[1].append(value)
-            for handle, (idxs, values) in by_handle.items():
+            # One gather (old values) + one scatter per buffer; cells are
+            # unique within a write-set column.
+            for handle, (idx, vals) in r.write_set.items():
                 buf = gmem.lookup(handle)
-                idx_arr = np.asarray(idxs, dtype=np.int64)
-                vals = np.asarray(values, dtype=buf.dtype)
-                undo.append((buf, idx_arr, buf.gather(idx_arr)))
-                buf.scatter(idx_arr, vals)
+                undo.append((buf, idx, buf.gather(idx)))
+                buf.scatter(idx, vals)
             for op in r.oplog:
                 buf = gmem.lookup(op[1])
                 idx = op[2]
@@ -687,88 +795,3 @@ def _capture_and_purge(gmem, watermark: int) -> List[tuple]:
             # handle (the block that owned the memory is gone).
             gmem.drop(buf)
     return survivors
-
-
-def _find_cross_block_conflicts(gmem, records: Sequence[BlockRecord]) -> List[object]:
-    """Flag cells where distinct blocks' non-atomic writes collide.
-
-    Two blocks plainly storing *different* final values to one cell, or
-    one block plainly storing a cell another block updates atomically,
-    is a cross-block data race the per-block monitors cannot see — and
-    the one situation where the merged result is merely *a* legal
-    interleaving rather than the serial one.
-    """
-    plain: Dict[Tuple[int, int], Dict[int, object]] = {}
-    atomic: Dict[Tuple[int, int], List[int]] = {}
-    for r in records:
-        for cell, value in r.write_set.items():
-            plain.setdefault(cell, {})[r.block_id] = value
-        for op in r.oplog:
-            cell = (op[1], op[2])
-            if op[0] == OP_STORE:
-                plain.setdefault(cell, {})[r.block_id] = op[3]
-            else:
-                blocks = atomic.setdefault(cell, [])
-                if not blocks or blocks[-1] != r.block_id:
-                    blocks.append(r.block_id)
-
-    findings = []
-    from repro.sanitizer.report import Finding
-
-    for cell in sorted(plain):
-        by_block = plain[cell]
-        handle, idx = cell
-        name = gmem.lookup(handle).name
-        writers = sorted(by_block)
-        values = [by_block[b] for b in writers]
-        if len(writers) > 1 and any(v != values[0] for v in values[1:]):
-            findings.append(Finding(
-                category="cross-block-write-conflict",
-                message=(
-                    f"blocks {writers} store conflicting values to "
-                    f"{name!r}[{idx}] with no inter-block ordering; the "
-                    f"merged result keeps block {writers[-1]}'s value "
-                    "(the serial interleaving), but any order is legal"
-                ),
-                address=(name, idx),
-                extra={"blocks": writers},
-            ))
-        foreign_atomics = [b for b in atomic.get(cell, ()) if b not in by_block]
-        if foreign_atomics:
-            findings.append(Finding(
-                category="cross-block-write-conflict",
-                message=(
-                    f"block(s) {writers} plainly store {name!r}[{idx}] "
-                    f"while block(s) {sorted(set(foreign_atomics))} update "
-                    "it atomically; plain stores do not compose with "
-                    "cross-block atomics"
-                ),
-                address=(name, idx),
-                extra={"blocks": writers, "atomic_blocks": sorted(set(foreign_atomics))},
-            ))
-    return findings
-
-
-def _merge_reports(plan: LaunchPlan, records: Sequence[BlockRecord]):
-    """Merge per-block sanitizer reports ascending, re-applying the
-    launch-wide ``max_findings`` cap the serial shared monitor enforced."""
-    from repro.sanitizer.report import SanitizerReport
-
-    merged = SanitizerReport(plan.label or "kernel")
-    cap = plan.config.max_findings
-    for r in records:
-        rep = r.report
-        if rep is None:
-            continue
-        for finding in rep.findings:
-            # The race detector suppresses further race findings once the
-            # report is full; other detectors are never capped.
-            if finding.category == "data-race" and len(merged.findings) >= cap:
-                merged.truncated += 1
-            else:
-                merged.findings.append(finding)
-        merged.notes.extend(rep.notes)
-        merged.merge_stats(rep.stats)
-        merged.truncated += rep.truncated
-        merged.dependent.extend(rep.dependent)
-    return merged

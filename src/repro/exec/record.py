@@ -13,7 +13,12 @@ possible:
     the observations into the record's merge inputs:
 
     * ``write_set`` — final value per plainly-stored element (cells no
-      atomic ever touched); replayed last-writer-wins in block order;
+      atomic ever touched), kept columnar from the log to the merge: per
+      buffer handle, one ``int64`` index array and one value array in
+      the buffer's dtype, built straight from the element and bulk
+      (whole-warp) log entries.  Every transport ships these arrays as
+      they are, and the merge scatters them last-writer-wins in block
+      order;
     * ``oplog`` — the chronological store/atomic sequence for cells that
       at least one atomic touched; replayed op-by-op through
       :func:`repro.gpu.atomics.apply_atomic` so read-modify-write results
@@ -130,43 +135,77 @@ class GlobalWriteRecorder:
             buf.data[idx] = old
             buf.mark_dirty_sel(idx)
 
-    def extract(self) -> Tuple[Dict[Tuple[int, int], object], List[tuple]]:
+    def extract(self) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], List[tuple]]:
         """Compact the log into ``(write_set, oplog)`` keyed by handle.
 
         Cells at least one atomic touched keep their full chronological
-        op sequence (interleaving matters for replay); purely-stored
-        cells compact to their final value.
+        op sequence (interleaving matters for replay).  Purely-stored
+        cells compact to their final value: ``write_set`` maps each
+        handle to ``(idx, values)`` — ascending unique ``int64`` indices
+        and the last value the block stored to each, cast to the
+        buffer's dtype (the cast the store itself applied).
         """
-        atomic_cells = {
-            (e[1].handle, e[2]) for e in self._log if e[0] == OP_ATOMIC
-        }
-        write_set: Dict[Tuple[int, int], object] = {}
+        atomic_cells: Dict[int, set] = {}
+        for e in self._log:
+            if e[0] == OP_ATOMIC:
+                atomic_cells.setdefault(e[1].handle, set()).add(e[2])
+        # handle -> (dtype, element idxs, element values, bulk parts); a
+        # bulk part remembers how many element stores preceded it.
+        cols: Dict[int, tuple] = {}
         oplog: List[tuple] = []
         for e in self._log:
-            if e[0] == _LOG_BULK:
-                # Expand in array order — the elementwise commit order the
-                # interpreters would have used for the same store.
-                handle = e[1].handle
-                idx_arr, vals = e[2], e[4]
-                for k in range(idx_arr.size):
-                    key = (handle, int(idx_arr[k]))
-                    if key in atomic_cells:
-                        oplog.append((OP_STORE, key[0], key[1], vals[k]))
-                    else:
-                        write_set[key] = vals[k]
-                continue
-            key = (e[1].handle, e[2])
-            if e[0] == OP_STORE:
-                if key in atomic_cells:
-                    oplog.append((OP_STORE, key[0], key[1], e[4]))
-                else:
-                    write_set[key] = e[4]
-            else:
+            tag = e[0]
+            handle = e[1].handle
+            if tag == OP_ATOMIC:
                 # Keep the old value the block *observed* under its
                 # snapshot: the merge validates it against the replayed
                 # value to detect cross-block atomic dependence.
-                oplog.append((OP_ATOMIC, key[0], key[1], e[3], e[4], e[5]))
+                oplog.append((OP_ATOMIC, handle, e[2], e[3], e[4], e[5]))
+                continue
+            cells = atomic_cells.get(handle) if atomic_cells else None
+            if tag == OP_STORE and cells is not None and e[2] in cells:
+                oplog.append((OP_STORE, handle, e[2], e[4]))
+                continue
+            col = cols.get(handle)
+            if col is None:
+                col = cols[handle] = (e[1].dtype, [], [], [])
+            if tag == OP_STORE:
+                col[1].append(e[2])
+                col[2].append(e[4])
+                continue
+            idx, vals = e[2], e[4]
+            if cells is not None:
+                # Atomic-touched cells leave the bulk store in array order
+                # — the elementwise commit order of the interpreters.
+                hit = np.isin(idx, list(cells))
+                for k in np.flatnonzero(hit):
+                    oplog.append((OP_STORE, handle, int(idx[k]), vals[k]))
+                idx, vals = idx[~hit], vals[~hit]
+            col[3].append((len(col[1]), idx, vals))
+        write_set: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        for handle, (dtype, idxs, vals, bulks) in cols.items():
+            idx = np.asarray(idxs, dtype=np.int64)
+            val = np.asarray(vals, dtype=dtype)
+            if bulks:
+                # Splice the bulk parts back into commit order.
+                idx_parts, val_parts, at = [], [], 0
+                for split, bulk_idx, bulk_vals in bulks:
+                    idx_parts += [idx[at:split], bulk_idx]
+                    val_parts += [val[at:split],
+                                  np.asarray(bulk_vals, dtype=dtype)]
+                    at = split
+                idx = np.concatenate(idx_parts + [idx[at:]])
+                val = np.concatenate(val_parts + [val[at:]])
+            if idx.size:
+                write_set[handle] = last_writes(idx, val)
         return write_set, oplog
+
+
+def last_writes(idx: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Compact chronological ``(idx, vals)`` stores to the final value per
+    cell: ascending unique indices, each with its last value."""
+    cells, last = np.unique(idx[::-1], return_index=True)
+    return cells, vals[::-1][last]
 
 
 class ErrorCapsule:
@@ -247,8 +286,10 @@ class BlockRecord:
     #: block deadlocks in report mode).
     shared_used: int = 0
     completed: bool = False
-    #: Final values of plainly-stored global cells: (handle, idx) -> value.
-    write_set: Dict[Tuple[int, int], object] = field(default_factory=dict)
+    #: Final values of plainly-stored global cells, per buffer handle:
+    #: ``(ascending int64 indices, values in the buffer's dtype)``.
+    write_set: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict)
     #: Chronological store/atomic ops on atomic-touched cells.
     oplog: List[tuple] = field(default_factory=list)
     #: Tracked cells the block read (populated only under the sanitizer;

@@ -1,19 +1,16 @@
-"""Columnar block-record transport for the warm worker pool.
+"""Shared-memory block-record handoff for the warm worker pool.
 
-The per-launch ``fork_map`` path (a one-shot worker pool) ships
-:class:`~repro.exec.BlockRecord` objects whole: each record's write-set
-is a ``(handle, idx) -> value`` dict of NumPy scalars, which pickles as
-one boxed object per cell.  For
-the warm pool that cost lands on every serve request, so this module
-gives the lease a packed wire form:
+Block records travel in one format on every path: their write-sets are
+already columnar (per buffer, one ``int64`` index array plus one value
+array in the buffer's dtype — see :mod:`repro.exec.record`), so a
+record pickles as a few arrays, not one boxed scalar per cell.  The
+per-launch ``fork_map`` path (a one-shot worker pool) sends records
+through the result pipe as they are; for the warm pool, whose results
+land on every serve request, this module adds one more step:
 
-* **columnar write-sets** — per buffer, one ``int64`` index array plus
-  one value array in the buffer's dtype (the cast is the same one the
-  eventual per-cell store would apply, so round-tripping is
-  bit-identical), instead of thousands of pickled scalar boxes;
 * **shared-memory handoff** — when the runner executes in a forked
-  worker and the packed payload is large, the pickle bytes move through
-  one :mod:`multiprocessing.shared_memory` segment and only a tiny
+  worker and the pickled records are large, the bytes move through one
+  :mod:`multiprocessing.shared_memory` segment and only a tiny
   ``("shm", name, size)`` descriptor crosses the result pipe.
 
 The in-process paths (pool degradation, ``processes=False``) bypass
@@ -32,9 +29,7 @@ chunk is re-dispatched.
 from __future__ import annotations
 
 import pickle
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.exec.record import BlockRecord
 
@@ -46,70 +41,12 @@ __all__ = ["pack_records", "unpack_records", "SHM_MIN_BYTES"]
 SHM_MIN_BYTES = 64 * 1024
 
 
-def _encode(rec: BlockRecord, dtypes: Dict[int, np.dtype]) -> dict:
-    """Columnar dict form of one record (worker side, local handles
-    already remapped; ``dtypes`` maps handle -> buffer dtype)."""
-    columns = []
-    by_handle: Dict[int, tuple] = {}
-    for (handle, idx), value in rec.write_set.items():
-        cols = by_handle.get(handle)
-        if cols is None:
-            cols = by_handle[handle] = ([], [])
-            columns.append((handle, *cols))
-        cols[0].append(idx)
-        cols[1].append(value)
-    packed_cols = [
-        (handle, np.asarray(idxs, dtype=np.int64),
-         np.asarray(values, dtype=dtypes.get(handle)))
-        for handle, idxs, values in columns
-    ]
-    return {
-        "block_id": rec.block_id,
-        "counters": rec.counters,
-        "shared_used": rec.shared_used,
-        "completed": rec.completed,
-        "columns": packed_cols,
-        "oplog": rec.oplog,
-        "read_cells": rec.read_cells,
-        "report": rec.report,
-        "live_allocs": rec.live_allocs,
-        "side_deltas": rec.side_deltas,
-        "error": rec.error,
-        "deadlock": rec.deadlock,
-    }
-
-
-def _decode(state: dict) -> BlockRecord:
-    """Rebuild a record; write-set insertion order (first-seen buffer,
-    then chronological cells within it) matches the worker's columns."""
-    write_set = {}
-    for handle, idxs, values in state["columns"]:
-        for k in range(idxs.size):
-            write_set[(handle, int(idxs[k]))] = values[k]
-    return BlockRecord(
-        block_id=state["block_id"],
-        counters=state["counters"],
-        shared_used=state["shared_used"],
-        completed=state["completed"],
-        write_set=write_set,
-        oplog=state["oplog"],
-        read_cells=state["read_cells"],
-        report=state["report"],
-        live_allocs=state["live_allocs"],
-        side_deltas=state["side_deltas"],
-        error=state["error"],
-        deadlock=state["deadlock"],
-    )
-
-
-def pack_records(records: Sequence[BlockRecord],
-                 dtypes: Dict[int, np.dtype],
-                 *, use_shm: bool = True) -> tuple:
+def pack_records(records: Sequence[BlockRecord], *,
+                 use_shm: bool = True) -> tuple:
     """Pack records for the pipe: ``("shm", name, size)`` or
     ``("inline", bytes)``.  Falls back to inline when the platform has
     no usable shared memory."""
-    blob = pickle.dumps([_encode(r, dtypes) for r in records],
-                        protocol=pickle.HIGHEST_PROTOCOL)
+    blob = pickle.dumps(list(records), protocol=pickle.HIGHEST_PROTOCOL)
     if use_shm and len(blob) >= SHM_MIN_BYTES:
         try:
             from multiprocessing import resource_tracker, shared_memory
@@ -148,4 +85,4 @@ def unpack_records(payload) -> List[BlockRecord]:
             seg.unlink()
     else:
         blob = payload[1]
-    return [_decode(state) for state in pickle.loads(blob)]
+    return pickle.loads(blob)

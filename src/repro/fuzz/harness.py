@@ -53,6 +53,7 @@ from repro.fuzz.generate import (
     oracle,
     plan_from_seed,
 )
+from repro.sanitizer import strip_launch_telemetry
 
 __all__ = [
     "CampaignResult",
@@ -64,21 +65,6 @@ __all__ = [
     "run_leg",
     "run_program",
 ]
-
-#: Counter keys excluded from cross-leg comparison.  Engine identity and
-#: JIT compile/deopt telemetry are launch-scoped (the batch path omits
-#: them entirely); cycle/occupancy composition is engine-independent and
-#: **is** compared.
-_TELEMETRY_KEYS = ("engine",)
-_TELEMETRY_PREFIX = "jit_"
-
-
-def _strip_telemetry(extra: Dict[str, object]) -> Dict[str, object]:
-    return {
-        k: v for k, v in extra.items()
-        if k not in _TELEMETRY_KEYS and not k.startswith(_TELEMETRY_PREFIX)
-    }
-
 
 @dataclass
 class LegOutcome:
@@ -192,7 +178,7 @@ def _solo_leg(plan: KernelPlan, *, engine: Optional[str], parallel: bool,
     return LegOutcome(
         leg=name,
         outputs={k: buffers[k].to_numpy().copy() for k in ARG_NAMES},
-        counters=_strip_telemetry(counters),
+        counters=strip_launch_telemetry(counters),
         compare_counters=policy is None,
     )
 
@@ -238,7 +224,7 @@ def _batch_leg(plan: KernelPlan, engine: str = "fast") -> LegOutcome:
     except Exception as err:
         return LegOutcome(leg=name, error=(type(err).__name__, str(err)))
     return LegOutcome(leg=name, outputs=first,
-                      counters=_strip_telemetry(counters))
+                      counters=strip_launch_telemetry(counters))
 
 
 def _leg_name(engine: Optional[str], parallel: bool,

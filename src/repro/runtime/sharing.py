@@ -193,13 +193,6 @@ class SharingSpace:
             # (this handler can run late, from a GC'd lane generator).
             self.gmem.free(gbuf)
 
-    def release_team(self) -> None:
-        """Free the team overflow allocation on an error path (idempotent)."""
-        if self._team_overflow is not None:
-            if self.gmem.is_live(self._team_overflow):
-                self.gmem.free(self._team_overflow)
-            self._team_overflow = None
-
 
 #: Name prefixes of the sharing space's global fallback allocations.
 OVERFLOW_PREFIXES = ("omp.simd_args_overflow", "omp.team_args_overflow")

@@ -91,11 +91,6 @@ class SanitizerSession:
         self.reports: List[SanitizerReport] = []
 
     # -- device-side interface ---------------------------------------------
-    def make_monitor(self, entry) -> SanitizerMonitor:
-        """Build the monitor for one launch (called by ``Device.launch``)."""
-        name = getattr(entry, "__qualname__", None) or repr(entry)
-        return SanitizerMonitor(self.config, label=name)
-
     def add(self, report: SanitizerReport) -> None:
         self.reports.append(report)
 

@@ -148,8 +148,21 @@ class SanitizerReport:
                 seen.append(f.category)
         return seen
 
-    def merge(self, other: "SanitizerReport") -> None:
-        self.findings.extend(other.findings)
+    def merge(self, other: "SanitizerReport",
+              race_cap: Optional[int] = None) -> None:
+        """Fold ``other`` in after this report's own contents.
+
+        ``race_cap`` re-applies a launch-wide ``max_findings`` cap: once
+        this report holds that many findings, further ``data-race``
+        findings only count toward ``truncated`` (other detectors are
+        never capped) — what one shared monitor would have recorded.
+        """
+        for finding in other.findings:
+            if (race_cap is not None and finding.category == "data-race"
+                    and len(self.findings) >= race_cap):
+                self.truncated += 1
+            else:
+                self.findings.append(finding)
         self.notes.extend(other.notes)
         self.merge_stats(other.stats)
         self.truncated += other.truncated

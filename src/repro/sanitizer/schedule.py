@@ -59,8 +59,10 @@ class OutputDiff:
     max_abs_diff: float
 
     def describe(self) -> str:
+        handle = (f"seed {self.seed}" if isinstance(self.seed, int)
+                  else f"schedule {self.seed}")
         return (
-            f"seed {self.seed}: output {self.name!r} differs at "
+            f"{handle}: output {self.name!r} differs at "
             f"{self.n_mismatch} element(s), max |Δ| = {self.max_abs_diff:g}"
         )
 

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.codegen.program import CompiledKernel
 from repro.errors import LaunchError
-from repro.runtime.icv import DEFAULT_SHARING_BYTES, LaunchConfig
+from repro.runtime.icv import DEFAULT_SHARING_BYTES
 from repro.runtime.state import RuntimeCounters
 
 __all__ = ["KernelCatalog"]
@@ -99,8 +99,8 @@ class KernelCatalog:
         sharing_bytes: int = DEFAULT_SHARING_BYTES,
         params=None,
     ):
-        """Resolve geometry exactly like :func:`repro.core.api.launch`
-        and bind one launch entry.
+        """Resolve geometry with :meth:`CompiledKernel.launch_config` (as
+        :func:`repro.core.api.launch` does) and bind one launch entry.
 
         Returns ``(entry, cfg, rc)`` — the generator entry, the resolved
         :class:`~repro.runtime.icv.LaunchConfig`, and the fresh
@@ -110,19 +110,8 @@ class KernelCatalog:
         it).
         """
         kernel = self.get(name)
-        if simd_len is None:
-            simd_len = kernel.simdlen_hint or 1
-        if not kernel.has_simd:
-            simd_len = 1
-        cfg = LaunchConfig(
-            num_teams=num_teams,
-            team_size=team_size,
-            simd_len=simd_len,
-            teams_mode=kernel.teams_mode,
-            parallel_mode=kernel.parallel_mode,
-            sharing_bytes=sharing_bytes,
-            params=params,
-        )
+        cfg = kernel.launch_config(num_teams, team_size, simd_len,
+                                   sharing_bytes=sharing_bytes, params=params)
         rc = RuntimeCounters()
         entry = kernel.make_entry(cfg, gmem, rc, dict(args))
         return entry, cfg, rc

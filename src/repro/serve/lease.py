@@ -17,10 +17,11 @@ bridges that gap by making every request **self-describing**:
    shipped arrays, entry bound from the catalog kernel, each block run
    in snapshot isolation via the parallel engine's block runner;
 4. the resulting :class:`~repro.exec.BlockRecord`\\ s are remapped from
-   worker-local buffer handles to the server's handles and shipped
-   back, where :func:`repro.exec.merge_records` folds them into server
-   memory through the *identical* deterministic merge every other
-   executor uses.
+   worker-local buffer handles to the server's handles (only handle
+   keys change: the columnar write-set arrays ship as they are) and
+   sent back, where :func:`repro.exec.merge_records` folds them into
+   server memory through the *identical* deterministic merge every
+   other executor uses.
 
 Recovery inherits :class:`~repro.exec.WorkerPool`'s ladder unchanged —
 crash/hang detection, retry with redistribution, in-process
@@ -61,9 +62,10 @@ def make_runner(catalog, params):
     (list of local block ids to run), and ``side_slots``/``side_index``
     (how to pad side-state deltas into the batch's layout).
 
-    Results come back packed (:mod:`repro.exec.transport`): columnar
-    write-sets, and — from a forked worker — large payloads ride a
-    shared-memory segment instead of the result pipe.  The pool's
+    Results come back packed (:mod:`repro.exec.transport`): from a
+    forked worker, large payloads ride a shared-memory segment instead
+    of the result pipe.  Write-sets are columnar already, so remapping
+    a record touches only its handle keys.  The pool's
     in-process degradation path returns raw records (``unpack_records``
     passes them through), so recovery semantics are transport-free.
     """
@@ -75,14 +77,12 @@ def make_runner(catalog, params):
         dev = Device(params=params)
         local_args = {}
         handle_map: Dict[int, int] = {}
-        dtypes: Dict[int, np.dtype] = {}
         for arg_name in sorted(payload["args"]):
             buf = dev.from_array(
                 f"lease:{arg_name}", np.asarray(payload["args"][arg_name])
             )
             local_args[arg_name] = buf
             handle_map[buf.handle] = payload["handles"][arg_name]
-            dtypes[payload["handles"][arg_name]] = buf.dtype
         entry, cfg, rc = catalog.build_entry(
             payload["kernel"],
             dev.gmem,
@@ -119,7 +119,7 @@ def make_runner(catalog, params):
             # In-process execution (degradation, processes=False): the
             # records never cross a pipe, so hand them back as-is.
             return records
-        return pack_records(records, dtypes)
+        return pack_records(records)
 
     return runner
 
@@ -133,9 +133,7 @@ def _remap_record(rec: BlockRecord, handle_map: Dict[int, int]) -> None:
     buffer outside its request, which the disjointness construction
     makes impossible; ``KeyError`` here is therefore a real bug.
     """
-    rec.write_set = {
-        (handle_map[h], idx): v for (h, idx), v in rec.write_set.items()
-    }
+    rec.write_set = {handle_map[h]: cols for h, cols in rec.write_set.items()}
     rec.oplog = [
         (op[0], handle_map[op[1]], *op[2:]) for op in rec.oplog
     ]

@@ -42,7 +42,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.gpu.counters import KernelCounters
-from repro.runtime.icv import DEFAULT_SHARING_BYTES, LaunchConfig
+from repro.runtime.icv import DEFAULT_SHARING_BYTES
 from repro.serve import batch as batchmod
 from repro.serve.journal import RequestJournal, pack_array, unpack_array
 from repro.serve.scheduler import Backpressure, CircuitBreaker, FairScheduler
@@ -386,21 +386,9 @@ class LaunchService:
         await self._loop.run_in_executor(None, _append_and_commit)
 
     def _block_dim(self, request: LaunchRequest) -> int:
-        kernel = self.catalog.get(request.kernel)
-        simd_len = request.simd_len
-        if simd_len is None:
-            simd_len = kernel.simdlen_hint or 1
-        if not kernel.has_simd:
-            simd_len = 1
-        cfg = LaunchConfig(
-            num_teams=request.num_teams,
-            team_size=request.team_size,
-            simd_len=simd_len,
-            teams_mode=kernel.teams_mode,
-            parallel_mode=kernel.parallel_mode,
-            sharing_bytes=self.sharing_bytes,
-            params=self.device.params,
-        )
+        cfg = self.catalog.get(request.kernel).launch_config(
+            request.num_teams, request.team_size, request.simd_len,
+            sharing_bytes=self.sharing_bytes, params=self.device.params)
         return cfg.block_dim
 
     def _group(self, items: List[_Pending]) -> List[List[_Pending]]:

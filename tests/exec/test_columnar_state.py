@@ -9,6 +9,11 @@ Pins the parallel executor's refactored data plane:
   allocations through the dirty-page wire format bit-identically;
 * the columnar write-set apply (one gather/scatter per buffer) matches
   the per-cell semantics, including rollback on stale atomic reads;
+* the merge's one cell index answers both cross-block checks: which
+  sharing forces a sanitized launch serial, and which stores conflict
+  (compared by stored bits);
+* ``GlobalWriteRecorder.extract`` builds the columnar write-set straight
+  from element and bulk log entries, last writer wins;
 * ``pack_records``/``unpack_records`` round-trip records bit-identically
   over both the inline and the shared-memory lanes.
 """
@@ -16,8 +21,13 @@ Pins the parallel executor's refactored data plane:
 import numpy as np
 import pytest
 
-from repro.exec.engine import _apply_records, _capture_and_purge
-from repro.exec.record import OP_ATOMIC, OP_STORE, BlockRecord
+from repro.exec.engine import _apply_records, _capture_and_purge, _CellIndex
+from repro.exec.record import (
+    OP_ATOMIC,
+    OP_STORE,
+    BlockRecord,
+    GlobalWriteRecorder,
+)
 from repro.exec.transport import pack_records, unpack_records
 from repro.gpu.memory import PAGE_ELEMS, GlobalMemory
 
@@ -74,9 +84,9 @@ class TestColumnarApply:
         a = gmem.from_array("a", np.zeros(2 * PAGE_ELEMS))
         b = gmem.from_array("b", np.zeros(8, dtype=np.int64))
         rec = BlockRecord(block_id=0, write_set={
-            (a.handle, 0): np.float64(0.1),
-            (a.handle, PAGE_ELEMS): np.float64(-0.2),
-            (b.handle, 7): np.int64(2**62 + 1),  # must not round-trip via float
+            a.handle: (np.array([0, PAGE_ELEMS]), np.array([0.1, -0.2])),
+            # must not round-trip via float
+            b.handle: (np.array([7]), np.array([2**62 + 1], dtype=np.int64)),
         })
         assert _apply_records(gmem, [rec]) is False
         assert a.data[0] == np.float64(0.1)
@@ -89,7 +99,7 @@ class TestColumnarApply:
         before = a.to_numpy()
         rec = BlockRecord(
             block_id=0,
-            write_set={(a.handle, 1): np.float64(5.0)},
+            write_set={a.handle: (np.array([1]), np.array([5.0]))},
             # The block observed old=99 under its snapshot; live memory
             # says 0 — the merge must undo the write-set and report it.
             oplog=[(OP_ATOMIC, a.handle, 0, "add", 1.0, np.float64(99.0))],
@@ -108,6 +118,106 @@ class TestColumnarApply:
         assert a.data[2] == 3.0
 
 
+def _store(handle, idx, value, dtype=np.float64):
+    return {handle: (np.array([idx]), np.array([value], dtype=dtype))}
+
+
+def _atomic(handle, idx):
+    return [(OP_ATOMIC, handle, idx, "add", 1.0, np.float64(0.0))]
+
+
+class TestCellIndex:
+    @pytest.mark.parametrize("accesses, shared", [
+        pytest.param([{"r": 0}, {"r": 0}], False, id="read-read"),
+        pytest.param([{"a": 0}, {"a": 0}], False, id="atomic-atomic"),
+        pytest.param([{"a": 0, "r": 0}, {"a": 0}], False,
+                     id="atomic+read-atomic"),
+        pytest.param([{"w": 0, "r": 0}, {"r": 1}], False, id="disjoint"),
+        pytest.param([{"w": 0}, {"w": 0}], True, id="write-write"),
+        pytest.param([{"w": 0}, {"r": 0}], True, id="write-read"),
+        pytest.param([{"r": 0}, {"a": 0}], True, id="read-atomic"),
+        pytest.param([{"w": 0}, {"a": 0}], True, id="write-atomic"),
+    ])
+    def test_sharing_that_forces_the_serial_rerun(self, accesses, shared):
+        gmem = GlobalMemory()
+        a = gmem.from_array("a", np.zeros(4))
+        records = []
+        for block, acc in enumerate(accesses):
+            rec = BlockRecord(block_id=block)
+            if "w" in acc:
+                rec.write_set = _store(a.handle, acc["w"], 1.0)
+            if "a" in acc:
+                rec.oplog = _atomic(a.handle, acc["a"])
+            if "r" in acc:
+                rec.read_cells = {(a.handle, acc["r"])}
+            records.append(rec)
+        assert _CellIndex(gmem, records).shared() is shared
+
+    @pytest.mark.parametrize("dtype, values, flagged", [
+        (np.float64, [1.0, 2.0], True),
+        (np.float64, [-0.0, 0.0], True),  # equal values, different bits
+        (np.float64, [np.nan, np.nan], False),
+        (np.float32, [1.0, 1.0 + 1e-12], False),
+    ])
+    def test_conflicts_compare_stored_bits(self, dtype, values, flagged):
+        gmem = GlobalMemory()
+        a = gmem.from_array("a", np.zeros(4, dtype=dtype))
+        records = [
+            BlockRecord(block_id=b, write_set=_store(a.handle, 2, v, dtype))
+            for b, v in enumerate(values)
+        ]
+        found = _CellIndex(gmem, records).conflicts(gmem)
+        assert [f.extra for f in found] == ([{"blocks": [0, 1]}]
+                                            if flagged else [])
+
+    def test_plain_store_against_a_foreign_atomic(self):
+        gmem = GlobalMemory()
+        a = gmem.from_array("a", np.zeros(4))
+        records = [
+            BlockRecord(block_id=0, write_set=_store(a.handle, 1, 0.0)),
+            BlockRecord(block_id=1, oplog=_atomic(a.handle, 1)),
+            BlockRecord(block_id=2, oplog=_atomic(a.handle, 1)
+                        + [(OP_STORE, a.handle, 1, 0.0)]),
+            BlockRecord(block_id=3, oplog=_atomic(a.handle, 3)),
+        ]
+        (finding,) = _CellIndex(gmem, records).conflicts(gmem)
+        assert finding.address == ("a", 1)
+        assert finding.extra == {"blocks": [0, 2], "atomic_blocks": [1]}
+
+
+class TestExtract:
+    def test_element_and_bulk_stores_compact_last_writer_wins(self):
+        gmem = GlobalMemory()
+        a = gmem.from_array("a", np.zeros(8, dtype=np.float32))
+        rec = GlobalWriteRecorder(gmem.mark())
+        rec.on_store(a, 5, 0.1)
+        rec.on_store_bulk(a, slice(2, 6), np.array([1.0, 2.0, 3.0, 4.0]))
+        rec.on_store(a, 3, 7.5)
+        rec.on_store_bulk(a, np.array([0, 0]), np.array([8.0, 9.0]))
+        write_set, oplog = rec.extract()
+        assert oplog == []
+        idx, vals = write_set[a.handle]
+        assert idx.dtype == np.int64 and vals.dtype == np.float32
+        assert idx.tolist() == [0, 2, 3, 4, 5]
+        assert vals.tolist() == [9.0, 1.0, 7.5, 3.0, 4.0]
+
+    def test_atomic_cells_leave_the_write_set_in_commit_order(self):
+        gmem = GlobalMemory()
+        a = gmem.from_array("a", np.zeros(8))
+        rec = GlobalWriteRecorder(gmem.mark())
+        rec.on_store_bulk(a, np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0]))
+        rec.on_atomic(a, 2, "add", 1.0, np.float64(2.0))
+        rec.on_store(a, 2, 5.0)
+        write_set, oplog = rec.extract()
+        idx, vals = write_set[a.handle]
+        assert idx.tolist() == [1, 3] and vals.tolist() == [1.0, 3.0]
+        assert oplog == [
+            (OP_STORE, a.handle, 2, 2.0),
+            (OP_ATOMIC, a.handle, 2, "add", 1.0, 2.0),
+            (OP_STORE, a.handle, 2, 5.0),
+        ]
+
+
 def _sample_records():
     counters = {"rounds": 3}
     recs = [
@@ -116,7 +226,7 @@ def _sample_records():
             counters=counters,
             shared_used=128,
             completed=True,
-            write_set={(5, i): np.float64(i) * 0.5 for i in range(300)},
+            write_set={5: (np.arange(300), np.arange(300) * 0.5)},
             oplog=[(OP_ATOMIC, 5, 0, "add", 1.0, np.float64(0.0))],
             side_deltas=({"teams_entered": 1},),
             live_allocs=[("dyn", 8, np.dtype(np.float64),
@@ -125,7 +235,7 @@ def _sample_records():
         BlockRecord(
             block_id=1,
             completed=True,
-            write_set={(7, 3): np.int64(-9)},
+            write_set={7: (np.array([3]), np.array([-9], dtype=np.int64))},
         ),
     ]
     return recs
@@ -137,20 +247,20 @@ def _assert_round_trip(records, out):
         assert got.block_id == want.block_id
         assert got.completed == want.completed
         assert got.shared_used == want.shared_used
-        assert list(got.write_set) == list(want.write_set)  # order too
-        for key in want.write_set:
-            a, b = want.write_set[key], got.write_set[key]
-            assert a == b and np.asarray(a).dtype == np.asarray(b).dtype
+        assert list(got.write_set) == list(want.write_set)
+        for handle, (idx, vals) in want.write_set.items():
+            got_idx, got_vals = got.write_set[handle]
+            assert got_idx.dtype == idx.dtype and got_vals.dtype == vals.dtype
+            assert got_idx.tobytes() == idx.tobytes()
+            assert got_vals.tobytes() == vals.tobytes()
         assert got.oplog == want.oplog
         assert got.side_deltas == want.side_deltas
 
 
 class TestTransport:
-    DTYPES = {5: np.dtype(np.float64), 7: np.dtype(np.int64)}
-
     def test_inline_round_trip(self):
         records = _sample_records()
-        payload = pack_records(records, self.DTYPES, use_shm=False)
+        payload = pack_records(records, use_shm=False)
         assert payload[0] == "inline"
         _assert_round_trip(records, unpack_records(payload))
 
@@ -159,7 +269,7 @@ class TestTransport:
 
         monkeypatch.setattr(T, "SHM_MIN_BYTES", 1)  # force the shm lane
         records = _sample_records()
-        payload = pack_records(records, self.DTYPES, use_shm=True)
+        payload = pack_records(records, use_shm=True)
         assert payload[0] == "shm"
         _assert_round_trip(records, unpack_records(payload))
         # The segment is gone after unpacking.

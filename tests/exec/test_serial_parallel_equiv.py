@@ -203,6 +203,35 @@ def test_sanitized_clean_multiblock_report(make_executor):
 
 
 @pytest.mark.parametrize("make_executor", VARIANTS)
+def test_sanitized_report_past_max_findings(make_executor):
+    """Per-block races past the launch-wide ``max_findings`` cap, plus
+    same-round atomic dependences: the merged report equals the serial
+    one field for field."""
+    from repro.sanitizer import SanitizerConfig
+
+    def kernel(tc, a, c):
+        yield from tc.store(a, 16 * tc.block_id + tc.tid % 16, float(tc.tid))
+        yield from tc.atomic_add(c, tc.block_id, 0.5)
+
+    def run(executor):
+        dev = Device(executor=executor)
+        a = dev.alloc("a", 64, np.float64)
+        c = dev.alloc("c", 4, np.float64)
+        kc = dev.launch(kernel, num_blocks=4, threads_per_block=64,
+                        args=(a, c), sanitize=SanitizerConfig(
+                            mode="report", max_findings=6))
+        return kc.sanitizer
+
+    rep_s = run(SerialExecutor())
+    rep_p = run(make_executor())
+    assert len(rep_s.findings) == 6 and rep_s.truncated > 0
+    assert rep_s.dependent
+    assert rep_p.to_dict() == rep_s.to_dict()
+    assert rep_p.truncated == rep_s.truncated
+    assert rep_p.dependent == rep_s.dependent
+
+
+@pytest.mark.parametrize("make_executor", VARIANTS)
 def test_sanitized_cross_block_race_equivalence(make_executor):
     """Cross-block races need the launch-wide monitor: the engine must
     fall back so parallel runs report exactly what serial reports."""
@@ -273,27 +302,40 @@ def test_cross_block_atomic_accumulation_equivalence(make_executor):
     assert kc_s.identical(kc_p)
 
 
-def test_cross_block_plain_conflict_flagged():
+@pytest.mark.parametrize("dtype, values, flagged", [
+    pytest.param(np.float64, [0.0, 1.0, 2.0, 3.0], True, id="distinct"),
+    # Blocks storing identical bits commute, so they are no conflict —
+    # even where the values compare unequal (NaN) or differ only before
+    # the buffer's cast.
+    pytest.param(np.float64, [np.nan, np.nan], False, id="nan"),
+    pytest.param(np.float32, [1.0, 1.0 + 1e-12], False, id="float32-cast"),
+])
+def test_cross_block_plain_conflict_flagged(dtype, values, flagged):
     """Unsanitized racy kernel: the merge still commits the serial
     last-writer-wins values, but flags the conflict in ``kc.extra`` —
     the one deliberate observable asymmetry of the parallel engine."""
 
     def kernel(tc, a):
         if tc.tid == 0:
-            yield from tc.store(a, 0, float(tc.block_id))
+            yield from tc.store(a, 0, values[tc.block_id])
 
     def run(executor):
         dev = Device(executor=executor)
-        a = dev.alloc("a", 1, np.float64)
-        kc = dev.launch(kernel, num_blocks=4, threads_per_block=32, args=(a,))
+        a = dev.alloc("a", 1, dtype)
+        kc = dev.launch(kernel, num_blocks=len(values), threads_per_block=32,
+                        args=(a,))
         return dev.to_numpy(a), kc
 
     a_s, kc_s = run(SerialExecutor())
     a_p, kc_p = run(ParallelExecutor(workers=2, processes=False))
-    assert np.array_equal(a_s, a_p)
-    assert a_p[0] == 3.0  # highest block id wins, as in the serial loop
+    assert a_s.tobytes() == a_p.tobytes()
+    # The highest block id wins, as in the serial loop.
+    assert a_p.tobytes() == np.array(values[-1:], dtype=dtype).tobytes()
     assert "cross_block_conflicts" not in kc_s.extra
-    assert kc_p.extra["cross_block_conflicts"] == 1.0
+    if flagged:
+        assert kc_p.extra["cross_block_conflicts"] == 1.0
+    else:
+        assert "cross_block_conflicts" not in kc_p.extra
 
 
 @pytest.mark.parametrize("make_executor", VARIANTS)

@@ -158,6 +158,19 @@ class TestMinimizedKernels:
         replayed = replay_directed(one_slot_run, result.divergent_spec)
         assert replayed["t"][0] != result.baseline["t"][0]
 
+    def test_divergence_text_names_the_directed_schedule(self):
+        """A directed divergence is labelled by its replay spec, not as a
+        seed; fallback runs keep their integer seed."""
+        result = explore_schedules_dpor(one_slot_run)
+        text = result.text()
+        assert f"  schedule {result.divergent_spec!r}: output 't' differs" \
+            in text
+        assert "seed [" not in text
+        assert result.diffs[0].describe().startswith("schedule [[")
+        fallback = _diff_outputs(7, result.baseline, replay_directed(
+            one_slot_run, result.divergent_spec))
+        assert fallback[0].describe().startswith("seed 7: output 't'")
+
     @pytest.mark.parametrize("init", [None, "store", "atomic"])
     @pytest.mark.parametrize("order", ["atomic-then-read", "read-then-atomic"])
     def test_atomic_and_read_across_warps(self, order, init):
