@@ -84,11 +84,11 @@ REQUESTS_PER_CLIENT = 4
 SEED = 9
 
 
-async def _run_leg(*, max_batch, lease=None, journal_path=None):
+async def _run_leg(*, max_batch, executor=None, journal_path=None):
     service = LaunchService(
         Device(), demo_catalog(),
         scheduler=FairScheduler(max_queue=4096),
-        lease=lease,
+        executor=executor,
         max_batch=max_batch,
         max_inflight=4096,
     )
@@ -111,8 +111,8 @@ async def _run_leg(*, max_batch, lease=None, journal_path=None):
     return metrics
 
 
-def _leg(max_batch, lease=None, journal_path=None):
-    return asyncio.run(_run_leg(max_batch=max_batch, lease=lease,
+def _leg(max_batch, executor=None, journal_path=None):
+    return asyncio.run(_run_leg(max_batch=max_batch, executor=executor,
                                 journal_path=journal_path))
 
 
@@ -175,7 +175,7 @@ def measure(reps: int = DEFAULT_REPS) -> dict:
     if fork_available():
         lease = PoolLease(demo_catalog(), Device().params, workers=2)
         try:
-            pool_leg = asyncio.run(_run_leg(max_batch=32, lease=lease))
+            pool_leg = asyncio.run(_run_leg(max_batch=32, executor=lease))
             pool_leg["worker_respawns"] = float(
                 lease.stats["worker_respawns"])
             pool_leg["warm_dispatches"] = float(

@@ -11,6 +11,11 @@ Two executors implement ``Device.launch``'s block loop:
   to the serial loop for well-formed kernels (see
   :mod:`repro.exec.engine` and ``docs/EXECUTOR.md``).
 
+The serve tier's :class:`~repro.serve.lease.PoolLease` is a third
+executor with the same ``execute(device, plan)`` interface: it runs a
+batch's blocks on persistent warm workers through the same
+:func:`~repro.exec.engine.run_block` and :func:`merge_records`.
+
 Selection, most specific wins:
 
 1. ``device.launch(..., executor=...)`` per launch;

@@ -97,11 +97,17 @@ class GridSegment:
     merge, is what makes batched results bit-identical to unbatched
     runs (segments must touch disjoint buffers; the batcher enforces
     that before merging requests).
+
+    ``source`` is the request a batched segment came from (a
+    :class:`~repro.serve.batch.PreparedLaunch`, set by ``run_batch``):
+    executors that cannot inherit the entry closure, such as the serve
+    tier's warm-pool lease, rebuild the segment from it.
     """
 
     entry: object
     num_blocks: int
     label: Optional[str] = None
+    source: object = None
 
 
 @dataclass
@@ -160,9 +166,9 @@ class LaunchPlan:
     #: Optional worker-pool :class:`~repro.exec.pool.RetryPolicy`.
     retry: object = None
     #: Resolved round-engine name (``"fast"``/``"jit"``; None means the
-    #: block round loop).  Hooked launches never resolve to ``"jit"``.
-    #: ``Device.launch`` resolves the kwarg/env/hook ladder before
-    #: building the plan.
+    #: block round loop).  Hooked launches never resolve to ``"jit"``:
+    #: ``Device.launch`` and ``run_batch`` set it from
+    #: ``resolve_engine(engine, plan.hook)``.
     engine: Optional[str] = None
     #: Per-launch :class:`repro.jit.stats.JitCounters` when ``engine`` is
     #: ``"jit"``; also rides ``side_state`` so worker deltas merge back.
@@ -191,6 +197,20 @@ class LaunchPlan:
         raise LaunchError(
             f"block id {block_id} outside grid of {offset} blocks"
         )
+
+    @property
+    def hook(self) -> Optional[str]:
+        """The first hook the plan attaches, as
+        :func:`repro.jit.resolve_engine` names it (None = hook-free).  A
+        fault plan counts only when it can fire inside a block."""
+        for name, hook in (("tracer", self.tracer),
+                           ("sanitizer", self.config),
+                           ("schedule_policy", self.schedule_policy)):
+            if hook is not None:
+                return name
+        if self.faults is not None and self.faults.fires_in_block:
+            return "fault plan"
+        return None
 
     def validate_segments(self) -> None:
         """Hooks (tracer, sanitizer, schedule policy) need exactly one
@@ -389,7 +409,7 @@ class ParallelExecutor:
                           for s in range(0, len(block_ids), size)]
 
                 def run_shard(ids):
-                    return [self._run_block(device, plan, watermark, b)
+                    return [run_block(device, plan, watermark, b)
                             for b in ids]
 
                 retry = plan.retry if plan.retry is not None else RetryPolicy()
@@ -434,62 +454,66 @@ class ParallelExecutor:
             outcome.recovery = stats
         return outcome
 
-    # ------------------------------------------------------------------
-    def _run_block(self, device, plan: LaunchPlan, watermark: int, block_id: int) -> BlockRecord:
-        """Run one block in isolation against the pre-launch snapshot.
-
-        ``block_id`` is the *global* grid id (the merge key); the block
-        executes with its segment's local coordinates so lanes observe
-        exactly the solo-launch geometry.
-        """
-        gmem = device.gmem
-        rec = GlobalWriteRecorder(watermark, track_reads=plan.config is not None)
-        monitor = _make_monitor(plan)
-        side_base = snapshot_numeric(plan.side_state)
-        record = BlockRecord(block_id)
-        block = None
-        entry, local_id, local_blocks = plan.block_binding(block_id)
-        try:
-            block = ThreadBlock(
-                block_id=local_id,
-                num_threads=plan.threads_per_block,
-                params=device.params,
-                gmem=gmem,
-                entry=entry,
-                args=plan.args,
-                num_blocks=local_blocks,
-                max_rounds=plan.max_rounds,
-                tracer=None,
-                monitor=monitor,
-                schedule_policy=plan.schedule_policy,
-                recorder=rec,
-                faults=plan.faults,
-                engine=plan.engine,
-                jit_stats=plan.jit_stats,
-            )
-            record.counters = block.run()
-            record.completed = True
-            record.shared_used = int(block.shared.used)
-        except BaseException as err:
-            record.error = ErrorCapsule(err)
-            record.deadlock = isinstance(err, DeadlockError)
-            record.counters = block.counters if block is not None else BlockCounters()
-        finally:
-            record.write_set, record.oplog = rec.extract()
-            record.read_cells = rec.read_cells
-            rec.undo()
-            record.live_allocs = _capture_and_purge(gmem, watermark)
-            record.side_deltas = delta_numeric(plan.side_state, side_base)
-            restore_numeric(plan.side_state, side_base)
-            if monitor is not None:
-                record.report = monitor.finalize()
-        return record
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ParallelExecutor(workers={self.workers}, "
             f"processes={self.processes}, shard_size={self.shard_size})"
         )
+
+
+def run_block(device, plan: LaunchPlan, watermark: int,
+              block_id: int) -> BlockRecord:
+    """Run one block in isolation against the pre-launch snapshot.
+
+    ``block_id`` is the *global* grid id (the merge key); the block
+    executes with its segment's local coordinates so lanes observe
+    exactly the solo-launch geometry.  ``watermark`` separates the
+    pre-launch buffers the record tracks from kernel-time allocations.
+    The one block runner: :class:`ParallelExecutor` shards and the serve
+    tier's warm-pool workers both call it.
+    """
+    gmem = device.gmem
+    rec = GlobalWriteRecorder(watermark, track_reads=plan.config is not None)
+    monitor = _make_monitor(plan)
+    side_base = snapshot_numeric(plan.side_state)
+    record = BlockRecord(block_id)
+    block = None
+    entry, local_id, local_blocks = plan.block_binding(block_id)
+    try:
+        block = ThreadBlock(
+            block_id=local_id,
+            num_threads=plan.threads_per_block,
+            params=device.params,
+            gmem=gmem,
+            entry=entry,
+            args=plan.args,
+            num_blocks=local_blocks,
+            max_rounds=plan.max_rounds,
+            tracer=None,
+            monitor=monitor,
+            schedule_policy=plan.schedule_policy,
+            recorder=rec,
+            faults=plan.faults,
+            engine=plan.engine,
+            jit_stats=plan.jit_stats,
+        )
+        record.counters = block.run()
+        record.completed = True
+        record.shared_used = int(block.shared.used)
+    except BaseException as err:
+        record.error = ErrorCapsule(err)
+        record.deadlock = isinstance(err, DeadlockError)
+        record.counters = block.counters if block is not None else BlockCounters()
+    finally:
+        record.write_set, record.oplog = rec.extract()
+        record.read_cells = rec.read_cells
+        rec.undo()
+        record.live_allocs = _capture_and_purge(gmem, watermark)
+        record.side_deltas = delta_numeric(plan.side_state, side_base)
+        restore_numeric(plan.side_state, side_base)
+        if monitor is not None:
+            record.report = monitor.finalize()
+    return record
 
 
 def merge_records(device, plan: LaunchPlan, records: List[BlockRecord]) -> ExecOutcome:
@@ -508,9 +532,9 @@ def merge_records(device, plan: LaunchPlan, records: List[BlockRecord]) -> ExecO
     sanitizer instead truncates the segment.
 
     Module-level (rather than a :class:`ParallelExecutor` method) so the
-    serve tier's warm-pool lease can feed records produced by persistent
-    remote workers through the *identical* merge the in-process engine
-    uses — one deterministic-merge implementation for every transport.
+    serve tier's warm-pool lease, itself an executor, feeds records its
+    persistent workers produce through the *identical* merge the
+    in-process engine uses — one deterministic merge for every executor.
     """
     records.sort(key=lambda r: r.block_id)
     seg_outs = [SegmentOutcome() for _ in plan.segments]

@@ -126,14 +126,29 @@ class GlobalWriteRecorder:
 
     # -- lifecycle ---------------------------------------------------------
     def undo(self) -> None:
-        """Revert every recorded mutation, restoring the pre-block snapshot."""
-        for entry in reversed(self._log):
-            if entry[0] == OP_STORE or entry[0] == _LOG_BULK:
-                _, buf, idx, old, _new = entry
+        """Revert every recorded mutation, restoring the pre-block snapshot.
+
+        A cell's pre-block value is the old value of the first log entry
+        that touched it, so each buffer is restored with one scatter of
+        those values; the scatter marks every restored page dirty, which
+        ``MemorySnapshot`` chaining relies on.
+        """
+        # handle -> (buf, element idxs, element olds, bulk parts)
+        cols: Dict[int, tuple] = {}
+        for e in self._log:
+            buf = e[1]
+            col = cols.get(buf.handle)
+            if col is None:
+                col = cols[buf.handle] = (buf, [], [], [])
+            if e[0] == _LOG_BULK:
+                col[3].append((len(col[1]), e[2], e[3]))
             else:
-                _, buf, idx, _op, _operand, old = entry
-            buf.data[idx] = old
-            buf.mark_dirty_sel(idx)
+                col[1].append(e[2])
+                col[2].append(e[3] if e[0] == OP_STORE else e[5])
+        for buf, idxs, olds, bulks in cols.values():
+            idx, old = _splice(buf.dtype, idxs, olds, bulks)
+            cells, first = np.unique(idx, return_index=True)
+            buf.scatter(cells, old[first])
 
     def extract(self) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], List[tuple]]:
         """Compact the log into ``(write_set, oplog)`` keyed by handle.
@@ -184,21 +199,31 @@ class GlobalWriteRecorder:
             col[3].append((len(col[1]), idx, vals))
         write_set: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for handle, (dtype, idxs, vals, bulks) in cols.items():
-            idx = np.asarray(idxs, dtype=np.int64)
-            val = np.asarray(vals, dtype=dtype)
-            if bulks:
-                # Splice the bulk parts back into commit order.
-                idx_parts, val_parts, at = [], [], 0
-                for split, bulk_idx, bulk_vals in bulks:
-                    idx_parts += [idx[at:split], bulk_idx]
-                    val_parts += [val[at:split],
-                                  np.asarray(bulk_vals, dtype=dtype)]
-                    at = split
-                idx = np.concatenate(idx_parts + [idx[at:]])
-                val = np.concatenate(val_parts + [val[at:]])
+            idx, val = _splice(dtype, idxs, vals, bulks)
             if idx.size:
                 write_set[handle] = last_writes(idx, val)
         return write_set, oplog
+
+
+def _splice(dtype, idxs: list, vals: list,
+            bulks: list) -> Tuple[np.ndarray, np.ndarray]:
+    """One buffer's logged ``(idx, values)`` columns in commit order.
+
+    ``idxs``/``vals`` hold the element entries; each bulk part
+    ``(split, idx, values)`` goes back in after the first ``split`` of
+    them.  Values are cast to ``dtype``.
+    """
+    idx = np.asarray(idxs, dtype=np.int64)
+    val = np.asarray(vals, dtype=dtype)
+    if not bulks:
+        return idx, val
+    idx_parts, val_parts, at = [], [], 0
+    for split, bulk_idx, bulk_vals in bulks:
+        idx_parts += [idx[at:split], bulk_idx]
+        val_parts += [val[at:split], np.asarray(bulk_vals, dtype=dtype)]
+        at = split
+    return (np.concatenate(idx_parts + [idx[at:]]),
+            np.concatenate(val_parts + [val[at:]]))
 
 
 def last_writes(idx: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -74,6 +74,10 @@ SITES = (
     "lease.corrupt",
 )
 
+#: Sites consulted inside a running block; the JIT carries no hook
+#: points for them, so a plan that can fire one downgrades the engine.
+IN_BLOCK_SITES = ("atomic.transient", "sharing.overflow")
+
 #: Cap on retained provenance entries (counters keep exact totals).
 MAX_LOG = 1000
 
@@ -227,6 +231,13 @@ class FaultPlan:
         self.launch_attempt = 0
 
     # -- decisions ---------------------------------------------------------
+    @property
+    def fires_in_block(self) -> bool:
+        """True when some spec can fire at an in-block site
+        (:data:`IN_BLOCK_SITES`) — the only way a plan hooks a block."""
+        return any(s.site in IN_BLOCK_SITES and s.probability > 0
+                   for s in self.specs)
+
     def _uniform(self, site: str, coords: Dict[str, object]) -> float:
         """Deterministic uniform draw in [0, 1) for one coordinate tuple."""
         key = f"{self.seed}|{site}|{sorted(coords.items())!r}".encode()

@@ -60,9 +60,9 @@ per-lane path of a hook-free block carries no hook-presence branch:
 
 The JIT tier (``engine="jit"``) is the one alternative: it replaces the
 loop for whole blocks whose warps trace stably and falls back to it
-otherwise; a hooked block never enters it (the ``hook`` rung of the
-deopt ladder).  ``tests/gpu/test_fastpath_equiv.py`` checks the loop and
-the JIT against a frozen reference recording; the property tests in
+otherwise; a hooked launch never resolves to it (``LaunchPlan.hook``).
+``tests/gpu/test_fastpath_equiv.py`` checks the loop and the JIT
+against a frozen reference recording; the property tests in
 ``tests/gpu/test_coalescing.py`` check the shared cost model against the
 scalar definitions.
 """
@@ -159,23 +159,13 @@ class ThreadBlock:
         #: shared across the launch's blocks; None outside the jit engine.
         self.jit_stats = jit_stats
         # Engine selection: "auto"/"fast" run the round loop, "jit" tries
-        # the JIT tier first.  The JIT carries no hook points, so a hooked
-        # block — or one with the read-tracking (sanitizer) recorder —
-        # takes the ``hook`` rung of the deopt ladder (docs/PERF.md).
+        # the JIT tier first.  The JIT carries no hook points, so hooked
+        # launches never reach a block as "jit": the plan resolves the
+        # engine against its hooks first (``LaunchPlan.hook``).
         if engine is None or engine == "auto":
             engine = "fast"
         elif engine not in ("fast", "jit"):
             raise LaunchError(f"unknown engine {engine!r}")
-        if engine == "jit" and (
-            tracer is not None
-            or monitor is not None
-            or schedule_policy is not None
-            or faults is not None
-            or (recorder is not None and recorder.track_reads)
-        ):
-            if jit_stats is not None:
-                jit_stats.note_deopt("hook")
-            engine = "fast"
         self.engine = engine
         ws = params.warp_size
         self.num_warps = -(-num_threads // ws)

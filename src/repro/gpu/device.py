@@ -197,8 +197,9 @@ class Device:
         stable warps into batched NumPy scripts and deoptimizes to the
         round loop per block otherwise.  Results are bit-identical
         across engines.  Passing ``engine="jit"`` together with a hook
-        raises :class:`~repro.errors.LaunchError`, since the JIT carries
-        no hook points.  When ``engine`` is omitted the ``REPRO_ENGINE``
+        (``LaunchPlan.hook``; a fault plan counts only when it can fire
+        inside a block) raises :class:`~repro.errors.LaunchError`, since
+        the JIT carries no hook points.  When ``engine`` is omitted the ``REPRO_ENGINE``
         environment variable applies (a ``jit`` preference falls back to
         the round loop silently under hooks, so whole suites can be
         swept), then ``"auto"``.
@@ -223,9 +224,6 @@ class Device:
                 sanitize, entry)
             exec_ = self._resolve_executor(executor, tracer)
             faults_ = self._resolve_faults(faults)
-            resolved = resolve_engine(
-                engine, _hook_name(tracer, config, schedule_policy, faults_))
-            jit_stats = JitCounters() if resolved == "jit" else None
 
             user_side = tuple(side_state)
             # Fault counters and JIT telemetry ride the side-state merge so
@@ -234,8 +232,6 @@ class Device:
             plan_side = user_side
             if faults_ is not None:
                 plan_side += (faults_.counters,)
-            if jit_stats is not None:
-                plan_side += (jit_stats,)
             plan = LaunchPlan(
                 segments=(GridSegment(entry, num_blocks),),
                 args=tuple(args),
@@ -248,9 +244,11 @@ class Device:
                 tracer=tracer,
                 side_state=plan_side,
                 faults=faults_,
-                engine=resolved,
-                jit_stats=jit_stats,
             )
+            plan.engine = resolve_engine(engine, plan.hook)
+            if plan.engine == "jit":
+                plan.jit_stats = JitCounters()
+                plan.side_state += (plan.jit_stats,)
             if checkpoint is None and resume:
                 from repro.faults.checkpoint import LaunchCheckpoint
 
@@ -414,17 +412,6 @@ def _resolve_sanitizer(sanitize, entry):
 
 def _entry_label(entry) -> str:
     return getattr(entry, "__qualname__", None) or repr(entry)
-
-
-def _hook_name(tracer, config, schedule_policy, faults) -> Optional[str]:
-    """The first hook a launch attaches, as :func:`repro.jit.resolve_engine`
-    names it (None = hook-free)."""
-    for name, hook in (("tracer", tracer), ("sanitizer", config),
-                       ("schedule_policy", schedule_policy),
-                       ("fault plan", faults)):
-        if hook is not None:
-            return name
-    return None
 
 
 def launch_counters(params, out, num_blocks: int, threads_per_block: int,

@@ -290,9 +290,8 @@ class Buffer:
     def mark_dirty_indices(self, idx: np.ndarray) -> None:
         """Mark the pages covering an integer index array dirty."""
         if len(idx):
-            dirty = self.dirty
-            for page in np.unique(np.asarray(idx) >> PAGE_SHIFT):
-                dirty[page] = 1
+            np.frombuffer(self.dirty, dtype=np.uint8)[
+                np.asarray(idx) >> PAGE_SHIFT] = 1
 
     def mark_dirty_sel(self, sel) -> None:
         """Mark pages for any store selector: int, slice, or index array."""

@@ -39,7 +39,7 @@ the ``REPRO_ENGINE`` environment variable (re-read at each call, like
 unset / ``auto``          the block round loop (today's default)
 ``fast``                  the block round loop (same as ``auto``)
 ``jit``                   trace-compile stable warps; deopt to the round
-                          loop (always, under a hook)
+                          loop (hooked launches run it from the start)
 ========================  ==================================================
 
 ``Device.launch(engine=...)`` and ``run_batch(engine=...)`` override the
@@ -87,8 +87,9 @@ def resolve_engine(engine, hook=None) -> str:
     """The round engine a launch runs under: ``"fast"`` or ``"jit"``.
 
     The ladder is the explicit ``engine`` choice, then ``REPRO_ENGINE``,
-    then auto → fast.  ``hook`` names an attached hook (``"tracer"``,
-    ``"sanitizer"``, ``"schedule_policy"``, ``"fault plan"``) or is None;
+    then auto → fast.  ``hook`` names an attached hook, as
+    :attr:`repro.exec.LaunchPlan.hook` does (``"tracer"``,
+    ``"sanitizer"``, ``"schedule_policy"``, ``"fault plan"``), or is None;
     the JIT carries no hook points, so a hook downgrades the engine to
     the round loop — silently for an environment preference (whole
     suites can be swept under ``REPRO_ENGINE=jit``), while an explicit

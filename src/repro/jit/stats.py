@@ -21,11 +21,10 @@ Two layers of observability, with deliberately different scopes:
 
 from __future__ import annotations
 
-#: Deoptimization reasons, in guard-ladder order (see docs/PERF.md).
-#: ``hook`` is decided before tracing (attached tracer/monitor/schedule
-#: hooks or active fault plans); the rest are compile-time guards.
+#: Deoptimization reasons: the compile-time guards, in guard-ladder
+#: order (see docs/PERF.md).  Hooked launches never reach the JIT
+#: (``repro.jit.resolve_engine``), so they count no deopt.
 DEOPT_REASONS = (
-    "hook",
     "divergence",
     "event",
     "alloc",
@@ -46,7 +45,6 @@ class JitCounters:
     def __init__(self) -> None:
         self.blocks_compiled = 0
         self.warps_compiled = 0
-        self.deopt_hook = 0
         self.deopt_divergence = 0
         self.deopt_event = 0
         self.deopt_alloc = 0

@@ -51,8 +51,7 @@ from repro.gpu.thread import full_mask
 class JitAbort(Exception):
     """Compilation guard failure: fall back to the interpreter.
 
-    ``reason`` is one of :data:`repro.jit.stats.DEOPT_REASONS` (minus
-    ``hook``, which is decided before tracing starts).
+    ``reason`` is one of :data:`repro.jit.stats.DEOPT_REASONS`.
     """
 
     def __init__(self, reason: str, detail: str = "") -> None:

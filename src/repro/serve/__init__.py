@@ -11,10 +11,11 @@ north star), reusing the executor substrate rather than reinventing it:
 * :mod:`repro.serve.batch` — coalesces compatible small launches into
   one segmented grid (:class:`repro.exec.GridSegment`) and demuxes
   per-request results, bit-identical to running each launch alone;
-* :class:`~repro.serve.lease.PoolLease` — executes batches on a
-  persistent warm :class:`repro.exec.WorkerPool` (the pool a per-launch
-  ``fork_map`` opens one-shot, here kept warm: no fork-per-launch), with
-  its crash/hang retry → redistribute → degrade recovery ladder;
+* :class:`~repro.serve.lease.PoolLease` — an executor that runs batch
+  plans on a persistent warm :class:`repro.exec.WorkerPool` (the pool a
+  per-launch ``fork_map`` opens one-shot, here kept warm: no
+  fork-per-launch), with its crash/hang retry → redistribute → degrade
+  recovery ladder;
 * :class:`~repro.serve.scheduler.FairScheduler` — deficit-round-robin
   weighted fairness across tenants with admission control and typed
   :class:`~repro.serve.scheduler.Backpressure` rejects;

@@ -11,15 +11,16 @@ Modes::
     python -m repro.serve chaos --cycles 25 --seed 2023  # kill/restart
                                               # campaign (see serve/chaos.py)
 
-``--pool N`` attaches a persistent warm worker pool (N forked workers)
-so block execution survives across launches with zero fork-per-launch;
-without it, batches run on the in-process serial engine.  ``--faults``
-takes the ``REPRO_FAULTS`` grammar and wires the plan into the pool
-(``worker.crash``/``worker.hang``), admission (``serve.reject``), and
-the serve-layer durability sites (``serve.conn_drop``,
-``serve.dispatch_stall``, ``journal.torn_write``, ``lease.corrupt``) —
-the selftest must still return verified-correct results, which is
-exactly what the CI fault leg asserts.
+``--pool N`` makes the service's executor a
+:class:`~repro.serve.lease.PoolLease`, a persistent warm worker pool
+(N forked workers), so block execution survives across launches with
+zero fork-per-launch; without it, batches run on the in-process serial
+executor.  ``--faults`` takes the ``REPRO_FAULTS`` grammar and wires
+the plan into the pool (``worker.crash``/``worker.hang``), admission
+(``serve.reject``), and the serve-layer durability sites
+(``serve.conn_drop``, ``serve.dispatch_stall``, ``journal.torn_write``,
+``lease.corrupt``) — the selftest must still return verified-correct
+results, which is exactly what the CI fault leg asserts.
 
 ``--journal PATH`` makes acknowledged requests durable: the write-ahead
 journal is replayed at boot (completed keys answer resubmits without
@@ -47,19 +48,20 @@ from repro.serve.server import LaunchService
 
 
 def build_service(args) -> LaunchService:
-    """Wire device, catalog, scheduler, and (optionally) the warm pool."""
+    """Wire device, catalog, scheduler, and executor (the warm pool
+    under ``--pool``)."""
     device = Device()
     catalog = demo_catalog()
     faults = coerce_faults(args.faults) if args.faults else None
-    lease = None
+    executor = None
     if args.pool:
-        lease = PoolLease(catalog, device.params, workers=args.pool,
-                          faults=faults)
+        executor = PoolLease(catalog, device.params, workers=args.pool,
+                             faults=faults)
     scheduler = FairScheduler(max_queue=args.max_queue, faults=faults)
     return LaunchService(
         device, catalog,
         scheduler=scheduler,
-        lease=lease,
+        executor=executor,
         engine=args.engine,
         faults=faults,
         max_batch=args.max_batch,
@@ -109,8 +111,8 @@ async def _serve(args) -> int:
         await service.stop()
         if service.journal is not None:
             service.journal.close()
-        if service.lease is not None:
-            service.lease.close()
+        if isinstance(service.executor, PoolLease):
+            service.executor.close()
     return 0
 
 
@@ -127,12 +129,13 @@ async def _selftest(args) -> int:
         )
     finally:
         await service.stop()
-        if service.lease is not None:
+        lease = service.executor
+        if isinstance(lease, PoolLease):
             metrics["pool_warm_dispatches"] = float(
-                service.lease.stats.get("warm_dispatches", 0))
+                lease.stats.get("warm_dispatches", 0))
             metrics["pool_worker_deaths"] = float(
-                service.lease.stats.get("worker_deaths", 0))
-            service.lease.close()
+                lease.stats.get("worker_deaths", 0))
+            lease.close()
     metrics["batches"] = float(service.stats["batches"])
     metrics["batched_requests"] = float(service.stats["batched_requests"])
     metrics["max_batch_size"] = float(service.stats["max_batch_size"])
@@ -152,7 +155,8 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8473)
     parser.add_argument("--pool", type=int, default=0, metavar="N",
-                        help="attach a warm worker pool with N forked workers")
+                        help="run batches on a warm worker pool with N "
+                             "forked workers")
     parser.add_argument("--engine", default=None,
                         help="round engine for batches (fast/jit)")
     parser.add_argument("--faults", default=None, metavar="SPEC",

@@ -21,7 +21,8 @@ block counters, shared high-water mark, runtime-counter deltas, and the
 cost model's cycle composition.  Launch-scoped telemetry — JIT
 (``kc.extra["engine"]``/``["jit_*"]``), pool recovery, fault deltas and
 cross-block conflicts — cannot be attributed to a single request inside
-a batch, so batched counters omit it (documented in ``docs/SERVE.md``).
+a batch, so batched counters omit it, and a batch plan counts no JIT
+telemetry at all (documented in ``docs/SERVE.md``).
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import LaunchError, LaunchTimeout
-from repro.exec import GridSegment, LaunchPlan, SerialExecutor, merge_records
+from repro.exec import GridSegment, LaunchPlan, SerialExecutor
 from repro.exec.record import ErrorCapsule
 from repro.gpu.counters import KernelCounters
 from repro.gpu.device import launch_counters, runtime_extras
 # Unused here, but kept as a module attribute: profilers wrap it by name.
 from repro.gpu.sm import compose_kernel_cycles  # noqa: F401
-from repro.jit import JitCounters, resolve_engine
+from repro.jit import resolve_engine
 from repro.runtime.icv import DEFAULT_SHARING_BYTES
 
 __all__ = [
@@ -184,19 +185,16 @@ def run_batch(
     engine: Optional[str] = None,
     executor=None,
     faults=None,
-    lease=None,
     timeout: Optional[float] = None,
-    read_outputs: bool = True,
 ) -> List[LaunchOutcome]:
     """Execute prepared requests as one segmented grid; demux results.
 
-    ``executor`` picks the in-process engine (default
-    :class:`~repro.exec.SerialExecutor`); ``lease`` instead dispatches
-    block execution to a persistent warm
-    :class:`~repro.serve.lease.PoolLease` and feeds the returned
-    records through the identical :func:`repro.exec.merge_records`.
-    Either way the whole execute-and-merge runs under ``device.lock``
-    (one grid owns the device at a time).
+    ``executor`` runs the plan (default
+    :class:`~repro.exec.SerialExecutor`); a warm
+    :class:`~repro.serve.lease.PoolLease` is one more executor, which
+    rebuilds each segment from the request it carries
+    (``GridSegment.source``).  The whole execute-and-merge runs under
+    ``device.lock`` (one grid owns the device at a time).
 
     A request whose kernel raises gets the error in its own
     :class:`LaunchOutcome` — the same exception a solo launch would
@@ -213,36 +211,21 @@ def run_batch(
                 f"threads_per_block={tpb}, {p.name!r} has "
                 f"{p.threads_per_block}"
             )
-    resolved = resolve_engine(
-        engine, "fault plan" if faults is not None else None)
-    jit_stats = JitCounters() if resolved == "jit" else None
-
-    segments = tuple(
-        GridSegment(p.entry, p.num_blocks, label=p.name) for p in prepared
-    )
-    side = tuple(p.rc for p in prepared)
-    use_lease = lease is not None
     plan = LaunchPlan(
-        segments=segments,
+        segments=tuple(GridSegment(p.entry, p.num_blocks, label=p.name,
+                                   source=p) for p in prepared),
         threads_per_block=tpb,
-        side_state=side if use_lease else (
-            side + ((faults.counters,) if faults is not None else ())
-        ),
-        faults=None if use_lease else faults,
-        engine=resolved,
-        jit_stats=jit_stats,
+        side_state=tuple(p.rc for p in prepared) + (
+            (faults.counters,) if faults is not None else ()),
+        faults=faults,
         deadline=(time.monotonic() + timeout) if timeout is not None else None,
     )
+    plan.engine = resolve_engine(engine, plan.hook)
     exec_ = executor if executor is not None else SerialExecutor()
 
     with device.lock:
         try:
-            if use_lease:
-                records = lease.run(device, prepared, engine=resolved,
-                                    deadline=plan.deadline)
-                outcome = merge_records(device, plan, records)
-            else:
-                outcome = exec_.execute(device, plan)
+            outcome = exec_.execute(device, plan)
         except LaunchTimeout as err:
             if err.timeout is None:
                 err.timeout = timeout
@@ -254,19 +237,13 @@ def run_batch(
                 device.params, seg, p.num_blocks, tpb, p.regs_per_thread,
                 runtime_extras(p.rc, p.cfg.simd_len),
             )
-            outputs = {}
-            if read_outputs:
-                # ``to_numpy`` already returns a fresh host copy.
-                outputs = {
-                    name: p.buffers[name].to_numpy()
-                    for name in p.out
-                    if name in p.buffers
-                }
             results.append(LaunchOutcome(
                 name=p.name,
                 counters=kc,
                 runtime=p.rc,
-                outputs=outputs,
+                # ``to_numpy`` already returns a fresh host copy.
+                outputs={name: p.buffers[name].to_numpy()
+                         for name in p.out if name in p.buffers},
                 error=seg.error,
             ))
     return results

@@ -1,27 +1,33 @@
-"""Warm-pool lease: batched block execution on persistent workers.
+"""Warm-pool lease: an executor whose blocks run on persistent workers.
 
 The per-launch ``repro.exec.pool.fork_map`` opens a one-shot pool whose
 workers fork inside the launch, inheriting the *current* parent state —
 kernel closures, live buffers — which is exactly what a persistent pool
 cannot do: warm workers were forked once, at boot, and see nothing
-created afterwards.  The lease
-bridges that gap by making every request **self-describing**:
+created afterwards.  :class:`PoolLease` bridges that gap by making every
+segment it ships **self-describing**:
 
 1. the worker's runner is fixed at pool construction and closes over
    the pre-fork :class:`~repro.serve.catalog.KernelCatalog` and the
    device's cost parameters (inherited copy-on-write);
 2. each payload ships picklable data only — kernel *name*, geometry,
-   input arrays, and the server-side buffer handle per arg;
+   input arrays, and the server-side buffer handle per arg — built from
+   the request a batched segment carries
+   (:attr:`~repro.exec.GridSegment.source`);
 3. the worker rebuilds the request locally: fresh
    :class:`~repro.gpu.device.Device`, buffers allocated from the
    shipped arrays, entry bound from the catalog kernel, each block run
-   in snapshot isolation via the parallel engine's block runner;
+   in snapshot isolation by :func:`repro.exec.engine.run_block` — the
+   block runner :class:`~repro.exec.ParallelExecutor` uses;
 4. the resulting :class:`~repro.exec.BlockRecord`\\ s are remapped from
    worker-local buffer handles to the server's handles (only handle
-   keys change: the columnar write-set arrays ship as they are) and
-   sent back, where :func:`repro.exec.merge_records` folds them into
-   server memory through the *identical* deterministic merge every
-   other executor uses.
+   keys change: the columnar write-set arrays stay as they are) and
+   returned; the pool's result pipe pickles them, as it does for
+   ``fork_map``;
+5. the coordinator shifts them to global block ids, pads each record's
+   one side-state delta into the plan's layout, and folds them into
+   server memory through :func:`repro.exec.merge_records`, the merge
+   every other executor uses.
 
 Recovery inherits :class:`~repro.exec.WorkerPool`'s ladder unchanged —
 crash/hang detection, retry with redistribution, in-process
@@ -30,23 +36,23 @@ the serve path end-to-end while results stay bit-identical.
 
 In-block fault sites (``sharing.overflow``, ``atomic.transient``,
 ``memory.bitflip``) are deliberately **not** forwarded to warm workers:
-those belong to solo-launch plans where ``Device.launch`` coordinates
-snapshot/scrub/rollback.  The lease's fault surface is the worker
-lifecycle, which is the one that matters under sustained load.
+``execute`` ignores ``plan.faults``.  Those sites belong to solo-launch
+plans where ``Device.launch`` coordinates snapshot/scrub/rollback.  The
+lease's own fault plan drives the worker lifecycle sites and
+``lease.corrupt``, which are the ones that matter under sustained load.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.exec import ParallelExecutor, WorkerPool
-from repro.exec.engine import GridSegment, LaunchPlan
+from repro.errors import LaunchError
+from repro.exec import WorkerPool, merge_records
+from repro.exec.engine import ExecOutcome, GridSegment, LaunchPlan, run_block
 from repro.exec.record import BlockRecord
-from repro.exec.transport import pack_records, unpack_records
 
 __all__ = ["PoolLease", "make_runner"]
 
@@ -57,23 +63,13 @@ def make_runner(catalog, params):
     Must be called **before** the pool forks (the returned closure is
     inherited, not shipped).  The payload contract is a dict with keys
     ``kernel`` (catalog name), ``args`` (name → ndarray), ``num_teams``,
-    ``team_size``, ``simd_len``, ``sharing_bytes``, ``engine``,
-    ``handles`` (arg name → server buffer handle), ``block_range``
-    (list of local block ids to run), and ``side_slots``/``side_index``
-    (how to pad side-state deltas into the batch's layout).
-
-    Results come back packed (:mod:`repro.exec.transport`): from a
-    forked worker, large payloads ride a shared-memory segment instead
-    of the result pipe.  Write-sets are columnar already, so remapping
-    a record touches only its handle keys.  The pool's
-    in-process degradation path returns raw records (``unpack_records``
-    passes them through), so recovery semantics are transport-free.
+    ``team_size``, ``simd_len``, ``sharing_bytes``, ``engine`` and
+    ``handles`` (arg name → server buffer handle).  The runner returns
+    the request's block records, local block ids, server handles.
     """
     from repro.gpu.device import Device
 
-    parent_pid = os.getpid()
-
-    def runner(payload: dict):
+    def runner(payload: dict) -> List[BlockRecord]:
         dev = Device(params=params)
         local_args = {}
         handle_map: Dict[int, int] = {}
@@ -100,26 +96,12 @@ def make_runner(catalog, params):
             engine=payload["engine"],
         )
         watermark = dev.gmem.mark()
-        runner_exec = ParallelExecutor(processes=False)
-        slots = payload["side_slots"]
-        index = payload["side_index"]
         records = []
-        for local_id in payload["block_range"]:
-            rec = runner_exec._run_block(dev, plan, watermark, local_id)
+        for block_id in range(cfg.num_teams):
+            rec = run_block(dev, plan, watermark, block_id)
             _remap_record(rec, handle_map)
-            # Pad this request's single-rc delta into the batch-wide
-            # side-state layout so the coordinator's apply_deltas zips
-            # each delta onto the right RuntimeCounters.
-            deltas = list(rec.side_deltas or ({},))
-            rec.side_deltas = tuple(
-                [{}] * index + deltas + [{}] * (slots - index - 1)
-            )
             records.append(rec)
-        if os.getpid() == parent_pid:
-            # In-process execution (degradation, processes=False): the
-            # records never cross a pipe, so hand them back as-is.
-            return records
-        return pack_records(records)
+        return records
 
     return runner
 
@@ -141,12 +123,34 @@ def _remap_record(rec: BlockRecord, handle_map: Dict[int, int]) -> None:
         rec.read_cells = {(handle_map[h], idx) for h, idx in rec.read_cells}
 
 
+def _payload(seg: GridSegment, engine: Optional[str]) -> dict:
+    """The self-describing payload for one batched segment."""
+    p = seg.source
+    if p is None:
+        raise LaunchError(
+            f"PoolLease runs batched segments only: segment {seg.label!r} "
+            "carries no source request (a solo launch's kernel closure "
+            "cannot reach warm workers)"
+        )
+    return {
+        "kernel": p.name,
+        # ``to_numpy`` already returns a fresh host copy.
+        "args": {name: buf.to_numpy() for name, buf in p.buffers.items()},
+        "handles": {name: buf.handle for name, buf in p.buffers.items()},
+        "num_teams": p.cfg.num_teams,
+        "team_size": p.cfg.team_size,
+        "simd_len": p.cfg.simd_len,
+        "sharing_bytes": p.cfg.sharing_bytes,
+        "engine": engine,
+    }
+
+
 class PoolLease:
-    """A serve-tier lease on one persistent :class:`WorkerPool`.
+    """An executor leasing one persistent :class:`WorkerPool`.
 
     Construct once at boot (freezing the catalog — warm workers cannot
-    see kernels registered later), then :meth:`run` arbitrarily many
-    batches: each call health-checks and reuses the same forked
+    see kernels registered later), then :meth:`execute` arbitrarily many
+    batch plans: each call health-checks and reuses the same forked
     workers, so sustained load pays zero fork cost per launch
     (asserted by the warm-reuse test via stable worker pids).
     """
@@ -192,65 +196,41 @@ class PoolLease:
         return self.pool.stats
 
     # -- execution ----------------------------------------------------------
-    def run(
-        self,
-        device,
-        prepared: Sequence,
-        *,
-        engine: str,
-        deadline: Optional[float] = None,
-    ) -> List[BlockRecord]:
-        """Execute a batch's blocks on the warm pool; return records
-        keyed by **global** block id, ready for ``merge_records``.
+    def execute(self, device, plan: LaunchPlan) -> ExecOutcome:
+        """Run a batch plan's blocks on the warm pool; merge the records.
 
-        One payload per request (small launches are the batching
-        target, so request granularity doubles as shard granularity —
-        a request's blocks stay on one worker, its records arrive
-        together or retry together).
+        One payload per segment (small launches are the batching target,
+        so request granularity doubles as shard granularity — a
+        request's blocks stay on one worker, its records arrive together
+        or retry together).  A segment without a ``source`` raises
+        :class:`~repro.errors.LaunchError`.
         """
-        payloads = []
-        offsets = []
-        offset = 0
-        n = len(prepared)
-        for i, p in enumerate(prepared):
-            # ``to_numpy`` already returns a fresh host copy.
-            arrays = {
-                name: buf.to_numpy()
-                for name, buf in p.buffers.items()
-            }
-            handles = {name: buf.handle for name, buf in p.buffers.items()}
-            payloads.append({
-                "kernel": p.name,
-                "args": arrays,
-                "handles": handles,
-                "num_teams": p.cfg.num_teams,
-                "team_size": p.cfg.team_size,
-                "simd_len": p.cfg.simd_len,
-                "sharing_bytes": p.cfg.sharing_bytes,
-                "engine": engine,
-                "block_range": list(range(p.num_blocks)),
-                "side_slots": n,
-                "side_index": i,
-            })
-            offsets.append(offset)
-            offset += p.num_blocks
-
+        payloads = [_payload(seg, plan.engine) for seg in plan.segments]
         batch = next(self._batch_seq)
+        slots = len(plan.side_state)
         records: List[BlockRecord] = []
-        for i, (status, result) in enumerate(
-            self.pool.map(payloads, deadline=deadline)
-        ):
+        offset = 0
+        outcomes = self.pool.map(payloads, deadline=plan.deadline)
+        for i, (seg, (status, result)) in enumerate(
+                zip(plan.segments, outcomes)):
             if status == "err":
                 # Machinery failure (kernel errors are captured inside
                 # records) — surface it; the service layer converts it
                 # into per-request errors.
                 result.reraise()
-            result = unpack_records(result)
-            result = self._verified(batch, i, payloads[i], result, deadline)
+            result = self._verified(batch, i, payloads[i], result,
+                                    plan.deadline)
+            # The worker ran the request with its own runtime counters
+            # as the only side state; put that delta in its plan slot.
+            slot = next(k for k, obj in enumerate(plan.side_state)
+                        if obj is seg.source.rc)
             for rec in result:
-                rec.block_id += offsets[i]
+                rec.block_id += offset
+                rec.side_deltas = (({},) * slot + tuple(rec.side_deltas)
+                                   + ({},) * (slots - slot - 1))
                 records.append(rec)
-        return records
+            offset += seg.num_blocks
+        return merge_records(device, plan, records)
 
     def _verified(self, batch: int, payload_index: int, payload: dict,
                   result: List[BlockRecord],
@@ -278,5 +258,4 @@ class PoolLease:
             status, result = self.pool.map([payload], deadline=deadline)[0]
             if status == "err":
                 result.reraise()
-            result = unpack_records(result)
         return result

@@ -16,10 +16,11 @@ requests) flow through:
    weighted DRR order, groups compatible requests (same block shape)
    up to ``max_batch``, and hands each group to the dispatch thread;
 4. **dispatch** — the group is prepared (buffers bound), executed as
-   one segmented grid via :func:`repro.serve.batch.run_batch` — on the
-   warm :class:`~repro.serve.lease.PoolLease` when one is attached —
-   demuxed, and each request's future resolved with its own
-   bit-identical :class:`~repro.serve.batch.LaunchOutcome`.
+   one segmented grid via :func:`repro.serve.batch.run_batch` on the
+   service's executor (in-process by default, or a warm
+   :class:`~repro.serve.lease.PoolLease`), demuxed, and each request's
+   future resolved with its own bit-identical
+   :class:`~repro.serve.batch.LaunchOutcome`.
 
 A single dispatch thread feeds the device: the device lock serializes
 grids anyway, so extra dispatch threads would only add contention.
@@ -102,11 +103,12 @@ class _Pending:
 class LaunchService:
     """Async multi-tenant launch service over one simulated device.
 
-    Parameters mirror the layers they configure: ``lease`` (warm pool)
-    or ``executor`` (in-process) pick the execution substrate,
+    Parameters mirror the layers they configure: ``executor`` the
+    execution substrate (default :class:`~repro.exec.SerialExecutor`;
+    pass a :class:`~repro.serve.lease.PoolLease` for the warm pool),
     ``scheduler`` the fairness/admission policy, ``engine`` the round
     engine, ``faults`` the fault plan consulted by admission
-    (``serve.reject``) and in-process batch execution.  ``max_batch``
+    (``serve.reject``), dispatch, and batch execution.  ``max_batch``
     bounds requests per merged grid; ``batch_window`` is the pump's
     idle poll interval; ``max_inflight`` caps accepted-but-unfinished
     requests (typed backpressure beyond it).
@@ -118,7 +120,6 @@ class LaunchService:
         catalog,
         *,
         scheduler: Optional[FairScheduler] = None,
-        lease=None,
         executor=None,
         engine: Optional[str] = None,
         faults=None,
@@ -134,7 +135,6 @@ class LaunchService:
         self.catalog = catalog
         self.scheduler = scheduler or FairScheduler(faults=faults)
         self.scheduler.on_expire = self._expire_pending
-        self.lease = lease
         self.executor = executor
         self.engine = engine
         self.faults = faults
@@ -183,7 +183,7 @@ class LaunchService:
             )
 
     async def stop(self) -> None:
-        """Stop the pump and TCP listener; leave lease/device to owner."""
+        """Stop the pump and TCP listener; leave executor/device to owner."""
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
@@ -463,7 +463,6 @@ class LaunchService:
                     engine=self.engine,
                     executor=self.executor,
                     faults=self.faults,
-                    lease=self.lease,
                     timeout=timeout,
                 )
                 it = iter(outcomes)
@@ -656,15 +655,15 @@ class LaunchService:
                                               "error": f"bad json: {err}"})
                     continue
                 if msg.get("op") == "stats":
+                    pool = getattr(self.executor, "stats", None)
                     await self._send(writer, {
                         "ok": True,
                         "stats": dict(self.stats),
                         "inflight": self._inflight,
                         "tenants": self.scheduler.snapshot(),
                         "rejects": dict(self.scheduler.rejects),
-                        "pool": dict(self.lease.stats) if self.lease else None,
-                        "respawns": (self.lease.stats.get(
-                            "worker_respawns", 0) if self.lease else 0),
+                        "pool": dict(pool) if pool is not None else None,
+                        "respawns": (pool or {}).get("worker_respawns", 0),
                         "forced_rejects": (
                             self.faults.counters.forced_rejects
                             if self.faults is not None else 0),

@@ -1,4 +1,4 @@
-"""Columnar exec-state machinery: merge apply, page capture, transport.
+"""Columnar exec-state machinery: merge apply, page capture, undo, pickling.
 
 Pins the parallel executor's refactored data plane:
 
@@ -14,9 +14,13 @@ Pins the parallel executor's refactored data plane:
   (compared by stored bits);
 * ``GlobalWriteRecorder.extract`` builds the columnar write-set straight
   from element and bulk log entries, last writer wins;
-* ``pack_records``/``unpack_records`` round-trip records bit-identically
-  over both the inline and the shared-memory lanes.
+* ``GlobalWriteRecorder.undo`` restores memory bit-identically with one
+  scatter per buffer and marks every restored page dirty;
+* records survive a plain ``pickle`` round trip bit-identically — the
+  worker pools' result pipe format.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -28,7 +32,6 @@ from repro.exec.record import (
     BlockRecord,
     GlobalWriteRecorder,
 )
-from repro.exec.transport import pack_records, unpack_records
 from repro.gpu.memory import PAGE_ELEMS, GlobalMemory
 
 
@@ -259,25 +262,56 @@ def _assert_round_trip(records, out):
 
 class TestTransport:
     def test_inline_round_trip(self):
+        """Worker pools pickle records through the result pipe as they
+        are; the columns come back with their bytes and dtypes."""
         records = _sample_records()
-        payload = pack_records(records, use_shm=False)
-        assert payload[0] == "inline"
-        _assert_round_trip(records, unpack_records(payload))
+        blob = pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)
+        _assert_round_trip(records, pickle.loads(blob))
 
-    def test_shared_memory_round_trip(self, monkeypatch):
-        import repro.exec.transport as T
 
-        monkeypatch.setattr(T, "SHM_MIN_BYTES", 1)  # force the shm lane
-        records = _sample_records()
-        payload = pack_records(records, use_shm=True)
-        assert payload[0] == "shm"
-        _assert_round_trip(records, unpack_records(payload))
-        # The segment is gone after unpacking.
-        from multiprocessing import shared_memory
+class TestUndo:
+    def test_mixed_log_restores_pre_block_state(self):
+        """Element, bulk and atomic entries on repeated cells across two
+        buffers (one float32) undo to the exact pre-block bytes."""
+        gmem = GlobalMemory()
+        rng = np.random.default_rng(3)
+        n = 3 * PAGE_ELEMS
+        a = gmem.from_array("a", rng.standard_normal(n))
+        b = gmem.from_array("b", rng.standard_normal(n).astype(np.float32))
+        before = (a.data.copy(), b.data.copy())
+        rec = GlobalWriteRecorder(gmem.mark())
+        a.clear_dirty()
+        b.clear_dirty()
 
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=payload[1])
+        def store(buf, i, v):
+            rec.on_store(buf, i, v)
+            buf.write(i, v)
 
-    def test_raw_records_pass_through(self):
-        records = _sample_records()
-        assert unpack_records(records) is records
+        def bulk(buf, idx, vals):
+            rec.on_store_bulk(buf, idx, vals)
+            buf.scatter(idx, vals)
+
+        def atomic(buf, i, v):
+            old = buf.read(i)
+            buf.write(i, old + v)
+            rec.on_atomic(buf, i, "add", v, old)
+
+        store(a, 5, 1.0)
+        bulk(a, np.array([4, 5, 6, PAGE_ELEMS + 1]), np.arange(4.0))
+        atomic(a, 5, 2.5)
+        store(a, 5, -7.0)
+        bulk(a, slice(2 * PAGE_ELEMS, 2 * PAGE_ELEMS + 8), np.ones(8))
+        atomic(a, 2 * PAGE_ELEMS + 3, 1.0)
+        store(b, 0, 3.0)
+        atomic(b, 0, 1.0)
+        bulk(b, np.array([0, 1, 1]), np.array([8.0, 9.0, 10.0], np.float32))
+        store(b, 1, 11.0)
+        assert not np.array_equal(a.data, before[0])
+
+        a.clear_dirty()
+        b.clear_dirty()
+        rec.undo()
+        assert a.data.tobytes() == before[0].tobytes()
+        assert b.data.tobytes() == before[1].tobytes()
+        assert a.dirty_page_indices().tolist() == [0, 1, 2]
+        assert b.dirty_page_indices().tolist() == [0]

@@ -6,8 +6,10 @@ compatible requests into one segmented grid changes *scheduling*, never
 ground truth) and once through :func:`repro.serve.batch.run_batch` on a
 shared device, then compares memory images, cycle counts, per-block
 counters, and counter extras bit-for-bit — across the
-``fast``/``jit`` round engines and the serial/parallel executors (the
-same matrix the CI legs pin via ``REPRO_ENGINE``/``REPRO_EXECUTOR``).
+``fast``/``jit`` round engines and the serial, parallel and warm-pool
+executors (the first two are the matrix the CI legs pin via
+``REPRO_ENGINE``/``REPRO_EXECUTOR``; the warm pool is the serve tier's
+:class:`~repro.serve.lease.PoolLease`, forked once per case).
 
 The one deliberate carve-out (documented in ``docs/SERVE.md``): solo
 jit launches attach launch-scoped telemetry (``extra["engine"]``,
@@ -17,6 +19,8 @@ merged grid, so those keys are stripped before comparing extras.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,20 +28,28 @@ from hypothesis import strategies as st
 
 from repro import omp
 from repro.errors import MemoryFault
-from repro.exec import ParallelExecutor, SerialExecutor
+from repro.exec import ParallelExecutor, SerialExecutor, fork_available
 from repro.gpu.device import Device
 from repro.serve import batch as B
 from repro.serve.demo import DEMO_N
+from repro.serve.lease import PoolLease
 
 from serve_helpers import make_args
 
 KERNELS = ("axpy", "square", "scale_sum")
 
 ENGINES = ["fast", "jit"]
+#: Each entry maps a catalog to a context manager yielding the executor;
+#: the warm pool's closes its workers on exit.
 EXECUTORS = [
-    pytest.param(lambda: SerialExecutor(), id="serial"),
-    pytest.param(lambda: ParallelExecutor(workers=3, processes=False),
-                 id="parallel"),
+    pytest.param(lambda cat: contextlib.nullcontext(SerialExecutor()),
+                 id="serial"),
+    pytest.param(lambda cat: contextlib.nullcontext(
+        ParallelExecutor(workers=3, processes=False)), id="parallel"),
+    pytest.param(lambda cat: PoolLease(cat, Device().params, workers=2),
+                 id="warm_pool",
+                 marks=pytest.mark.skipif(not fork_available(),
+                                          reason="fork unavailable")),
 ]
 
 #: jit telemetry is launch-scoped and omitted from batched counters.
@@ -90,13 +102,13 @@ def test_batch_bit_identical_to_solo(catalog, engine, make_executor, data):
     prev = os.environ.get("REPRO_ENGINE")
     os.environ["REPRO_ENGINE"] = engine
     try:
-        outs = _batch(catalog, specs, engine=engine,
-                      executor=make_executor())
+        with make_executor(catalog) as executor:
+            outs = _batch(catalog, specs, engine=engine, executor=executor)
         for (kernel, args, num_teams), out in zip(specs, outs):
             assert out.ok
             mem, kc = _solo(catalog, kernel, args, num_teams)
             for name in args:
-                assert np.array_equal(mem[name], out.outputs[name]), (
+                assert mem[name].tobytes() == out.outputs[name].tobytes(), (
                     kernel, name)
             assert kc.cycles == out.counters.cycles
             assert list(kc.blocks) == list(out.counters.blocks)
@@ -127,7 +139,8 @@ def test_per_request_error_demux(catalog, make_executor):
     a2 = make_args("axpy", rng)
     specs = [("axpy", a0, 2), ("oob", a1, 2), ("axpy", a2, 1)]
 
-    outs = _batch(cat2, specs, executor=make_executor())
+    with make_executor(cat2) as executor:
+        outs = _batch(cat2, specs, executor=executor)
     assert outs[0].ok and outs[2].ok
     assert outs[1].error is not None
     with pytest.raises(MemoryFault):

@@ -3,8 +3,8 @@
 ``Device.launch`` runs its grid as a one-segment plan through the same
 engine ladder, executors and merge as :func:`repro.serve.batch.run_batch`;
 these cases pin the error surfaces the two entry points must share: an
-unknown engine name, a watchdog expiry, and a kernel's own exception
-class.
+unknown engine name, which fault plans count as a JIT hook, a watchdog
+expiry, and a kernel's own exception class.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ import pytest
 from repro import omp
 from repro.errors import LaunchError, LaunchTimeout
 from repro.exec import ParallelExecutor, SerialExecutor
+from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.device import Device
 from repro.runtime.state import RuntimeCounters
 from repro.serve import batch as B
+from repro.serve.lease import PoolLease
 
 from serve_helpers import make_args
 
@@ -60,6 +62,57 @@ def test_unknown_engine_is_a_launch_error(catalog, monkeypatch, path, source):
             p = B.prepare(dev, catalog, "axpy", args, num_teams=1,
                           team_size=64)
             B.run_batch(dev, [p], engine=engine)
+
+
+def _store_one(tc, out):
+    yield from tc.store(out, tc.block_id * 32 + tc.tid, 1.0)
+
+
+@pytest.mark.parametrize("site,probability,hooked", [
+    ("atomic.transient", 0.5, True),
+    ("sharing.overflow", 1.0, True),
+    ("atomic.transient", 0.0, False),
+    ("worker.crash", 1.0, False),
+    ("memory.bitflip", 1.0, False),
+    ("serve.reject", 1.0, False),
+])
+@pytest.mark.parametrize("path", ["solo", "batch"])
+def test_only_in_block_fault_sites_are_jit_hooks(path, site, probability,
+                                                 hooked):
+    """A fault plan is a hook the JIT lacks only when it can fire inside
+    a block; explicit ``engine="jit"`` then raises on both paths."""
+    plan = FaultPlan(1, [FaultSpec(site, probability=probability,
+                                   attempts=99 if site == "worker.crash"
+                                   else 1)])
+    dev = Device()
+
+    def run():
+        if path == "solo":
+            out = dev.alloc("out", 64, np.float64)
+            return dev.launch(_store_one, 2, 32, args=(out,), faults=plan,
+                              engine="jit", executor=SerialExecutor())
+        (outcome,) = B.run_batch(dev, [_raw_prepared(dev, _store_one, 2)],
+                                 faults=plan, engine="jit")
+        return outcome.counters
+
+    if hooked:
+        with pytest.raises(LaunchError, match="fault plan"):
+            run()
+    else:
+        kc = run()
+        assert kc.cycles > 0
+        if path == "solo":
+            assert kc.extra["engine"] == "jit"
+
+
+def test_warm_pool_refuses_a_solo_closure(catalog):
+    """A solo launch's segment carries no request to rebuild, so the
+    warm-pool executor raises instead of shipping a closure."""
+    dev = Device()
+    out = dev.alloc("out", 64, np.float64)
+    with PoolLease(catalog, dev.params, workers=1, processes=False) as lease:
+        with pytest.raises(LaunchError, match="no source request"):
+            dev.launch(_store_one, 2, 32, args=(out,), executor=lease)
 
 
 def _sleepy(tc, out):

@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.faults import coerce_faults
+from repro.faults import FaultPlan, FaultSpec, coerce_faults
 from repro.gpu.device import Device
 from repro.serve import Backpressure, FairScheduler, LaunchService, PoolLease
 from repro.serve.demo import REFERENCE
@@ -192,7 +192,7 @@ class TestFaultLegs:
             faults = coerce_faults("42:worker.crash=0.3")
             lease = PoolLease(catalog, Device().params, workers=2,
                               faults=faults)
-            service = _service(catalog=catalog, lease=lease)
+            service = _service(catalog=catalog, executor=lease)
             try:
                 async with service:
                     metrics = await drive_service(
@@ -207,6 +207,40 @@ class TestFaultLegs:
         assert metrics["launches"] == 24
         assert stats["worker_deaths"] >= 1
         assert stats["warm_dispatches"] >= 2
+
+    @needs_fork
+    def test_lease_corrupt_redispatch_is_bit_identical(self, catalog):
+        """Every warm-pool result payload arrives corrupt once (the spec's
+        ``attempts=1`` lets the re-dispatch through): the lease discards
+        and re-dispatches it, and every output and cycle count matches
+        the serial service bit for bit."""
+        rng = np.random.default_rng(31)
+        specs = [(k, make_args(k, rng), nt) for k, nt in
+                 (("axpy", 2), ("square", 1), ("scale_sum", 3), ("axpy", 1))]
+
+        async def run(executor):
+            service = _service(catalog=catalog, executor=executor)
+            async with service:
+                return await asyncio.gather(*(
+                    service.submit(_request(k, a, num_teams=nt))
+                    for k, a, nt in specs))
+
+        faults = FaultPlan(5, [FaultSpec("lease.corrupt", attempts=1)])
+        lease = PoolLease(catalog, Device().params, workers=2, faults=faults)
+        try:
+            got = asyncio.run(run(lease))
+        finally:
+            lease.close()
+        want = asyncio.run(run(None))
+        assert faults.counters.lease_corruptions >= 1
+        assert faults.counters.unrecovered == 0
+        for g, w in zip(got, want):
+            assert g.ok and w.ok
+            assert sorted(g.outputs) == sorted(w.outputs)
+            for name, arr in w.outputs.items():
+                assert g.outputs[name].tobytes() == arr.tobytes()
+            assert g.counters.cycles == w.counters.cycles
+            assert list(g.counters.blocks) == list(w.counters.blocks)
 
     def test_serve_reject_injection_is_retried_through(self, catalog):
         async def main():
@@ -233,7 +267,7 @@ class TestWarmPoolService:
 
         async def main():
             lease = PoolLease(catalog, Device().params, workers=2)
-            service = _service(catalog=catalog, lease=lease)
+            service = _service(catalog=catalog, executor=lease)
             try:
                 async with service:
                     await drive_service(service, clients=4,
