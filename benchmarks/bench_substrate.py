@@ -60,7 +60,7 @@ from repro.gpu.events import (
     intern_syncblock,
     intern_syncwarp,
 )
-from repro.sanitizer.schedule import DirectedSchedule
+from repro.sanitizer.schedule import DirectedSchedule, strip_launch_telemetry
 
 #: Committed baseline that ``--check`` compares against.
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_substrate.json")
@@ -463,15 +463,6 @@ def measure_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
     }
 
 
-def _strip_jit_extras(kc):
-    """Remove the JIT telemetry keys so ``identical()`` compares only the
-    architectural counters (mirrors the differential suite's helper)."""
-    kc.extra.pop("engine", None)
-    for key in [k for k in kc.extra if k.startswith("jit_")]:
-        del kc.extra[key]
-    return kc
-
-
 def measure_jit_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
     """Interleaved jit/fast measurement of one JIT gate workload.
 
@@ -496,7 +487,8 @@ def measure_jit_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
         f"{name}: gate workload did not stay compiled "
         f"(warps={warps}, deopts={deopts}) — speedup is void"
     )
-    assert _strip_jit_extras(kc_jit).identical(kc_fast), (
+    kc_jit.extra = strip_launch_telemetry(kc_jit.extra)
+    assert kc_jit.identical(kc_fast), (
         f"{name}: jit/fast counters diverged — speedup is void"
     )
     steps = kc_jit.total("lane_steps")

@@ -6,8 +6,9 @@ the engines × executors × schedules matrix:
 ========================  ===================================================
 leg                       what it pins
 ========================  ===================================================
-``fast``                  block round loop, serial executor
-``jit``                   trace-compiling round engine, serial executor
+``fast``                  block round loop on the default executor
+                          (``REPRO_EXECUTOR``, serial when unset)
+``jit``                   trace-compiling round engine, default executor
 ``fast-parallel``         round loop under the in-process parallel executor
 ``jit-parallel``          jit engine under the in-process parallel executor
 ``schedule``              round loop under a seeded
@@ -19,6 +20,9 @@ leg                       what it pins
                           :func:`repro.serve.run_batch`, both demuxed results
                           checked identical
 ========================  ===================================================
+
+The engine legs are the leg table's (:mod:`repro.exec.legs`) engines;
+CI's cells re-run them on each of its executors through ``REPRO_EXECUTOR``.
 
 Every leg's final memory is compared **bit-for-bit** against the serial
 numpy oracle and every other leg; counters are compared across legs
@@ -45,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.exec import legs as leg_table
 from repro.fuzz.generate import (
     ARG_NAMES,
     KernelPlan,
@@ -146,20 +151,15 @@ def _fresh_device():
     return Device()
 
 
-def _solo_leg(plan: KernelPlan, *, engine: Optional[str], parallel: bool,
-              schedule_seed: Optional[int] = None,
-              executor=None) -> LegOutcome:
+def _solo_leg(plan: KernelPlan, name: str, *, engine: Optional[str],
+              executor=None,
+              schedule_seed: Optional[int] = None) -> LegOutcome:
     from repro.core import api as omp
 
-    name = _leg_name(engine, parallel, schedule_seed)
     dev = _fresh_device()
     inputs = make_inputs(plan)
     buffers = {k: dev.from_array(k, v) for k, v in sorted(inputs.items())}
     tree, launch_kwargs = build_program(plan)
-    if parallel:
-        from repro.exec import ParallelExecutor
-
-        executor = ParallelExecutor(workers=2, processes=False)
     policy = None
     if schedule_seed is not None:
         from repro.sanitizer import BoundedPreemptionSchedule
@@ -227,35 +227,21 @@ def _batch_leg(plan: KernelPlan, engine: str = "fast") -> LegOutcome:
                       counters=strip_launch_telemetry(counters))
 
 
-def _leg_name(engine: Optional[str], parallel: bool,
-              schedule_seed: Optional[int]) -> str:
-    if schedule_seed is not None:
-        return f"schedule-{schedule_seed}"
-    base = engine or "auto"
-    return f"{base}-parallel" if parallel else base
-
-
-def default_legs(smoke: bool = False, executor=None,
+def default_legs(smoke: bool = False,
                  ) -> List[Tuple[str, Callable[[KernelPlan], LegOutcome]]]:
     """The standard matrix.  ``smoke=True`` trims to the cheap core
-    (both engines, serial) for per-PR CI.  ``executor`` replaces the
-    default executor on the serial engine legs — the test suite passes
-    its environment-resolved ``executor`` fixture here so the matrix
-    also runs under ``REPRO_EXECUTOR=parallel``/``fork:N`` sweeps."""
+    (every engine on the default executor) for per-PR CI."""
 
-    legs: List[Tuple[str, Callable[[KernelPlan], LegOutcome]]] = [
-        ("fast", lambda p: _solo_leg(p, engine="fast", parallel=False,
-                                     executor=executor)),
-        ("jit", lambda p: _solo_leg(p, engine="jit", parallel=False,
-                                    executor=executor)),
-    ]
+    legs = [(e, lambda p, e=e: _solo_leg(p, e, engine=e))
+            for e in leg_table.ENGINES]
     if not smoke:
+        legs += [(f"{e}-parallel", lambda p, e=e: _solo_leg(
+                     p, f"{e}-parallel", engine=e,
+                     executor=leg_table.make_executor("parallel")))
+                 for e in leg_table.ENGINES]
         legs += [
-            ("fast-parallel", lambda p: _solo_leg(p, engine="fast",
-                                                  parallel=True)),
-            ("jit-parallel", lambda p: _solo_leg(p, engine="jit",
-                                                 parallel=True)),
-            ("schedule", lambda p: _solo_leg(p, engine=None, parallel=False,
+            ("schedule", lambda p: _solo_leg(p, f"schedule-{p.seed}",
+                                             engine=None,
                                              schedule_seed=p.seed)),
             ("batch", _batch_leg),
         ]

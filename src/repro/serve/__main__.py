@@ -70,6 +70,15 @@ def build_service(args) -> LaunchService:
 
 
 async def _serve(args) -> int:
+    # Catch SIGTERM before the listener opens: a restarted server answers
+    # health checks while it still re-executes its journal, and a drain
+    # requested then must wait for that, not kill the process.
+    loop = asyncio.get_running_loop()
+    drain_requested = asyncio.Event()
+    try:
+        loop.add_signal_handler(signal.SIGTERM, drain_requested.set)
+    except NotImplementedError:  # pragma: no cover - non-POSIX loops
+        pass
     service = build_service(args)
     state = None
     if getattr(args, "journal", None):
@@ -83,12 +92,6 @@ async def _serve(args) -> int:
         print(f"journal: {len(state.done)} durable results replayed, "
               f"{recovered} unfinished re-executed, "
               f"{state.torn_records} torn records skipped", flush=True)
-    loop = asyncio.get_running_loop()
-    drain_requested = asyncio.Event()
-    try:
-        loop.add_signal_handler(signal.SIGTERM, drain_requested.set)
-    except NotImplementedError:  # pragma: no cover - non-POSIX loops
-        pass
     serve_task = asyncio.ensure_future(server.serve_forever())
     drain_task = asyncio.ensure_future(drain_requested.wait())
     try:

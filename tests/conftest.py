@@ -14,10 +14,10 @@ from repro.gpu.device import Device
 def executor():
     """The launch executor under test, resolved from the environment.
 
-    Defaults to :class:`repro.exec.SerialExecutor`; running the suite with
-    ``REPRO_EXECUTOR=parallel`` (in-process isolated engine) or
-    ``REPRO_EXECUTOR=fork:4`` (forked workers) re-exercises every launch
-    through the block-sharding engine — the CI matrix does exactly that.
+    Defaults to :class:`repro.exec.SerialExecutor`.  CI runs the whole
+    suite once per engine × executor cell that ``python -m
+    repro.exec.legs`` prints, with ``REPRO_ENGINE``/``REPRO_EXECUTOR`` set
+    to the cell; a launch that names its own executor keeps it.
     """
     return default_executor()
 

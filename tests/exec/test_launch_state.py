@@ -19,15 +19,15 @@ from repro.exec import (
     SerialExecutor,
     coerce_executor,
     default_executor,
+    legs,
     set_default_executor,
 )
 from repro.gpu.device import Device
 
-EXECUTORS = [
-    pytest.param(SerialExecutor(), id="serial"),
-    pytest.param(ParallelExecutor(workers=2, processes=False), id="inproc"),
-    pytest.param(ParallelExecutor(workers=2, processes=True), id="fork"),
-]
+#: The leg table's executors (this suite's ids call the parallel leg
+#: "inproc").
+LEGS = [pytest.param(name, id="inproc" if name == "parallel" else name)
+        for name in legs.EXECUTORS]
 
 
 def _racy(tc, a):
@@ -51,7 +51,7 @@ def _noop(tc, a):
         yield
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize(
     "kernel, kwargs, exc",
     [
@@ -60,8 +60,8 @@ def _noop(tc, a):
         pytest.param(_faulting, {}, MemoryFault, id="fault"),
     ],
 )
-def test_failed_launch_leaves_no_partial_state(executor, kernel, kwargs, exc):
-    dev = Device(executor=executor)
+def test_failed_launch_leaves_no_partial_state(leg, kernel, kwargs, exc):
+    dev = Device(executor=legs.make_executor(leg))
     a = dev.alloc("a", 32, np.float64)
 
     ok = dev.launch(_noop, num_blocks=1, threads_per_block=1, args=(a,))
@@ -73,9 +73,9 @@ def test_failed_launch_leaves_no_partial_state(executor, kernel, kwargs, exc):
     assert dev.last_launch is ok, "failed launch must not update last_launch"
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_failed_launch_adds_no_session_report(executor):
-    dev = Device(executor=executor)
+@pytest.mark.parametrize("leg", LEGS)
+def test_failed_launch_adds_no_session_report(leg):
+    dev = Device(executor=legs.make_executor(leg))
     a = dev.alloc("a", 32, np.float64)
     with sanitizer.session() as sess:
         dev.launch(_noop, num_blocks=1, threads_per_block=1, args=(a,))
@@ -86,9 +86,9 @@ def test_failed_launch_adds_no_session_report(executor):
         assert len(sess.reports) == n_ok, "rejected launch must not report"
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_invalid_geometry_rejected_before_execution(executor):
-    dev = Device(executor=executor)
+@pytest.mark.parametrize("leg", LEGS)
+def test_invalid_geometry_rejected_before_execution(leg):
+    dev = Device(executor=legs.make_executor(leg))
     before = dev.last_launch
     with pytest.raises(LaunchError):
         dev.launch(_noop, num_blocks=1, threads_per_block=4096, args=(None,))

@@ -23,19 +23,22 @@ import numpy as np
 import pytest
 
 from repro.errors import MemoryFault
-from repro.exec import ParallelExecutor, SerialExecutor
+from repro.exec import ParallelExecutor, SerialExecutor, coerce_executor, legs
 from repro.gpu.device import Device
 from repro.kernels import ideal, laplace3d, muram_interpol, muram_transpose
 from repro.kernels import sparse_matvec, su3
 
-#: Parallel engine variants differenced against the serial ground truth.
-#: ``processes=False`` is the in-process isolated engine; ``processes=True``
-#: forks real workers (same snapshot/merge machinery, different transport).
+#: Parallel executors differenced against the serial ground truth: the
+#: leg table's (ids are their specs, ``fork2`` for ``fork:2``), plus two
+#: shard geometries of the in-process engine — three workers, which split
+#: the grids unevenly, and one block per shard.
 VARIANTS = [
+    *(pytest.param(lambda spec=spec: coerce_executor(spec),
+                   id=spec.replace(":", ""))
+      for spec in legs.EXECUTORS.values() if spec != "serial"),
     pytest.param(lambda: ParallelExecutor(workers=3, processes=False), id="inproc3"),
     pytest.param(lambda: ParallelExecutor(workers=2, processes=False, shard_size=1),
                  id="inproc2-shard1"),
-    pytest.param(lambda: ParallelExecutor(workers=2, processes=True), id="fork2"),
 ]
 
 
@@ -327,7 +330,7 @@ def test_cross_block_plain_conflict_flagged(dtype, values, flagged):
         return dev.to_numpy(a), kc
 
     a_s, kc_s = run(SerialExecutor())
-    a_p, kc_p = run(ParallelExecutor(workers=2, processes=False))
+    a_p, kc_p = run(legs.make_executor("parallel"))
     assert a_s.tobytes() == a_p.tobytes()
     # The highest block id wins, as in the serial loop.
     assert a_p.tobytes() == np.array(values[-1:], dtype=dtype).tobytes()

@@ -1,8 +1,8 @@
 """Differential harness: clean plans pass the matrix, injected bugs are
 mismatches, the schedule leg skips cost accounting.
 
-The smoke-leg tests take the suite's ``executor`` fixture so the whole
-differential matrix also runs under ``REPRO_EXECUTOR`` sweeps.
+The smoke legs run on the default executor, so each CI cell's
+``REPRO_EXECUTOR`` re-runs them on that executor.
 """
 
 from dataclasses import replace
@@ -26,10 +26,9 @@ BUGGY = KernelPlan(seed=77, structure="flat", outer=33,
 
 class TestRunProgram:
     @pytest.mark.parametrize("seed", [2023, 2024, 2025, 2026])
-    def test_clean_plans_pass_smoke_legs(self, seed, executor):
+    def test_clean_plans_pass_smoke_legs(self, seed):
         plan = plan_from_seed(seed)
-        result = run_program(plan, legs=default_legs(smoke=True,
-                                                     executor=executor))
+        result = run_program(plan, legs=default_legs(smoke=True))
         assert result.ok, [m.describe() for m in result.mismatches]
         assert len(result.legs) == 2
         assert all(leg.ok for leg in result.legs)
@@ -42,9 +41,8 @@ class TestRunProgram:
         assert any(n.startswith("schedule-") for n in names)
         assert any(n.startswith("batch") for n in names)
 
-    def test_injected_bug_is_detected_on_every_engine(self, executor):
-        result = run_program(BUGGY, legs=default_legs(smoke=True,
-                                                      executor=executor))
+    def test_injected_bug_is_detected_on_every_engine(self):
+        result = run_program(BUGGY, legs=default_legs(smoke=True))
         assert not result.ok
         # Every engine deviates from the oracle (identically, so no
         # cross-engine mismatch — the oracle is what catches the bug).
@@ -54,10 +52,9 @@ class TestRunProgram:
         assert all(m.what == "output:out" for m in result.mismatches), \
             [m.describe() for m in result.mismatches]
 
-    def test_drop_last_bug_detected(self, executor):
+    def test_drop_last_bug_detected(self):
         plan = replace(BUGGY, bug="drop_last")
-        result = run_program(plan, legs=default_legs(smoke=True,
-                                                     executor=executor))
+        result = run_program(plan, legs=default_legs(smoke=True))
         assert not result.ok
 
     def test_schedule_leg_skips_counter_comparison(self):
@@ -84,23 +81,22 @@ class TestRunProgram:
 
 
 class TestCampaign:
-    def test_small_campaign_passes(self, executor):
+    def test_small_campaign_passes(self):
         campaign = run_campaign(5, 2023,
-                                legs=default_legs(smoke=True,
-                                                  executor=executor))
+                                legs=default_legs(smoke=True))
         assert campaign.ok
         assert campaign.programs == 5
         assert campaign.stop_reason == "exhausted"
         assert "PASS" in campaign.describe()
 
-    def test_stop_on_failure(self, executor):
+    def test_stop_on_failure(self):
         # run_campaign draws plans itself; emulate one failing seed by
         # wrapping every leg with a bug-injecting stage.
         legs = [(name,
                  (lambda fn: lambda p: fn(
                      replace(p, bug="off_by_one")
                      if p.seed == 3000 else p))(fn))
-                for name, fn in default_legs(smoke=True, executor=executor)]
+                for name, fn in default_legs(smoke=True)]
         campaign = run_campaign(4, 3000, legs=legs, stop_on_failure=True)
         assert not campaign.ok
         assert campaign.stop_reason == "failure"

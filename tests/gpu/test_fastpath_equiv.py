@@ -19,13 +19,13 @@ and are compared against it, or, where it has no entry, against the
 round loop.
 
 JIT launches additionally report ``engine``/``jit_*`` telemetry keys in
-``kc.extra``; :func:`_strip_jit_extras` removes exactly those before the
-``identical()`` oracle runs, so the comparison still covers every
-architectural counter.
+``kc.extra``; :func:`repro.sanitizer.strip_launch_telemetry` removes
+exactly those before the ``identical()`` oracle runs, so the comparison
+still covers every architectural counter.
 
-Runs under every executor in the CI matrix via the ``executor`` fixture,
-so the parallel block-sharding engine's worker processes (which inherit
-the engine selection) get the same differential coverage.
+The engines come from the leg table (:mod:`repro.exec.legs`), and every
+launch takes the ``executor`` fixture, so each CI cell re-runs the suite
+on its executor, worker processes included.
 """
 
 from __future__ import annotations
@@ -40,17 +40,17 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, LaunchError, MemoryFault
+from repro.exec.legs import ENGINES
 from repro.gpu.costmodel import amd_mi100, benchmark_profile, nvidia_a100
 from repro.gpu.device import Device
+from repro.sanitizer import strip_launch_telemetry
 from repro.sanitizer.monitor import SanitizerConfig
 from repro.sanitizer.schedule import BoundedPreemptionSchedule, DirectedSchedule
-
-ENGINES = ["fast", "jit"]  # each diffed against the reference fixture
 
 #: Random-soup legs: the hook-free engines, plus ``"hooked"`` — the round
 #: loop with a report-mode sanitizer, an identity schedule policy and a
 #: no-op tracer attached.
-LEGS = ENGINES + ["hooked"]
+LEGS = [*ENGINES, "hooked"]
 
 #: The races-only, raise-on-first-race sanitizer.
 RACES = SanitizerConfig(barriers=False, sharing=False, mode="raise")
@@ -61,14 +61,6 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "hooked_engine_fixture.json")
 
 #: The reference engine's recorded hook-free results (module docstring).
 REFERENCE = os.path.join(os.path.dirname(__file__), "reference_engine_fixture.json")
-
-
-def _strip_jit_extras(kc):
-    """Drop the JIT telemetry keys (and only those) from ``kc.extra``."""
-    kc.extra.pop("engine", None)
-    for key in [k for k in kc.extra if k.startswith("jit_")]:
-        del kc.extra[key]
-    return kc
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +381,7 @@ def _assert_leg_identical(seed, executor, params, leg):
         assert report.stats.get("releases_warp", 0) == run[0].syncwarps
     else:
         run = _run_random_kernel(seed, executor, params, leg)
-        _strip_jit_extras(run[0])
+        run[0].extra = strip_launch_telemetry(run[0].extra)
     want = _load_reference()["random"][str(seed)]
     assert _json_exact(_reference_record(*run)) == want, (
         f"seed {seed}: counters or memory diverged"
@@ -526,7 +518,8 @@ def test_jit_compiles_streaming_kernel(executor):
     assert kj.extra["engine"] == "jit"
     assert kj.extra["jit_warps_compiled"] == 4.0  # 2 blocks x 2 warps
     want = _load_reference()["streaming"]
-    assert _json_exact(_reference_record(_strip_jit_extras(kj), yj)) == want
+    kj.extra = strip_launch_telemetry(kj.extra)
+    assert _json_exact(_reference_record(kj, yj)) == want
 
 
 @pytest.mark.parametrize("engine", ["fast", "traced"])
@@ -647,7 +640,8 @@ def test_jit_deopt_bit_identical(executor, reason):
     assert kj.extra.get("jit_warps_compiled", 0) == 0
     for a, b in zip(mj, mi):
         assert np.array_equal(a, b)
-    assert _strip_jit_extras(kj).identical(ki)
+    kj.extra = strip_launch_telemetry(kj.extra)
+    assert kj.identical(ki)
 
 
 def test_trace_verdict_keyed_by_scalar_args(executor):
@@ -750,7 +744,8 @@ def test_thread_id_lanes_promote_like_python_ints(executor, build, compiles):
     assert (kj.extra.get("jit_warps_compiled", 0) == 2.0) == compiles
     for a, b in zip(mj, mi):
         assert np.array_equal(a, b)
-    assert _strip_jit_extras(kj).identical(ki)
+    kj.extra = strip_launch_telemetry(kj.extra)
+    assert kj.identical(ki)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.gpu.device import Device
 from repro.jit.compile import compile_block
 from repro.jit.trace import PER_WARP, TRACE_CACHE, trace_key
 from repro.jit.vector import JitAbort
+from repro.sanitizer import strip_launch_telemetry
 
 from test_fastpath_equiv import (
     _OP_MAKERS,
@@ -37,7 +38,6 @@ from test_fastpath_equiv import (
     _op_load_vec,
     _op_store,
     _op_store_vec,
-    _strip_jit_extras,
 )
 
 
@@ -135,7 +135,8 @@ def _assert_launch_matches_fast(params, build, executor):
     if kj is None:
         return None
     telemetry = {k: v for k, v in kj.extra.items() if k.startswith("jit_")}
-    assert _strip_jit_extras(kj).identical(kf)
+    kj.extra = strip_launch_telemetry(kj.extra)
+    assert kj.identical(kf)
     return telemetry
 
 
@@ -546,7 +547,8 @@ def test_tid_equals_integral_float(executor, threads):
         dev = Device(nvidia_a100(), executor=executor)
         y = dev.alloc("y", threads, np.float64)
         kc = dev.launch(k, 1, threads, args=(y,), engine=engine)
-        out[engine] = (y.to_numpy().copy(), _strip_jit_extras(kc))
+        kc.extra = strip_launch_telemetry(kc.extra)
+        out[engine] = (y.to_numpy().copy(), kc)
     want = np.full(threads, 2.0)
     want[5] = 1.0
     for engine, (mem, kc) in out.items():

@@ -21,26 +21,29 @@ from conftest import launch_rt, make_cfg
 
 def test_identity_queries(rt_device):
     cfg = make_cfg(num_teams=3, team_size=64, simd_len=8)
-    rows = []
+    # One row per hardware thread, written to device memory so that every
+    # executor, forked workers included, hands it back.
+    rows = rt_device.from_array("rows", np.full(3 * 64 * 8, -1, np.int64))
 
-    def body(tc, rt):
-        rows.append(
-            (
-                tc.block_id,
-                tc.tid,
-                omp_get_num_teams(tc, rt),
-                omp_get_team_num(tc, rt),
-                omp_get_num_threads(tc, rt),
-                omp_get_thread_num(tc, rt),
-                omp_get_simd_lane(tc, rt),
-                omp_get_simd_len(tc, rt),
-            )
+    def body(tc, rt, rows):
+        row = (
+            tc.block_id,
+            tc.tid,
+            omp_get_num_teams(tc, rt),
+            omp_get_team_num(tc, rt),
+            omp_get_num_threads(tc, rt),
+            omp_get_thread_num(tc, rt),
+            omp_get_simd_lane(tc, rt),
+            omp_get_simd_len(tc, rt),
         )
-        yield from tc.compute("alu")
+        first = 8 * tc.global_tid
+        yield from tc.store_vec(rows, range(first, first + 8), row)
 
-    launch_rt(rt_device, cfg, body)
-    assert len(rows) == 3 * 64
-    for block, tid, nteams, team, nthreads, thread, lane, slen in rows:
+    launch_rt(rt_device, cfg, body, args=(rows,))
+    table = rows.to_numpy().reshape(3 * 64, 8)
+    assert list(table[:, 0]) == [b for b in range(3) for _ in range(64)]
+    assert list(table[:, 1]) == list(range(64)) * 3
+    for block, tid, nteams, team, nthreads, thread, lane, slen in table:
         assert nteams == 3
         assert team == block
         assert nthreads == 8  # 64 threads / groups of 8

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exec import SerialExecutor
 from repro.gpu.costmodel import nvidia_a100
 from repro.gpu.device import Device
 from repro.runtime.dispatch import DispatchTable
@@ -12,17 +13,20 @@ from conftest import make_cfg
 
 
 class TestTeamRuntime:
-    def test_per_block_singleton(self, rt_device):
+    def test_per_block_singleton(self):
+        # Pinned to the serial executor: it observes host object identity
+        # (``id(rt)``), which a forked worker cannot hand back.
+        dev = Device(nvidia_a100(), executor=SerialExecutor())
         cfg = make_cfg(team_size=32, simd_len=8)
         seen = []
 
         def entry(tc):
-            rt = TeamRuntime.get(tc, cfg, rt_device.gmem, DispatchTable(),
+            rt = TeamRuntime.get(tc, cfg, dev.gmem, DispatchTable(),
                                  RuntimeCounters())
             seen.append((tc.block_id, id(rt)))
             yield from tc.compute("alu")
 
-        rt_device.launch(entry, 2, 32)
+        dev.launch(entry, 2, 32)
         per_block = {}
         for block, rt_id in seen:
             per_block.setdefault(block, set()).add(rt_id)
@@ -60,17 +64,20 @@ class TestTeamRuntime:
 
     def test_dyn_counter_is_per_team(self, rt_device):
         cfg = make_cfg(num_teams=2, team_size=32, simd_len=1)
-        names = []
+        claims = rt_device.alloc("claims", 2, np.int64)
 
-        def entry(tc):
+        def entry(tc, claims):
             rt = TeamRuntime.get(tc, cfg, rt_device.gmem, DispatchTable(),
                                  RuntimeCounters())
+            yield from tc.atomic_add(rt.dyn_counter, 0, 1)
+            yield from tc.syncthreads()
             if tc.tid == 0:
-                names.append(rt.dyn_counter.name)
-            yield from tc.compute("alu")
+                n = yield from tc.load(rt.dyn_counter, 0)
+                yield from tc.store(claims, tc.block_id, n)
 
-        rt_device.launch(entry, 2, 32)
-        assert len(set(names)) == 2
+        rt_device.launch(entry, 2, 32, args=(claims,))
+        # Each team's counter saw its own 32 claims and no other team's.
+        assert list(claims.to_numpy()) == [32, 32]
 
 
 class TestRuntimeCounters:

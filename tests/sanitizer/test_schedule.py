@@ -11,6 +11,7 @@ be clean (no jit telemetry on hooked launches, no error).
 import numpy as np
 import pytest
 
+from repro.exec.legs import ENGINES
 from repro.gpu.device import Device
 from repro.sanitizer.schedule import (
     BoundedPreemptionSchedule,
@@ -18,8 +19,6 @@ from repro.sanitizer.schedule import (
     explore_schedules_dpor,
     replay_directed,
 )
-
-ENGINES = ("fast", "jit")
 
 
 @pytest.fixture(params=ENGINES)

@@ -5,11 +5,10 @@ compatible requests into one segmented grid changes *scheduling*, never
 *semantics*.  Every case runs each request solo on a fresh device (the
 ground truth) and once through :func:`repro.serve.batch.run_batch` on a
 shared device, then compares memory images, cycle counts, per-block
-counters, and counter extras bit-for-bit — across the
-``fast``/``jit`` round engines and the serial, parallel and warm-pool
-executors (the first two are the matrix the CI legs pin via
-``REPRO_ENGINE``/``REPRO_EXECUTOR``; the warm pool is the serve tier's
-:class:`~repro.serve.lease.PoolLease`, forked once per case).
+counters, and counter extras bit-for-bit — on every engine and
+executor of the leg table (:mod:`repro.exec.legs`), the serve tier's
+warm pool (:class:`~repro.serve.lease.PoolLease`, forked once per case)
+included.
 
 The one deliberate carve-out (documented in ``docs/SERVE.md``): solo
 jit launches attach launch-scoped telemetry (``extra["engine"]``,
@@ -28,37 +27,23 @@ from hypothesis import strategies as st
 
 from repro import omp
 from repro.errors import MemoryFault
-from repro.exec import ParallelExecutor, SerialExecutor, fork_available
+from repro.exec import SerialExecutor, fork_available, legs
 from repro.gpu.device import Device
+from repro.sanitizer import strip_launch_telemetry
 from repro.serve import batch as B
 from repro.serve.demo import DEMO_N
-from repro.serve.lease import PoolLease
 
 from serve_helpers import make_args
 
 KERNELS = ("axpy", "square", "scale_sum")
 
-ENGINES = ["fast", "jit"]
-#: Each entry maps a catalog to a context manager yielding the executor;
-#: the warm pool's closes its workers on exit.
-EXECUTORS = [
-    pytest.param(lambda cat: contextlib.nullcontext(SerialExecutor()),
-                 id="serial"),
-    pytest.param(lambda cat: contextlib.nullcontext(
-        ParallelExecutor(workers=3, processes=False)), id="parallel"),
-    pytest.param(lambda cat: PoolLease(cat, Device().params, workers=2),
-                 id="warm_pool",
-                 marks=pytest.mark.skipif(not fork_available(),
-                                          reason="fork unavailable")),
+#: Every executor leg, the batched-only warm pool included.
+EXECUTOR_LEGS = [
+    pytest.param(name, id=name, marks=pytest.mark.skipif(
+        name == legs.WARM_POOL and not fork_available(),
+        reason="fork unavailable"))
+    for name in [*legs.EXECUTORS, legs.WARM_POOL]
 ]
-
-#: jit telemetry is launch-scoped and omitted from batched counters.
-_TELEMETRY = ("engine",)
-
-
-def _strip_telemetry(extra: dict) -> dict:
-    return {k: v for k, v in extra.items()
-            if k not in _TELEMETRY and not k.startswith("jit_")}
 
 
 def _solo(catalog, kernel, args, num_teams):
@@ -84,11 +69,11 @@ def _batch(catalog, specs, *, engine=None, executor=None, tag="b"):
             B.release(dev, p)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("make_executor", EXECUTORS)
+@pytest.mark.parametrize("engine", legs.ENGINES)
+@pytest.mark.parametrize("leg", EXECUTOR_LEGS)
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
-def test_batch_bit_identical_to_solo(catalog, engine, make_executor, data):
+def test_batch_bit_identical_to_solo(catalog, engine, leg, data):
     n = data.draw(st.integers(1, 4), label="batch size")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                           label="seed"))
@@ -102,7 +87,7 @@ def test_batch_bit_identical_to_solo(catalog, engine, make_executor, data):
     prev = os.environ.get("REPRO_ENGINE")
     os.environ["REPRO_ENGINE"] = engine
     try:
-        with make_executor(catalog) as executor:
+        with legs.batch_executor(leg, catalog, Device().params) as executor:
             outs = _batch(catalog, specs, engine=engine, executor=executor)
         for (kernel, args, num_teams), out in zip(specs, outs):
             assert out.ok
@@ -112,8 +97,8 @@ def test_batch_bit_identical_to_solo(catalog, engine, make_executor, data):
                     kernel, name)
             assert kc.cycles == out.counters.cycles
             assert list(kc.blocks) == list(out.counters.blocks)
-            assert (_strip_telemetry(kc.extra)
-                    == _strip_telemetry(out.counters.extra))
+            assert (strip_launch_telemetry(kc.extra)
+                    == strip_launch_telemetry(out.counters.extra))
     finally:
         if prev is None:
             os.environ.pop("REPRO_ENGINE", None)
@@ -121,8 +106,8 @@ def test_batch_bit_identical_to_solo(catalog, engine, make_executor, data):
             os.environ["REPRO_ENGINE"] = prev
 
 
-@pytest.mark.parametrize("make_executor", EXECUTORS)
-def test_per_request_error_demux(catalog, make_executor):
+@pytest.mark.parametrize("leg", EXECUTOR_LEGS)
+def test_per_request_error_demux(catalog, leg):
     """A faulting request errors exactly as it would solo; its batchmates
     complete untouched."""
     bad = omp.compile(
@@ -139,7 +124,7 @@ def test_per_request_error_demux(catalog, make_executor):
     a2 = make_args("axpy", rng)
     specs = [("axpy", a0, 2), ("oob", a1, 2), ("axpy", a2, 1)]
 
-    with make_executor(cat2) as executor:
+    with legs.batch_executor(leg, cat2, Device().params) as executor:
         outs = _batch(cat2, specs, executor=executor)
     assert outs[0].ok and outs[2].ok
     assert outs[1].error is not None
@@ -174,8 +159,7 @@ def test_cross_block_atomics_survive_batching(catalog):
     specs = [("scale_sum", make_args("scale_sum", rng), 3),
              ("axpy", make_args("axpy", rng), 2)]
     serial = _batch(catalog, specs, executor=SerialExecutor())
-    par = _batch(catalog, specs,
-                 executor=ParallelExecutor(workers=2, processes=False),
+    par = _batch(catalog, specs, executor=legs.make_executor("parallel"),
                  tag="p")
     for o1, o2 in zip(serial, par):
         assert o1.ok and o2.ok
