@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -77,6 +78,8 @@ from repro.exec.state import (
     restore_numeric,
     snapshot_numeric,
 )
+from repro.jit import JitCounters, resolve_engine
+from repro.jit.stats import fold as fold_jit_stats
 
 #: Default cap on auto-detected worker count.
 MAX_AUTO_WORKERS = 8
@@ -166,12 +169,10 @@ class LaunchPlan:
     #: Optional worker-pool :class:`~repro.exec.pool.RetryPolicy`.
     retry: object = None
     #: Resolved round-engine name (``"fast"``/``"jit"``; None means the
-    #: block round loop).  Hooked launches never resolve to ``"jit"``:
-    #: ``Device.launch`` and ``run_batch`` set it from
-    #: ``resolve_engine(engine, plan.hook)``.
+    #: block round loop), set by :meth:`resolve_engine`.
     engine: Optional[str] = None
-    #: Per-launch :class:`repro.jit.stats.JitCounters` when ``engine`` is
-    #: ``"jit"``; also rides ``side_state`` so worker deltas merge back.
+    #: The launch's :class:`repro.jit.stats.JitCounters` when ``engine``
+    #: is ``"jit"``; also rides ``side_state`` so worker deltas merge back.
     jit_stats: object = None
     #: Optional :class:`repro.faults.checkpoint.LaunchCheckpoint`.  The
     #: parallel engine merges its completed block records instead of
@@ -211,6 +212,25 @@ class LaunchPlan:
         if self.faults is not None and self.faults.fires_in_block:
             return "fault plan"
         return None
+
+    def resolve_engine(self, engine) -> None:
+        """Set :attr:`engine` by :func:`repro.jit.resolve_engine` against
+        :attr:`hook`; a JIT plan gets a fresh :attr:`jit_stats` record."""
+        self.engine = resolve_engine(engine, self.hook)
+        if self.engine == "jit":
+            self.jit_stats = JitCounters()
+            self.side_state += (self.jit_stats,)
+
+    @contextmanager
+    def engine_scope(self, engine):
+        """:meth:`resolve_engine` for the launch the body runs, then fold its
+        JIT record into the process totals once, succeeded or not."""
+        self.resolve_engine(engine)
+        try:
+            yield
+        finally:
+            if self.jit_stats is not None:
+                fold_jit_stats(self.jit_stats)
 
     def validate_segments(self) -> None:
         """Hooks (tracer, sanitizer, schedule policy) need exactly one

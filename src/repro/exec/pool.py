@@ -131,7 +131,7 @@ def retry_delay(policy: RetryPolicy, attempt: int, *,
     return base * (0.5 + frac)
 
 
-#: Stats keys :meth:`WorkerPool.map` maintains in a caller-supplied dict.
+#: The recovery keys of :attr:`WorkerPool.stats` that one map can bump.
 STAT_KEYS = (
     "worker_deaths",
     "worker_hangs",
@@ -142,8 +142,7 @@ STAT_KEYS = (
     "retry_rounds",
 )
 
-#: Keys of a pool's lifetime :attr:`WorkerPool.stats`: the per-call keys
-#: plus the pool-lifecycle events, which never reach a per-call sink.
+#: Keys of :attr:`WorkerPool.stats`: the per-map keys plus lifecycle events.
 POOL_STAT_KEYS = STAT_KEYS + ("worker_respawns", "warm_dispatches")
 
 
@@ -449,16 +448,15 @@ class WorkerPool:
         payloads: Sequence,
         *,
         deadline: Optional[float] = None,
-        stats: Optional[dict] = None,
         partial: Optional[list] = None,
     ) -> List[Tuple[str, object]]:
         """Run ``runner`` over ``payloads``; ordered outcomes.
 
         Returns one ``("ok", result)`` or ``("err", ErrorCapsule)`` pair
         per payload, in payload order.  ``deadline`` is an absolute
-        :func:`time.monotonic` watchdog.  ``stats`` (optional dict)
-        receives the :data:`STAT_KEYS` counts of this call; the pool's
-        own lifetime :attr:`stats` is always maintained.
+        :func:`time.monotonic` watchdog.  Recovery events count once, in
+        :attr:`stats`; the map's retries, redistributions and degradation
+        then fold from there into the fault plan's counters.
 
         ``partial`` (a list) is the checkpoint harvest sink: when the
         watchdog raises :class:`~repro.errors.LaunchTimeout` mid-map, the
@@ -469,35 +467,32 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         payloads = list(payloads)
-        sinks = [self.stats]
-        if stats is not None:
-            for key in STAT_KEYS:
-                stats.setdefault(key, 0)
-            sinks.append(stats)
+        base = dict(self.stats)
         outcomes: List[Optional[Tuple[str, object]]] = [None] * len(payloads)
         try:
-            self._ladder(payloads, outcomes, deadline, sinks)
+            self._ladder(payloads, outcomes, deadline)
         except LaunchTimeout:
             if partial is not None:
                 partial.extend(o for o in outcomes
                                if o is not None and o[0] == "ok")
             raise
+        finally:
+            if self.faults is not None:
+                c, now = self.faults.counters, self.stats
+                c.chunk_retries += now["chunk_retries"] - base["chunk_retries"]
+                c.redistributions += now["redistributions"] - base["redistributions"]
+                c.degradations += now["degraded_chunks"] > base["degraded_chunks"]
         return outcomes  # type: ignore[return-value]
 
-    def _ladder(self, payloads, outcomes, deadline, sinks) -> None:
+    def _ladder(self, payloads, outcomes, deadline) -> None:
         """Retry → redistribute → degrade until every outcome is filled."""
-        faults = self.faults
-
-        def bump(key: str, inc: int = 1) -> None:
-            for sink in sinks:
-                sink[key] += inc
-
+        faults, stats = self.faults, self.stats
         pending = list(range(len(payloads)))
         failed: List[List[int]] = []
         attempt = 0
         while pending and self.processes and not self._closed:
             failed = self._round(payloads, outcomes, pending, attempt,
-                                 deadline, bump)
+                                 deadline)
             pending = sorted(i for chunk in failed for i in chunk)
             if not pending or attempt >= self.retry.max_retries:
                 break
@@ -506,31 +501,25 @@ class WorkerPool:
             if delay > 0:
                 time.sleep(delay)
             attempt += 1
-            bump("chunk_retries", len(failed))
-            bump("retry_rounds")
+            stats["chunk_retries"] += len(failed)
+            stats["retry_rounds"] += 1
             # A redistribution is a retry round whose re-chunking does
             # not map each failed chunk back onto one worker.
             if min(len(pending), self.workers) != len(failed):
-                bump("redistributions")
-                if faults is not None:
-                    faults.counters.redistributions += 1
-            if faults is not None:
-                faults.counters.chunk_retries += len(failed)
+                stats["redistributions"] += 1
 
         if pending and failed:
             # Degradation floor: in-process execution cannot suffer worker
             # faults, so the map always completes.
-            bump("degraded_chunks", len(failed))
-            bump("degraded_tasks", len(pending))
-            if faults is not None:
-                faults.counters.degradations += 1
+            stats["degraded_chunks"] += len(failed)
+            stats["degraded_tasks"] += len(pending)
         for done, i in enumerate(pending, len(outcomes) - len(pending)):
             if deadline is not None and time.monotonic() >= deadline:
                 raise self._timeout(done, len(outcomes))
             outcomes[i] = _outcome(self.runner, payloads[i])
 
-    def _round(self, payloads, outcomes, pending, attempt, deadline,
-               bump) -> List[List[int]]:
+    def _round(self, payloads, outcomes, pending, attempt,
+               deadline) -> List[List[int]]:
         """Dispatch ``pending`` over the workers once; return failed chunks."""
         faults = self.faults
         hang = self.retry.hang_timeout
@@ -579,7 +568,7 @@ class WorkerPool:
                 # Worker died or hung mid-chunk: reap it, queue a retry.
                 self._retire(w)
                 failed.append(indices)
-                bump("worker_deaths" if why == "died" else "worker_hangs")
+                self.stats["worker_deaths" if why == "died" else "worker_hangs"] += 1
                 if faults is not None:
                     site = "worker.crash" if why == "died" else "worker.hang"
                     coords = {"chunk": int(indices[0]), "attempt": attempt}
@@ -615,12 +604,15 @@ def fork_map(fn: Callable, tasks: Sequence, workers: Optional[int] = None,
              stats=None, partial=None) -> List[Tuple[str, object]]:
     """Run ``fn`` over ``tasks`` on a one-shot :class:`WorkerPool`: one
     worker per CPU (at most 8) by default, in-process for one worker or
-    ``processes=False``; the keywords are the pool's and its map's."""
+    ``processes=False``; the keywords are the pool's and its map's, but
+    ``stats`` (a dict), which receives the map's :data:`STAT_KEYS` counts."""
     tasks = list(tasks)
     if workers is None:
         workers = min(os.cpu_count() or 1, 8)
     workers = max(1, min(int(workers), len(tasks)))
     with WorkerPool(lambda i: fn(tasks[i]), workers, faults=faults, retry=retry,
                     processes=processes and workers > 1, oneshot=True) as pool:
-        return pool.map(range(len(tasks)), deadline=deadline, stats=stats,
-                        partial=partial)
+        out = pool.map(range(len(tasks)), deadline=deadline, partial=partial)
+    if stats is not None:
+        stats.update((key, pool.stats[key]) for key in STAT_KEYS)
+    return out

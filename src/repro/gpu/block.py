@@ -97,6 +97,7 @@ from repro.gpu.thread import (
     ThreadCtx,
     lane_table,
 )
+from repro.jit.stats import JitCounters
 
 #: Hard cap on scheduling rounds; hitting it means a runaway kernel.
 DEFAULT_MAX_ROUNDS = 5_000_000
@@ -155,9 +156,6 @@ class ThreadBlock:
             max(1, params.l1_size_bytes // params.sector_bytes)
         )
         self._round_mem_stall = False
-        #: Per-launch JIT telemetry (:class:`repro.jit.stats.JitCounters`),
-        #: shared across the launch's blocks; None outside the jit engine.
-        self.jit_stats = jit_stats
         # Engine selection: "auto"/"fast" run the round loop, "jit" tries
         # the JIT tier first.  The JIT carries no hook points, so hooked
         # launches never reach a block as "jit": the plan resolves the
@@ -167,6 +165,11 @@ class ThreadBlock:
         elif engine not in ("fast", "jit"):
             raise LaunchError(f"unknown engine {engine!r}")
         self.engine = engine
+        #: The launch's JIT record (:class:`repro.jit.stats.JitCounters`),
+        #: or the block's own when built without one; None off the JIT.
+        if engine == "jit" and jit_stats is None:
+            jit_stats = JitCounters()
+        self.jit_stats = jit_stats
         ws = params.warp_size
         self.num_warps = -(-num_threads // ws)
         # The JIT tier re-instantiates the kernel as one vectorized

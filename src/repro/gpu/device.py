@@ -218,7 +218,6 @@ class Device:
             # Imported lazily: repro.exec pulls in the sanitizer package,
             # which imports this module.
             from repro.exec.engine import GridSegment, LaunchPlan
-            from repro.jit import JitCounters, resolve_engine
 
             config, label, report_mode, session = _resolve_sanitizer(
                 sanitize, entry)
@@ -245,10 +244,6 @@ class Device:
                 side_state=plan_side,
                 faults=faults_,
             )
-            plan.engine = resolve_engine(engine, plan.hook)
-            if plan.engine == "jit":
-                plan.jit_stats = JitCounters()
-                plan.side_state += (plan.jit_stats,)
             if checkpoint is None and resume:
                 from repro.faults.checkpoint import LaunchCheckpoint
 
@@ -257,12 +252,13 @@ class Device:
                     exec_, "supports_checkpoint", False):
                 plan.checkpoint = checkpoint
 
-            fc_base = None
-            if faults_ is not None:
-                faults_.launch_index += 1
-                fc_base = snapshot_numeric((faults_.counters,))
-            outcome = self._run_attempts(
-                exec_, plan, user_side, timeout, int(retries) + 1, backoff)
+            with plan.engine_scope(engine):
+                fc_base = None
+                if faults_ is not None:
+                    faults_.launch_index += 1
+                    fc_base = snapshot_numeric((faults_.counters,))
+                outcome = self._run_attempts(exec_, plan, user_side, timeout,
+                                             int(retries) + 1, backoff)
 
             kc = launch_counters(self.params, outcome.segments[0], num_blocks,
                                  threads_per_block, regs_per_thread)

@@ -44,9 +44,6 @@ T_SYNCBLOCK = 5
 T_SHUFFLE = 6
 T_VOTE = 7
 
-#: Vote modes (CUDA ``__any_sync`` / ``__all_sync`` / ``__ballot_sync``).
-VOTE_MODES = ("any", "all", "ballot")
-
 #: Atomic operation names accepted by :class:`AtomicOp`.
 ATOMIC_OPS = ("add", "max", "min", "exch", "cas")
 

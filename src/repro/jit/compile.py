@@ -66,7 +66,6 @@ import numpy as np
 
 from repro.gpu.coalescing import run_sectors, sector_footprint
 from repro.gpu.events import T_COMPUTE, T_LOAD, T_STORE
-from repro.jit.stats import GLOBAL_STATS
 from repro.jit.vector import JitAbort, LaneVec, VecThreadCtx
 
 
@@ -254,7 +253,7 @@ def compile_block(block, lockstep: bool = True):
     track = {}
     scripts = []
     for w in range(nwarps):
-        GLOBAL_STATS.warp_retraces += 1
+        block.jit_stats.warp_retraces += 1
         scripts += _trace(block, w, 1, track)
     _check_isolation(track)
     return scripts, False

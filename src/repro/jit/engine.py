@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.gpu.memory import PAGE_SHIFT
 from repro.jit.compile import compile_block
-from repro.jit.stats import GLOBAL_STATS
 from repro.jit.trace import PER_WARP, TRACE_CACHE, trace_key
 from repro.jit.vector import JitAbort
 
@@ -34,8 +33,7 @@ def try_run_jit(block):
     faults with their partial commits — raise exactly as the
     interpreters would.
     """
-    stats = getattr(block, "jit_stats", None)
-    g = GLOBAL_STATS
+    stats = block.jit_stats
     key = trace_key(
         block._entry,
         block._args,
@@ -49,15 +47,13 @@ def try_run_jit(block):
     else:
         verdict, found = TRACE_CACHE.lookup(key)
     if found:
-        g.trace_cache_hits += 1
+        stats.trace_cache_hits += 1
     else:
-        g.trace_cache_misses += 1
+        stats.trace_cache_misses += 1
     if found and verdict is not None and verdict != PER_WARP:
         # Known-unstable trace: replay the recorded deopt without
         # re-running the doomed dry-run.
-        if stats is not None:
-            stats.note_deopt(verdict)
-        g.deopts[verdict] += 1
+        stats.note_deopt(verdict)
         return None
     try:
         # A block known to compile only per warp skips the doomed
@@ -73,17 +69,11 @@ def try_run_jit(block):
     else:
         if key is not None:
             TRACE_CACHE.store(key, None if lockstep else PER_WARP)
-        if stats is not None:
-            stats.note_compiled(block.num_warps)
-        g.blocks_compiled += 1
-        g.lockstep_blocks += lockstep
-        g.warps_compiled += block.num_warps
+        stats.note_compiled(block.num_warps, lockstep)
         return _consume(block, scripts)
     if key is not None:
         TRACE_CACHE.store(key, reason)
-    if stats is not None:
-        stats.note_deopt(reason)
-    g.deopts[reason] += 1
+    stats.note_deopt(reason)
     return None
 
 

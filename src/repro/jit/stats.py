@@ -1,25 +1,25 @@
-"""JIT tier statistics: per-launch counters and process-global totals.
+"""JIT tier statistics: one record per launch, folded into process totals.
 
-Two layers of observability, with deliberately different scopes:
+Every JIT event bumps one :class:`JitCounters`, the record of the
+block's launch.  It rides the side-state merge (``repro.exec.state``),
+so bumps made in forked or warm-pool workers travel back to the
+coordinator, and the launch folds it once into :data:`GLOBAL_STATS` when
+it ends, succeeded or not: :func:`snapshot` is complete on every executor.
 
-* :class:`JitCounters` — per-launch, deterministic, merged back from
-  parallel workers through the same numeric side-state protocol as
-  fault counters (``repro.exec.state``).  These surface in
-  ``kc.extra`` (``jit_warps_compiled``, ``jit_deopt_<reason>``) and
-  must be identical across executors, so they only count facts that
-  are a pure function of the launch (which blocks compiled, why the
-  others deopted) — never cache temperature.
-* :data:`GLOBAL_STATS` — process-global, *advisory* totals including
-  trace-cache hits/misses and how blocks compiled: ``lockstep_blocks``
-  (blocks whose scripts came from one whole-block pass) and
-  ``warp_retraces`` (one-warp passes run because a block's lockstep
-  pass aborted or its cached verdict skipped it).  Both depend on cache
-  temperature, which depends on process history and worker reuse, so
-  they are reported only through :func:`snapshot` (bench JSON, ad-hoc
-  diagnostics), never through ``kc.extra``.
+* Deterministic fields — ``blocks_compiled``, ``warps_compiled``,
+  ``deopt_<reason>`` — are a pure function of the launch, identical
+  across executors; only these surface in ``kc.extra``
+  (``jit_warps_compiled``, ``jit_deopt_<reason>``).
+* Advisory fields — trace-cache hits/misses, ``lockstep_blocks`` (blocks
+  compiled by one whole-block pass) and ``warp_retraces`` (one-warp
+  passes run after a lockstep abort or a per-warp verdict) — depend on
+  cache temperature, hence on process history and worker reuse, so only
+  :func:`snapshot` reports them (bench JSON, ad-hoc diagnostics).
 """
 
 from __future__ import annotations
+
+import threading
 
 #: Deoptimization reasons: the compile-time guards, in guard-ladder
 #: order (see docs/PERF.md).  Hooked launches never reach the JIT
@@ -35,7 +35,7 @@ DEOPT_REASONS = (
 
 
 class JitCounters:
-    """Per-launch JIT telemetry.
+    """JIT telemetry of one launch (or, as :data:`GLOBAL_STATS`, of all).
 
     Plain ``int`` attributes only: parallel executors snapshot/delta/merge
     these through :mod:`repro.exec.state`, which walks ``vars(obj)`` for
@@ -51,10 +51,16 @@ class JitCounters:
         self.deopt_dependence = 0
         self.deopt_isolation = 0
         self.deopt_error = 0
+        # Advisory: cache temperature decides these.
+        self.trace_cache_hits = 0
+        self.trace_cache_misses = 0
+        self.lockstep_blocks = 0
+        self.warp_retraces = 0
 
-    def note_compiled(self, num_warps: int) -> None:
+    def note_compiled(self, num_warps: int, lockstep: bool) -> None:
         self.blocks_compiled += 1
         self.warps_compiled += num_warps
+        self.lockstep_blocks += lockstep
 
     def note_deopt(self, reason: str) -> None:
         if reason not in DEOPT_REASONS:  # pragma: no cover - internal misuse
@@ -71,41 +77,33 @@ class JitCounters:
         return items
 
 
-class _GlobalStats:
-    """Process-global JIT totals (advisory; includes cache temperature)."""
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.trace_cache_hits = 0
-        self.trace_cache_misses = 0
-        self.blocks_compiled = 0
-        self.warps_compiled = 0
-        self.lockstep_blocks = 0
-        self.warp_retraces = 0
-        self.deopts = {r: 0 for r in DEOPT_REASONS}
-
-    def snapshot(self) -> dict:
-        return {
-            "trace_cache_hits": self.trace_cache_hits,
-            "trace_cache_misses": self.trace_cache_misses,
-            "blocks_compiled": self.blocks_compiled,
-            "warps_compiled": self.warps_compiled,
-            "lockstep_blocks": self.lockstep_blocks,
-            "warp_retraces": self.warp_retraces,
-            "deopts": dict(self.deopts),
-        }
+#: Process-global totals: the fold of every finished launch's record.
+GLOBAL_STATS = JitCounters()
+_FOLD_LOCK = threading.Lock()
 
 
-GLOBAL_STATS = _GlobalStats()
+def fold(record: JitCounters) -> None:
+    """Add a finished launch's record into :data:`GLOBAL_STATS` (thread-safe)."""
+    with _FOLD_LOCK:
+        for name, value in vars(record).items():
+            setattr(GLOBAL_STATS, name, getattr(GLOBAL_STATS, name) + value)
 
 
 def snapshot() -> dict:
     """A copy of the process-global JIT totals (for bench JSON etc.)."""
-    return GLOBAL_STATS.snapshot()
+    g = GLOBAL_STATS
+    return {
+        "trace_cache_hits": g.trace_cache_hits,
+        "trace_cache_misses": g.trace_cache_misses,
+        "blocks_compiled": g.blocks_compiled,
+        "warps_compiled": g.warps_compiled,
+        "lockstep_blocks": g.lockstep_blocks,
+        "warp_retraces": g.warp_retraces,
+        "deopts": {r: getattr(g, "deopt_" + r) for r in DEOPT_REASONS},
+    }
 
 
 def reset() -> None:
     """Zero the process-global JIT totals."""
-    GLOBAL_STATS.reset()
+    with _FOLD_LOCK:
+        vars(GLOBAL_STATS).update(vars(JitCounters()))

@@ -99,7 +99,7 @@ class TraceCache:
 
 #: Process-global cache shared by all devices (forked workers inherit a
 #: copy-on-write snapshot; divergent temperature across processes is why
-#: hit/miss counts live in GLOBAL_STATS, never in ``kc.extra``).
+#: hit/miss counts are advisory, never in ``kc.extra``).
 TRACE_CACHE = TraceCache()
 
 

@@ -152,13 +152,6 @@ def check_implicit_barrier(device: Device, num_teams=1, team_size=64,
                    simd_len=simd_len, args={"flags": flags})
 
 
-ALL_CHECKS = (
-    check_lane_mapping,
-    check_single_execution,
-    check_query_consistency,
-)
-
-
 # --- helpers ---------------------------------------------------------------
 
 

@@ -26,20 +26,6 @@ def sweep(
     return out
 
 
-def sharing_space_sweep(
-    build_and_run: Callable[[Device, int], object],
-    sizes: Sequence[int] = (256, 512, 1024, 2048, 4096),
-    params: Optional[CostParams] = None,
-) -> List[Tuple[int, object]]:
-    """Ablation A1: sweep the variable sharing space size (§5.3.1).
-
-    ``build_and_run(device, sharing_bytes)`` must launch a generic-mode
-    simd kernel with the given sharing space and return its LaunchResult;
-    callers then compare cycles and ``omp_sharing_fallbacks``.
-    """
-    return sweep(sizes, build_and_run, params)
-
-
 def group_size_sweep(
     build_and_run: Callable[[Device, int], object],
     groups: Sequence[int] = (1, 2, 4, 8, 16, 32),

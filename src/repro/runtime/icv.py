@@ -30,9 +30,6 @@ from repro.gpu.costmodel import CostParams
 #: (§5.3.1); both values are interesting for the ablation bench.
 DEFAULT_SHARING_BYTES = 2048
 
-#: Pre-existing LLVM value, used as the baseline in ablation A1.
-LEGACY_SHARING_BYTES = 1024
-
 #: Slots (8-byte pointers) reserved for the team main thread's parallel-region
 #: argument staging, kept separate from the per-group SIMD slices.
 TEAM_STAGING_SLOTS = 32

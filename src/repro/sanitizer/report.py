@@ -28,8 +28,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-SEVERITIES = ("error", "warning", "note")
-
 
 @dataclass
 class Finding:

@@ -21,8 +21,8 @@ block counters, shared high-water mark, runtime-counter deltas, and the
 cost model's cycle composition.  Launch-scoped telemetry — JIT
 (``kc.extra["engine"]``/``["jit_*"]``), pool recovery, fault deltas and
 cross-block conflicts — cannot be attributed to a single request inside
-a batch, so batched counters omit it, and a batch plan counts no JIT
-telemetry at all (documented in ``docs/SERVE.md``).
+a batch, so batched counters omit it (documented in ``docs/SERVE.md``);
+a JIT batch's one record still folds into :func:`repro.jit.snapshot`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.gpu.counters import KernelCounters
 from repro.gpu.device import launch_counters, runtime_extras
 # Unused here, but kept as a module attribute: profilers wrap it by name.
 from repro.gpu.sm import compose_kernel_cycles  # noqa: F401
-from repro.jit import resolve_engine
 from repro.runtime.icv import DEFAULT_SHARING_BYTES
 
 __all__ = [
@@ -220,10 +219,9 @@ def run_batch(
         faults=faults,
         deadline=(time.monotonic() + timeout) if timeout is not None else None,
     )
-    plan.engine = resolve_engine(engine, plan.hook)
     exec_ = executor if executor is not None else SerialExecutor()
 
-    with device.lock:
+    with plan.engine_scope(engine), device.lock:
         try:
             outcome = exec_.execute(device, plan)
         except LaunchTimeout as err:

@@ -24,10 +24,10 @@ segment it ships **self-describing**:
    keys change: the columnar write-set arrays stay as they are) and
    returned; the pool's result pipe pickles them, as it does for
    ``fork_map``;
-5. the coordinator shifts them to global block ids, pads each record's
-   one side-state delta into the plan's layout, and folds them into
-   server memory through :func:`repro.exec.merge_records`, the merge
-   every other executor uses.
+5. the coordinator shifts them to global block ids, puts each
+   side-state delta in its owner's plan slot, and folds them into server
+   memory through :func:`repro.exec.merge_records`, the merge every
+   other executor uses.
 
 Recovery inherits :class:`~repro.exec.WorkerPool`'s ladder unchanged —
 crash/hang detection, retry with redistribution, in-process
@@ -93,8 +93,8 @@ def make_runner(catalog, params):
             segments=(GridSegment(entry, cfg.num_teams),),
             threads_per_block=cfg.block_dim,
             side_state=(rc,),
-            engine=payload["engine"],
         )
+        plan.resolve_engine(payload["engine"])
         watermark = dev.gmem.mark()
         records = []
         for block_id in range(cfg.num_teams):
@@ -207,7 +207,6 @@ class PoolLease:
         """
         payloads = [_payload(seg, plan.engine) for seg in plan.segments]
         batch = next(self._batch_seq)
-        slots = len(plan.side_state)
         records: List[BlockRecord] = []
         offset = 0
         outcomes = self.pool.map(payloads, deadline=plan.deadline)
@@ -220,14 +219,14 @@ class PoolLease:
                 result.reraise()
             result = self._verified(batch, i, payloads[i], result,
                                     plan.deadline)
-            # The worker ran the request with its own runtime counters
-            # as the only side state; put that delta in its plan slot.
-            slot = next(k for k, obj in enumerate(plan.side_state)
-                        if obj is seg.source.rc)
+            # Worker side state is the request's runtime counters, then its
+            # JIT record: each delta goes to its owner's slot in the plan.
+            owners = (seg.source.rc, plan.jit_stats)
             for rec in result:
                 rec.block_id += offset
-                rec.side_deltas = (({},) * slot + tuple(rec.side_deltas)
-                                   + ({},) * (slots - slot - 1))
+                by_owner = dict(zip(map(id, owners), rec.side_deltas))
+                rec.side_deltas = tuple(by_owner.get(id(obj), {})
+                                        for obj in plan.side_state)
                 records.append(rec)
             offset += seg.num_blocks
         return merge_records(device, plan, records)

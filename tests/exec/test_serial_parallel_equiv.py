@@ -23,7 +23,13 @@ import numpy as np
 import pytest
 
 from repro.errors import MemoryFault
-from repro.exec import ParallelExecutor, SerialExecutor, coerce_executor, legs
+from repro.exec import (
+    ParallelExecutor,
+    SerialExecutor,
+    coerce_executor,
+    legs,
+    set_default_executor,
+)
 from repro.gpu.device import Device
 from repro.kernels import ideal, laplace3d, muram_interpol, muram_transpose
 from repro.kernels import sparse_matvec, su3
@@ -164,12 +170,18 @@ def test_corpus_equivalence(make_executor):
     """The 7 seeded-bug cases produce identical finding sets in parallel."""
     from repro.sanitizer.corpus import CASES
 
-    # Corpus case runners accept a worker count, not an executor; exercise
-    # the in-process and forked engines through that plumbing instead.
-    workers = 2
+    # Corpus devices resolve the process default executor when no worker
+    # count is given, so each side runs under its own default.
+    def run(case, executor):
+        set_default_executor(executor)
+        try:
+            return case.run()
+        finally:
+            set_default_executor(None)
+
     for c in CASES:
-        got_s = c.run()
-        got_p = c.run(workers=workers)
+        got_s = run(c, SerialExecutor())
+        got_p = run(c, make_executor())
         assert got_s.caught, f"{c.name}: serial run missed the bug"
         assert got_p.caught, f"{c.name}: parallel run missed the bug"
         assert got_s.got == got_p.got, (

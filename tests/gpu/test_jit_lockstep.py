@@ -15,6 +15,8 @@ per-warp tracer reports, so a fallback keeps its deopt reason.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from repro.gpu.block import ThreadBlock
 from repro.gpu.costmodel import amd_mi100, nvidia_a100
 from repro.gpu.device import Device
 from repro.jit.compile import compile_block
+from repro.jit.stats import JitCounters, fold
 from repro.jit.trace import PER_WARP, TRACE_CACHE, trace_key
 from repro.jit.vector import JitAbort
 from repro.sanitizer import strip_launch_telemetry
@@ -525,6 +528,33 @@ def test_gate_kernels_compile_in_lockstep(kernel, halo):
     assert stats["warp_retraces"] == 0
     assert sorted(k for k in kc.extra if k.startswith("jit_")) == [
         "jit_warps_compiled"]
+
+
+def test_concurrent_folds_lose_no_count():
+    """Launches on several threads fold their records into the process
+    totals at once; no count may be lost."""
+    record = JitCounters()
+    record.note_compiled(4, True)
+    record.note_deopt("event")
+    jit.reset()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: [fold(record)
+                                                    for _ in range(10000)])
+                   for _ in range(8)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in workers)
+    snap = jit.snapshot()
+    jit.reset()
+    assert (snap["blocks_compiled"], snap["warps_compiled"],
+            snap["lockstep_blocks"], snap["deopts"]["event"]) == (
+        80000, 320000, 80000, 80000)
 
 
 # ---------------------------------------------------------------------------

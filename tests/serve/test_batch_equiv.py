@@ -19,18 +19,22 @@ merged grid, so those keys are stripped before comparing extras.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import omp
+from repro import jit, omp
 from repro.errors import MemoryFault
 from repro.exec import SerialExecutor, fork_available, legs
 from repro.gpu.device import Device
+from repro.jit.stats import DEOPT_REASONS
+from repro.jit.trace import TRACE_CACHE
 from repro.sanitizer import strip_launch_telemetry
 from repro.serve import batch as B
+from repro.serve.catalog import KernelCatalog
 from repro.serve.demo import DEMO_N
 
 from serve_helpers import make_args
@@ -183,3 +187,63 @@ def test_incompatible_geometry_rejected(catalog):
     finally:
         B.release(dev, p0)
         B.release(dev, p1)
+
+
+def _raw_triad_entry(cfg, gmem, counters, args):
+    """A raw grid-stride kernel the JIT compiles, except block 3, whose
+    lane-dependent branch deopts it (``divergence``)."""
+    x, y = args["x"], args["y"]
+
+    def entry(tc):
+        if tc.block_id == 3 and tc.tid < 16:
+            yield from tc.compute("alu", 1)
+        i = tc.global_tid
+        while i < DEMO_N:
+            a = yield from tc.load(x, i)
+            yield from tc.store(y, i, 2.0 * a)
+            i += tc.block_dim * tc.num_blocks
+
+    return entry
+
+
+def _jit_totals():
+    snap = jit.snapshot()
+    return (snap["blocks_compiled"], snap["warps_compiled"],
+            snap["lockstep_blocks"], snap["deopts"],
+            snap["trace_cache_hits"] + snap["trace_cache_misses"])
+
+
+def test_jit_totals_equal_on_every_leg(catalog):
+    """``jit.snapshot()`` is the fold of every launch's record, so one
+    launch reads the same totals on every leg: forked and warm-pool
+    workers' counts ride the side-state merge home."""
+    raw = KernelCatalog()
+    raw.register("raw_triad", dataclasses.replace(
+        catalog.get("axpy"), name="raw_triad",
+        entry_factory=_raw_triad_entry))
+    args = make_args("axpy", np.random.default_rng(3))
+    totals = {}
+    for leg in [*legs.EXECUTORS, legs.WARM_POOL]:
+        if leg == legs.WARM_POOL and not fork_available():
+            continue
+        # Cold caches everywhere: warm workers fork on their first batch.
+        TRACE_CACHE.clear()
+        jit.reset()
+        dev = Device()
+        if leg == legs.WARM_POOL:
+            with legs.batch_executor(leg, raw, dev.params) as executor:
+                p = B.prepare(dev, raw, "raw_triad", args, num_teams=4,
+                              team_size=64)
+                (out,) = B.run_batch(dev, [p], engine="jit",
+                                     executor=executor)
+                B.release(dev, p)
+            assert out.ok
+        else:
+            bufs = {n: dev.from_array(n, v.copy()) for n, v in args.items()}
+            omp.launch(dev, raw.get("raw_triad"), num_teams=4, team_size=64,
+                       args=bufs, engine="jit",
+                       executor=legs.make_executor(leg))
+        totals[leg] = _jit_totals()
+    deopts = {r: int(r == "divergence") for r in DEOPT_REASONS}
+    assert totals["serial"] == (3, 6, 3, deopts, 4)
+    assert all(t == totals["serial"] for t in totals.values()), totals

@@ -80,14 +80,13 @@ class TestWarmReuse:
 class TestCrashRecovery:
     def test_injected_crash_recovers_with_correct_results(self):
         plan = coerce_faults("13:worker.crash=0.5")
-        stats = {}
         with WorkerPool(_double, workers=2, faults=plan) as pool:
-            out = pool.map(list(range(16)), stats=stats)
+            out = pool.map(list(range(16)))
         assert [r for s, r in out] == [i * 2 for i in range(16)]
-        assert stats["worker_deaths"] >= 1
-        # Respawns are a pool-lifetime event (ensure()), so they land on
-        # the cumulative stats, not the per-call sink.
+        assert pool.stats["worker_deaths"] >= 1
         assert pool.stats["worker_respawns"] >= 1
+        # The plan's retry count is folded from the pool's, once.
+        assert plan.counters.chunk_retries == pool.stats["chunk_retries"] >= 1
 
     def test_exhausted_retries_degrade_in_process(self):
         # attempts=99 defeats every retry round (a spec's default
