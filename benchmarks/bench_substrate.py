@@ -80,8 +80,11 @@ DEFAULT_REPS = 7
 #: instrumented engine" bar restated over the fast engine.  Since the
 #: JIT traces a block's warps in one lockstep pass, 10 ``--check`` runs
 #: on a 2-vCPU KVM guest read jit_streaming 9.04-11.72x (median 10.29x)
-#: and jit_stencil 8.49-12.72x (median 10.52x); every run clears 7.0.
-JIT_MIN_SPEEDUP = 7.0
+#: and jit_stencil 8.49-12.72x (median 10.52x), and the floor went to
+#: 7.0.  Since a compiled block is one columnar script consumed in a few
+#: NumPy passes, 10 runs read jit_streaming 17.03-19.68x and jit_stencil
+#: 20.24-21.64x; every run clears 12.0.
+JIT_MIN_SPEEDUP = 12.0
 
 #: Hard floor on the incremental-vs-full snapshot ratio for the
 #: ``snapshot_rollback`` workload.  This gate is floor-only (never

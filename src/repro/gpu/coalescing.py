@@ -36,6 +36,7 @@ property tests check them against.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -79,17 +80,6 @@ def _index_array(col) -> np.ndarray:
     return np.asarray(col, dtype=np.int64)
 
 
-def run_sectors(first: int, last: int, base: int, itemsize: int,
-                sector_bytes: int):
-    """:func:`sector_footprint` of one unit-stride column ``(first, last)``
-    (the coalesced-stream shape): one contiguous sector interval.  The
-    JIT's fused stream path calls it directly, skipping the column
-    wrapping that costs ~0.5 us per traced access."""
-    s0 = (base + first * itemsize) // sector_bytes
-    s1 = (base + last * itemsize + itemsize - 1) // sector_bytes
-    return range(s0, s1 + 1), s1 - s0 + 1
-
-
 def sector_footprint(cols, base: int, itemsize: int, sector_bytes: int):
     """``(sectors, transactions)`` of one global-memory issue group.
 
@@ -100,8 +90,12 @@ def sector_footprint(cols, base: int, itemsize: int, sector_bytes: int):
     column's distinct sectors.  Index lists must hold Python ints.
     """
     if len(cols) == 1 and cols[0].__class__ is tuple:
+        # One unit-stride run (the coalesced-stream shape): one
+        # contiguous sector interval.
         first, last = cols[0]
-        return run_sectors(first, last, base, itemsize, sector_bytes)
+        s0 = (base + first * itemsize) // sector_bytes
+        s1 = (base + last * itemsize + itemsize - 1) // sector_bytes
+        return range(s0, s1 + 1), s1 - s0 + 1
     sb = sector_bytes
     spill = itemsize - 1
     # Aligned elements never straddle a sector: one division each.
@@ -178,18 +172,16 @@ def bank_passes(
     return passes
 
 
-_ABSENT = object()
-
-
 class L1SectorCache:
     """Per-block L1 sector cache: LRU over sector ids with a batch API.
 
     The block scheduler filters every global-memory issue group's distinct
     sectors through this cache; hits ride the cheap L1 pipe, misses pay
-    DRAM bandwidth.  The backing dict preserves insertion order, so
-    re-inserting on hit implements LRU with O(1) per-sector work; eviction
-    trims from the front (least recently used) after each batch, exactly
-    one warp instruction's worth of accesses at a time.
+    DRAM bandwidth.  An ``OrderedDict`` keeps the sectors from least to
+    most recently used: a hit moves its sector to the back, a miss
+    inserts it there, and eviction pops from the front after each batch,
+    exactly one warp instruction's worth of accesses at a time.  Every
+    step is O(1) per sector.
 
     The round loop and the JIT keep one instance per block and present
     their sector batches in ascending sector order, so the cache state —
@@ -203,7 +195,7 @@ class L1SectorCache:
         if cap < 1:
             raise ValueError("L1 cache needs at least one sector slot")
         self.cap = int(cap)
-        self._entries: dict = {}
+        self._entries: OrderedDict = OrderedDict()
 
     def access(self, sectors: Iterable[int]) -> Tuple[int, int]:
         """Touch a run of *distinct* sector ids; returns ``(hits, misses)``.
@@ -213,21 +205,19 @@ class L1SectorCache:
         insertion sequence.
         """
         entries = self._entries
-        pop = entries.pop
+        touch = entries.move_to_end
         hits = 0
         misses = 0
         for sec in sectors:
-            # LRU touch: pop (if present) and re-insert at the back.
-            if pop(sec, _ABSENT) is _ABSENT:
-                misses += 1
-            else:
+            if sec in entries:
+                touch(sec)
                 hits += 1
-            entries[sec] = None
+            else:
+                entries[sec] = None
+                misses += 1
         over = len(entries) - self.cap
         while over > 0:
-            # Pop the least-recently-used entry (the dict's first key)
-            # without materializing the whole key list.
-            del entries[next(iter(entries))]
+            entries.popitem(last=False)
             over -= 1
         return hits, misses
 

@@ -50,14 +50,6 @@ ATOMIC_OPS = ("add", "max", "min", "exch", "cas")
 #: Shuffle modes accepted by :class:`Shuffle` (CUDA ``__shfl_*_sync`` family).
 SHUFFLE_MODES = ("idx", "up", "down", "xor")
 
-#: Event tags the JIT tier (:mod:`repro.jit`) can compile into batched
-#: warp-script steps.  Everything else — atomics, barriers, shuffles,
-#: votes — deoptimizes the block to the interpreters, which own the full
-#: parking/commit protocol.  The JIT's vectorized trace replays these
-#: events with LaneVec payloads, so ``Compute``/``Load``/``Store``
-#: constructors must accept non-scalar operands (they only fold the
-#: *kind*-level signature, never the payload, into ``sig``).
-VECTORIZABLE_TAGS = (T_COMPUTE, T_LOAD, T_STORE)
 
 # ---------------------------------------------------------------------------
 # Signature interning.

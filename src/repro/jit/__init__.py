@@ -4,11 +4,12 @@ The block scheduler (:mod:`repro.gpu.block`) owns one round loop, the
 interpreter, which pays one Python generator step per lane per event.
 This package adds a second tier: it re-runs a
 block's kernel as a *single vectorized generator* over all of its lanes
-at once (:mod:`repro.jit.vector`), splits the resulting event trace into
-one script per warp (:mod:`repro.jit.compile`), and then consumes the
-scripts with batched NumPy loads/stores and O(1) per-step accounting
-(:mod:`repro.jit.engine`) — one script step per warp per round instead
-of 32 (or 64) generator steps.
+at once (:mod:`repro.jit.vector`), compiles the resulting event trace,
+one record per event, into one columnar block script
+(:mod:`repro.jit.compile`), and then consumes it with bulk NumPy stores
+and counters derived from its columns (:mod:`repro.jit.engine`) —
+O(events) Python plus a fixed number of NumPy passes per block instead
+of 32 (or 64) generator steps per warp per event.
 
 The tier is *sound by construction*: compilation happens before any
 architectural side effect is committed, every stability guard
@@ -20,7 +21,7 @@ is never looser than tracing each warp on its own; when it aborts —
 control flow that is uniform per warp but not per block, or a read of
 ``lane_id``/``warp_id`` — the block is re-traced warp by warp, and
 those passes decide the verdict.  :func:`snapshot` counts both
-(``lockstep_blocks``, ``warp_retraces``).  Compiled scripts charge
+(``lockstep_blocks``, ``warp_retraces``).  Compiled blocks charge
 memory through the fast interpreter's cost model (:mod:`repro.gpu.coalescing`).
 ``docs/PERF.md`` documents the guard ladder; the differential suite in
 ``tests/gpu`` holds the proof obligation against a frozen reference

@@ -1,8 +1,9 @@
 """Block trace recording and script compilation.
 
 :func:`compile_block` drives vectorized generators
-(:class:`~repro.jit.vector.VecThreadCtx`) to completion, translating
-every yielded event into one precomputed *script step* per warp.  All
+(:class:`~repro.jit.vector.VecThreadCtx`) to completion, recording
+every yielded event once, and compiles the record into one columnar
+:class:`BlockScript` with a precomputed step per warp per event.  All
 stability guards fire here — before a single architectural side effect
 commits — so a :class:`~repro.jit.vector.JitAbort` always leaves the
 block's scalar lane generators untouched at round zero, and the
@@ -13,7 +14,7 @@ Lockstep pass, per-warp re-trace
 
 One tracer, :func:`_trace`, runs the kernel over a range of warps.  A
 block is first traced in *lockstep*: one pass over all of its lanes,
-each event split into the steps each warp's own pass would record (the
+each event compiled into the steps each warp's own pass would record (the
 same tags and issue sizes, per-warp sector footprints, per-warp compute
 charges, the same committed ``(index, value)`` pairs).  The pass may be
 stricter than the per-warp passes but never looser, so a lockstep
@@ -40,43 +41,134 @@ its pre-block values.  Two guards make that assumption exact:
   interpreters use).  Every recorded access keeps the warp of each of
   its lanes, so the check is exact in both kinds of pass.
 
-Script steps
-============
+Block scripts
+=============
 
-``('C', cycles)``
-    one converged compute issue; ``cycles`` is the precomputed
-    ``op_cost[kind] * max(ops)`` charge.
-``('L', npos, nelem, secs, transactions)``
-    one load issue; ``secs``/``transactions`` precompute the sector
-    footprint with the fast interpreter's cost model,
-    :func:`repro.gpu.coalescing.sector_footprint` (the L1 hit/miss split
-    stays dynamic at consumption).
-``('S', npos, nelem, secs, transactions, buf, commits)``
-    one store issue; ``commits`` is a per-position list of
-    ``(selector, values)`` ready for bulk assignment.
-``('F', buf, prefix, bad_idx)``
-    an out-of-bounds access: commit the elementwise ``prefix`` (the
-    lane-major writes that precede the fault), then raise the
-    canonical :class:`~repro.errors.MemoryFault`.  Always terminal.
+A compiled block is one :class:`BlockScript`: every step of every warp
+as one row of NumPy columns, sorted into the ascending ``(round, warp)``
+order the interpreters consume.  A step is one issue of one warp; its
+tag is the event's (``T_COMPUTE``, ``T_LOAD``, ``T_STORE``) and its
+columns hold everything the cost model needs, fixed at compile time:
+
+``issue``
+    the issue-cycle charge: ``op_cost[kind] * max(ops)`` over the warp's
+    lanes for a compute step, ``op_cost['ld'|'st'] * npos`` for a load
+    or store.
+``npos``, ``nelem``, ``transactions``
+    the issue's vector positions, element accesses and LSU transactions.
+``offsets``/``sectors``
+    the step's distinct sectors, ascending, as the slice
+    ``sectors[offsets[i]:offsets[i + 1]]`` of one flat int64 stream in
+    consume order — :func:`repro.gpu.coalescing.sector_footprint`'s
+    answer for the warp's columns (the L1 hit/miss split is left to
+    consumption).
+
+``stores`` lists each store's ``(step, buf, commits)`` in consume order,
+``commits`` being ``(selector, values)`` pairs ready for bulk
+assignment.  A unit-stride store commits every warp of its event at the
+event's first step; other stores commit one warp at a time.  ``fault``
+is ``None`` or ``(round, warp, buf, prefix, bad_idx)``: an out-of-bounds
+access that ends its warp's trace.  Consumption commits the elementwise
+``prefix`` (the lane-major writes that precede the fault) and raises the
+canonical :class:`~repro.errors.MemoryFault` there.
+
+The tracer records one entry per event, not one per warp: per-warp
+charges and sector runs come from a few NumPy passes at the end of the
+pass, so a compiled block costs O(events) Python plus a fixed number of
+NumPy passes.  Only strided or gathered accesses pay
+:func:`~repro.gpu.coalescing.sector_footprint` once per warp.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gpu.coalescing import run_sectors, sector_footprint
+from repro.gpu.coalescing import sector_footprint
 from repro.gpu.events import T_COMPUTE, T_LOAD, T_STORE
 from repro.jit.vector import JitAbort, LaneVec, VecThreadCtx
 
 
-class WarpScript:
-    """One warp's fully resolved event script."""
+class BlockScript:
+    """One compiled block: a row per step, in consume order (see the
+    module docstring).  ``warp``/``round`` place each step; ``nlanes``
+    is every warp's lane count."""
 
-    __slots__ = ("steps", "nlanes")
+    __slots__ = ("warp", "round", "tag", "issue", "npos", "nelem",
+                 "transactions", "offsets", "sectors", "stores", "fault",
+                 "nlanes")
 
-    def __init__(self, steps, nlanes: int) -> None:
-        self.steps = steps
-        self.nlanes = nlanes
+    def __init__(self, **cols) -> None:
+        for name, value in cols.items():
+            setattr(self, name, value)
+
+
+class _Pass:
+    """One trace pass over ``len(lanes)`` warps from ``first_warp``.
+
+    The tracer records one entry per event in the lists below, and
+    :meth:`close` derives the per-warp step columns from them in a few
+    NumPy passes: ``issue``, ``s0`` (a sector run's first sector),
+    ``lens`` and ``transactions``, each ``(events, warps)``.
+    ``explicit`` and ``stores`` key a step by its row-major index
+    ``event * warps + k``; ``fault`` is ``(event, buf, prefix, bad_idx)``.
+    ``tag`` and ``npos`` are lists while the pass runs and arrays after.
+    """
+
+    __slots__ = ("first_warp", "lanes", "tag", "npos", "charge_ev",
+                 "charge", "vec_charges", "runs", "footprints", "stores",
+                 "fault", "issue", "s0", "lens", "transactions", "explicit")
+
+    def __init__(self, first_warp: int, lanes) -> None:
+        self.first_warp = first_warp
+        #: Per warp: (first lane, end lane), counted from the pass start.
+        self.lanes = lanes
+        self.tag: list = []
+        self.npos: list = []
+        #: Compute events: scalar charges by event, and per-warp arrays.
+        self.charge_ev: list = []
+        self.charge: list = []
+        self.vec_charges: list = []
+        #: Unit-stride accesses, flat: event, first byte, itemsize.
+        self.runs: list = []
+        #: Other accesses: (event, k, sectors, transactions) per warp.
+        self.footprints: list = []
+        self.stores: list = []
+        self.fault = None
+
+    def close(self, block) -> "_Pass":
+        nev = len(self.tag)
+        nw = len(self.lanes)
+        self.tag = tag = np.array(self.tag, dtype=np.int8)
+        self.npos = npos = np.array(self.npos, dtype=np.int64)
+        self.issue = issue = np.empty((nev, nw), dtype=np.float64)
+        mem = tag != T_COMPUTE
+        issue[mem] = (np.where(tag[mem] == T_LOAD, block._cost_ld,
+                               block._cost_st) * npos[mem])[:, None]
+        issue[self.charge_ev] = np.array(self.charge, dtype=np.float64)[:, None]
+        for e, charge in self.vec_charges:
+            issue[e] = charge
+        self.s0 = s0 = np.zeros((nev, nw), dtype=np.int64)
+        self.lens = lens = np.zeros((nev, nw), dtype=np.int64)
+        self.transactions = transactions = np.zeros((nev, nw), dtype=np.int64)
+        if self.runs:
+            ev, addr, isz = np.array(self.runs, dtype=np.int64).reshape(-1, 3).T
+            lanes = np.array(self.lanes, dtype=np.int64)
+            sb = block.params.sector_bytes
+            # ``sector_footprint`` of every warp's unit-stride run of
+            # lanes ``b0 .. b1 - 1``: one sector interval each.
+            first = (addr[:, None] + lanes[:, 0] * isz[:, None]) // sb
+            last = (addr[:, None] + lanes[:, 1] * isz[:, None] - 1) // sb
+            s0[ev] = first
+            lens[ev] = transactions[ev] = last - first + 1
+        self.explicit = []
+        for e, k, secs, tr in self.footprints:
+            if secs.__class__ is range:
+                s0[e, k] = secs.start
+            else:
+                self.explicit.append((e * nw + k, secs))
+            lens[e, k] = len(secs)
+            transactions[e, k] = tr
+        return self
 
 
 class _BufTrack:
@@ -228,9 +320,9 @@ def _warp_sel(sel, b0: int, b1: int):
 
 
 def compile_block(block, lockstep: bool = True):
-    """Trace ``block`` into one :class:`WarpScript` per warp.
+    """Trace ``block`` into one :class:`BlockScript`.
 
-    Returns ``(scripts, lockstep_ok)`` or raises :class:`JitAbort`
+    Returns ``(script, lockstep_ok)`` or raises :class:`JitAbort`
     (nothing committed either way).  With ``lockstep`` a multi-warp
     block is first traced in one pass over all of its lanes; that pass
     succeeds only where every per-warp pass would succeed with equal
@@ -244,25 +336,78 @@ def compile_block(block, lockstep: bool = True):
     if lockstep or nwarps == 1:
         track: dict = {}
         try:
-            scripts = _trace(block, 0, nwarps, track)
+            passes = [_trace(block, 0, nwarps, track)]
             _check_isolation(track)
-            return scripts, True
         except Exception:
             if nwarps == 1:
                 raise
+        else:
+            return _assemble(block, passes), True
     track = {}
-    scripts = []
+    passes = []
     for w in range(nwarps):
         block.jit_stats.warp_retraces += 1
-        scripts += _trace(block, w, 1, track)
+        passes.append(_trace(block, w, 1, track))
     _check_isolation(track)
-    return scripts, False
+    return _assemble(block, passes), False
 
 
-def _trace(block, first_warp: int, nwarps: int, track: dict):
+def _assemble(block, passes) -> BlockScript:
+    """Join trace passes into one :class:`BlockScript`: flatten each
+    pass's steps, sort them by ``(round, warp)`` (a lockstep pass is
+    sorted already) and lay the sector stream out in that order."""
+    ws = block.params.warp_size
+    first = np.arange(block.num_warps, dtype=np.int64) * ws
+    nlanes = np.minimum(first + ws, block.num_threads) - first
+    cols, explicit, stores = [], [], []
+    fault = None
+    at = 0
+    for p in passes:
+        nev, nw = p.lens.shape
+        cols.append((
+            np.repeat(np.arange(nev, dtype=np.int64), nw),
+            np.tile(np.arange(p.first_warp, p.first_warp + nw,
+                              dtype=np.int64), nev),
+            np.repeat(p.tag, nw), np.repeat(p.npos, nw), p.issue.ravel(),
+            p.s0.ravel(), p.lens.ravel(), p.transactions.ravel(),
+        ))
+        explicit += [(at + i, secs) for i, secs in p.explicit]
+        stores += [(at + i, buf, commits) for i, buf, commits in p.stores]
+        # Passes come in warp order, so a tie keeps the lower warp.
+        if p.fault is not None and (fault is None or p.fault[0] < fault[0]):
+            fault = (p.fault[0], p.first_warp) + p.fault[1:]
+        at += nev * nw
+    rnd, warp, tag, npos, issue, s0, lens, transactions = (
+        np.concatenate(c) for c in zip(*cols))
+    if len(passes) > 1:
+        order = np.lexsort((warp, rnd))
+        rnd, warp, tag, npos, issue, s0, lens, transactions = (
+            c[order] for c in (rnd, warp, tag, npos, issue, s0, lens,
+                               transactions))
+        row = np.empty_like(order)
+        row[order] = np.arange(order.size)
+        explicit = [(int(row[i]), secs) for i, secs in explicit]
+        stores = sorted(((int(row[i]), buf, commits)
+                         for i, buf, commits in stores), key=lambda e: e[0])
+    offsets = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    # Every step's sectors as the run from ``s0``; explicit lists overwrite.
+    sectors = (np.repeat(s0 - offsets[:-1], lens)
+               + np.arange(offsets[-1], dtype=np.int64))
+    for i, secs in explicit:
+        sectors[offsets[i]:offsets[i + 1]] = secs
+    return BlockScript(
+        warp=warp, round=rnd, tag=tag, issue=issue, npos=npos,
+        nelem=npos * nlanes[warp], transactions=transactions,
+        offsets=offsets, sectors=sectors, stores=stores, fault=fault,
+        nlanes=nlanes,
+    )
+
+
+def _trace(block, first_warp: int, nwarps: int, track: dict) -> _Pass:
     """Trace warps ``first_warp`` .. ``first_warp + nwarps - 1`` of
-    ``block`` in one pass of the kernel generator, splitting each event
-    into one step per warp.
+    ``block`` in one pass of the kernel generator, recording one entry
+    per event.
 
     A one-warp pass is the reference trace.  A multi-warp (lockstep)
     pass keeps each lane's warp identity wherever the per-warp result
@@ -270,6 +415,14 @@ def _trace(block, first_warp: int, nwarps: int, track: dict):
     distinctness, isolation — and is stricter elsewhere: its dependence
     guard counts every warp's earlier stores, and it aborts on an
     out-of-bounds access instead of recording the fault.
+
+    The tag dispatch below is the whole event contract of the tier:
+    ``Compute``, ``Load`` and ``Store`` compile and anything else aborts
+    (atomics, barriers, shuffles and votes keep the interpreters'
+    parking/commit protocol).  Their constructors accept :class:`LaneVec`
+    operands — ``ops``, indices, values — because they fold only
+    kind-level data (the op kind, the buffer's space) into ``sig``,
+    never the payload.
     """
     params = block.params
     max_rounds = block.max_rounds
@@ -278,11 +431,9 @@ def _trace(block, first_warp: int, nwarps: int, track: dict):
     first_tid = first_warp * ws
     n = min((first_warp + nwarps) * ws, block.num_threads) - first_tid
     lockstep = nwarps > 1
-    scripts = [[] for _ in range(nwarps)]
-    #: Per warp: (append to its steps, first lane, end lane), lanes
-    #: counted from the start of the pass.
-    lanes = [(steps.append, k * ws, min(k * ws + ws, n))
-             for k, steps in enumerate(scripts)]
+    lanes = [(k * ws, min(k * ws + ws, n)) for k in range(nwarps)]
+    p = _Pass(first_warp, lanes)
+    starts = np.arange(0, n, ws, dtype=np.int64)
     #: Warp identity of the pass's lanes, for the isolation entries.
     warps = (
         np.arange(first_tid, first_tid + n, dtype=np.int64) // ws
@@ -297,7 +448,10 @@ def _trace(block, first_warp: int, nwarps: int, track: dict):
     track_get = track.get
     #: id(buf) -> cells this pass has stored (the dependence guard).
     written: dict = {}
-    nsteps = 0
+    tags = p.tag
+    nposs = p.npos
+    runs = p.runs
+    stores = p.stores
     reply = None
     while True:
         try:
@@ -305,18 +459,21 @@ def _trace(block, first_warp: int, nwarps: int, track: dict):
         except StopIteration:
             break
         reply = None
+        e = len(tags)
         tag = getattr(ev, "tag", -1)
         if tag == T_COMPUTE:
             cost = cost_of(ev.kind, 1.0)
             ops = ev.ops
             if isinstance(ops, LaneVec):
-                vals = ops.materialize()
-                for append, b0, b1 in lanes:
-                    append(("C", cost * vals[b0:b1].max()))
+                charge = cost * np.maximum.reduceat(ops.materialize(), starts)
+                p.vec_charges.append((e, charge))
             else:
-                step = ("C", cost * ops)
-                for append, _, _ in lanes:
-                    append(step)
+                charge = cost * ops
+                p.charge_ev.append(e)
+                p.charge.append(charge)
+            if charge.__class__ is not float and not _float64_exact(charge):
+                raise JitAbort("event", "compute charge is not float64")
+            nposs.append(0)
         elif tag == T_LOAD or tag == T_STORE:
             buf = ev.buf
             if buf.space != "global":
@@ -337,13 +494,11 @@ def _trace(block, first_warp: int, nwarps: int, track: dict):
             ):
                 # Fused fast path: one affine unit-stride in-bounds
                 # position — the coalesced-stream shape.  Semantically
-                # identical to the general path below, with the run
-                # columns, slice selectors, and distinctness (stride 1)
-                # all resolved inline.
+                # identical to the general path below, with the sector
+                # runs, slice selectors, and distinctness (stride 1)
+                # all resolved inline or at the end of the pass.
                 a0 = iv.a0
                 sobj = slice(a0, a0 + n)
-                base = buf.base
-                itemsize = buf.itemsize
                 if tag == T_LOAD:
                     own = written.get(key)
                     if own is not None and own[sobj].any():
@@ -352,11 +507,6 @@ def _trace(block, first_warp: int, nwarps: int, track: dict):
                         )
                     t.reads.append((sobj, warps))
                     reply = (LaneVec.from_array(buf.data[sobj].copy()),)
-                    for append, b0, b1 in lanes:
-                        secs, transactions = run_sectors(
-                            a0 + b0, a0 + b1 - 1, base, itemsize, sb
-                        )
-                        append(("L", 1, b1 - b0, secs, transactions))
                 else:
                     values = ev.values
                     if len(values) != 1:
@@ -367,14 +517,8 @@ def _trace(block, first_warp: int, nwarps: int, track: dict):
                         wmask = written[key] = np.zeros(buf.size, dtype=bool)
                     wmask[sobj] = True
                     t.writes.append((sobj, warps))
-                    for append, b0, b1 in lanes:
-                        secs, transactions = run_sectors(
-                            a0 + b0, a0 + b1 - 1, base, itemsize, sb
-                        )
-                        append(
-                            ("S", 1, b1 - b0, secs, transactions, buf,
-                             [(slice(a0 + b0, a0 + b1), va[b0:b1])])
-                        )
+                    stores.append((e * nwarps, buf, [(sobj, va)]))
+                runs += (e, buf.base + a0 * buf.itemsize, buf.itemsize)
             else:
                 selectors = [_norm_index(i, n) for i in idxs]
                 npos = len(selectors)
@@ -385,11 +529,11 @@ def _trace(block, first_warp: int, nwarps: int, track: dict):
                 by_warp = [
                     [_warp_sel(sel, b0, b1) for sel in selectors]
                     if lockstep else selectors
-                    for _, b0, b1 in lanes
+                    for b0, b1 in lanes
                 ]
                 if tag == T_LOAD:
                     if bad is not None:
-                        scripts[0].append(("F", buf, (), bad[2]))
+                        p.fault = (e, buf, (), bad[2])
                         break  # terminal: the fault ends this warp's trace
                     own = written.get(key)
                     out = []
@@ -401,21 +545,12 @@ def _trace(block, first_warp: int, nwarps: int, track: dict):
                             )
                         t.reads.append((sobj, warps))
                         out.append(LaneVec.from_array(buf.gather(sobj)))
-                    for (append, b0, b1), sels in zip(lanes, by_warp):
-                        nl = b1 - b0
-                        secs, transactions = sector_footprint(
-                            [_column(sel, nl) for sel in sels],
-                            buf.base,
-                            buf.itemsize,
-                            sb,
-                        )
-                        append(("L", npos, nl * npos, secs, transactions))
                     reply = tuple(out)
                 else:
                     values = ev.values
                     if len(values) != npos:
                         raise JitAbort("error", "store arity mismatch")
-                    for (_, b0, b1), sels in zip(lanes, by_warp):
+                    for (b0, b1), sels in zip(lanes, by_warp):
                         _check_distinct(sels, b1 - b0)
                     val_arrs = [_materialize_value(v, n) for v in values]
                     if bad is not None:
@@ -430,7 +565,7 @@ def _trace(block, first_warp: int, nwarps: int, track: dict):
                         if prefix:
                             cells = np.array([i for i, _ in prefix], dtype=np.int64)
                             t.writes.append((cells, warps))
-                        scripts[0].append(("F", buf, prefix, bidx))
+                        p.fault = (e, buf, prefix, bidx)
                         break
                     wmask = written.get(key)
                     if wmask is None:
@@ -439,29 +574,36 @@ def _trace(block, first_warp: int, nwarps: int, track: dict):
                         sobj = _selector_obj(sel, n)
                         wmask[sobj] = True
                         t.writes.append((sobj, warps))
-                    for (append, b0, b1), sels in zip(lanes, by_warp):
-                        nl = b1 - b0
-                        commits = [
-                            (_selector_obj(sel, nl), va[b0:b1])
+                    for k, ((b0, b1), sels) in enumerate(zip(lanes, by_warp)):
+                        stores.append((e * nwarps + k, buf, [
+                            (_selector_obj(sel, b1 - b0), va[b0:b1])
                             for sel, va in zip(sels, val_arrs)
-                        ]
-                        secs, transactions = sector_footprint(
-                            [_column(sel, nl) for sel in sels],
-                            buf.base,
-                            buf.itemsize,
-                            sb,
-                        )
-                        append(
-                            ("S", npos, nl * npos, secs, transactions, buf,
-                             commits)
-                        )
+                        ]))
+                for k, ((b0, b1), sels) in enumerate(zip(lanes, by_warp)):
+                    nl = b1 - b0
+                    secs, transactions = sector_footprint(
+                        [_column(sel, nl) for sel in sels],
+                        buf.base,
+                        buf.itemsize,
+                        sb,
+                    )
+                    p.footprints.append((e, k, secs, transactions))
+            nposs.append(len(idxs))
         else:
             raise JitAbort("event", f"unsupported event {type(ev).__name__}")
-        nsteps += 1
-        if nsteps > max_rounds:
+        tags.append(tag)
+        if len(tags) > max_rounds:
             # The interpreter would raise its canonical runaway-loop
             # SimulationError; let it.
             raise JitAbort("error", "trace exceeds max_rounds")
-    return [
-        WarpScript(steps, b1 - b0) for steps, (_, b0, b1) in zip(scripts, lanes)
-    ]
+    return p.close(block)
+
+
+def _float64_exact(charge) -> bool:
+    """Whether a compute charge adds into ``issue_cycles`` exactly as a
+    float64 does.  A narrower float (a float32 ``ops``) would turn the
+    interpreters' running sum into its own type."""
+    dtype = getattr(charge, "dtype", None)
+    if dtype is None:
+        return charge.__class__ in (float, int, bool)
+    return dtype == np.float64 or dtype.kind in "biu"

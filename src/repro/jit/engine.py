@@ -5,11 +5,12 @@
 block's engine is ``"jit"``).  It checks the trace cache, compiles the
 block (:mod:`repro.jit.compile`: one lockstep pass over the whole
 block, re-traced warp by warp only when that pass aborts or the cache
-says it will), and on success *consumes* the warp scripts: one
-precomputed step per warp per round, in the exact ascending ``(round,
-warp)`` order — and therefore the exact L1-cache evolution, counter
-stream, store commit order, and fault position — the interpreters
-produce.  On any guard failure it returns ``None`` with
+says it will), and on success *consumes* the block script: its stores
+commit in the exact ascending ``(round, warp)`` order the interpreters
+use, and its counters — the L1 hit/miss split, the stall rounds, the
+cycle folds — come from the script's columns in a fixed number of
+NumPy passes, equal to the interpreters' to the bit, faults included
+(see :func:`_consume`).  On any guard failure it returns ``None`` with
 zero side effects committed, and the caller falls back to the fast
 interpreter, which replays the block from round zero ("replay from the
 last round boundary" is trivially exact because compilation commits
@@ -18,6 +19,9 @@ nothing).
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.gpu.events import T_LOAD, T_STORE
 from repro.gpu.memory import PAGE_SHIFT
 from repro.jit.compile import compile_block
 from repro.jit.trace import PER_WARP, TRACE_CACHE, trace_key
@@ -58,7 +62,7 @@ def try_run_jit(block):
     try:
         # A block known to compile only per warp skips the doomed
         # lockstep pass.
-        scripts, lockstep = compile_block(block, verdict != PER_WARP)
+        script, lockstep = compile_block(block, verdict != PER_WARP)
     except JitAbort as abort:
         reason = abort.reason
     except Exception:
@@ -70,148 +74,117 @@ def try_run_jit(block):
         if key is not None:
             TRACE_CACHE.store(key, None if lockstep else PER_WARP)
         stats.note_compiled(block.num_warps, lockstep)
-        return _consume(block, scripts)
+        return _consume(block, script)
     if key is not None:
         TRACE_CACHE.store(key, reason)
     stats.note_deopt(reason)
     return None
 
 
-def _consume(block, scripts):
-    """Execute compiled warp scripts round by round.
+def _consume(block, script):
+    """Run a compiled block: its stores, then its counters from the
+    script's columns.
 
-    Mirrors the fast engine's observable order exactly: within a round,
-    warps commit and account in ascending order; a warp's store commits
-    before its group is accounted; the round's ``lane_steps``/
-    ``mem_serial_rounds``/``rounds`` updates land after the last warp.
+    Stores commit in the script's ascending ``(round, warp)`` order,
+    each through the recorder's bulk hook when it tracks the buffer.
+    The counters equal the interpreters' to the bit: integer counters
+    are column sums; ``issue_cycles`` and ``mem_cycles`` are sequential
+    folds in consume order (``np.add.accumulate``, whose order is the
+    interpreters' left-to-right one; ``np.sum`` adds pairwise); L1 hits
+    and misses come from first occurrences in the sector stream when
+    every distinct sector fits an empty cache, which then cannot evict,
+    and from a walk of the stream through the block's
+    :class:`~repro.gpu.coalescing.L1SectorCache` otherwise.  A fault
+    stops the block at its step: the steps before it count, the rounds
+    before its round complete, and its prefix commits before the
+    canonical :class:`~repro.errors.MemoryFault` raises.
     """
     c = block.counters
     params = block.params
-    access = block._l1.access
     rec = block.recorder
-    cost_ld = block._cost_ld
-    cost_st = block._cost_st
-    sector_cycles = params.sector_cycles
-    l1_sector_cycles = params.l1_sector_cycles
-    lsu_cycles = params.lsu_transaction_cycles
-    maxlen = 0
-    for s in scripts:
-        if len(s.steps) > maxlen:
-            maxlen = len(s.steps)
-    # Counters accumulate in locals for speed and flush to the block's
-    # BlockCounters at the end (or just before a fault raises, so the
-    # partial state an error leaves behind matches the interpreters).
-    issues = c.issues
-    issue_cycles = c.issue_cycles
-    loads = c.loads
-    stores = c.stores
-    l1_hits = c.l1_hits
-    l1_misses = c.l1_misses
-    gl_sectors = c.global_load_sectors
-    gs_sectors = c.global_store_sectors
-    lsu = c.lsu_transactions
-    mem_cycles = c.mem_cycles
-    lane_steps = c.lane_steps
-    serial_rounds = c.mem_serial_rounds
-    rounds = c.rounds
-    for r in range(maxlen):
-        stall = False
-        advanced = 0
-        for script in scripts:
-            steps = script.steps
-            if r >= len(steps):
-                continue
-            step = steps[r]
-            tag = step[0]
-            if tag == "C":
-                issues += 1
-                issue_cycles += step[1]
-                advanced += script.nlanes
-            elif tag == "L":
-                _, npos, nelem, secs, transactions = step
-                issues += 1
-                loads += nelem
-                issue_cycles += cost_ld * npos
-                hits, misses = access(secs)
-                l1_hits += hits
-                l1_misses += misses
-                gl_sectors += misses
-                if misses:
-                    stall = True
-                lsu += transactions
-                mem_cycles += (
-                    misses * sector_cycles
-                    + hits * l1_sector_cycles
-                    + transactions * lsu_cycles
-                )
-                advanced += script.nlanes
-            elif tag == "S":
-                _, npos, nelem, secs, transactions, buf, commits = step
-                mark = buf.mark_dirty_sel
-                if rec is not None and rec.tracks(buf):
-                    for sel, values in commits:
-                        rec.on_store_bulk(buf, sel, values)
-                        buf.data[sel] = values
-                        mark(sel)
-                else:
-                    data = buf.data
-                    for sel, values in commits:
-                        data[sel] = values
-                        mark(sel)
-                issues += 1
-                stores += nelem
-                issue_cycles += cost_st * npos
-                hits, misses = access(secs)
-                l1_hits += hits
-                l1_misses += misses
-                gs_sectors += misses
-                lsu += transactions
-                mem_cycles += (
-                    misses * sector_cycles
-                    + hits * l1_sector_cycles
-                    + transactions * lsu_cycles
-                )
-                advanced += script.nlanes
-            else:  # 'F' — commit the lane-major prefix, then fault.
-                c.issues = issues
-                c.issue_cycles = issue_cycles
-                c.loads = loads
-                c.stores = stores
-                c.l1_hits = l1_hits
-                c.l1_misses = l1_misses
-                c.global_load_sectors = gl_sectors
-                c.global_store_sectors = gs_sectors
-                c.lsu_transactions = lsu
-                c.mem_cycles = mem_cycles
-                c.lane_steps = lane_steps
-                c.mem_serial_rounds = serial_rounds
-                c.rounds = rounds
-                _, buf, prefix, bad_idx = step
-                tracked = rec is not None and rec.tracks(buf)
-                data = buf.data
-                dirty = buf.dirty
-                for i, v in prefix:
-                    if tracked:
-                        rec.on_store(buf, i, v)
-                    data[i] = v
-                    dirty[i >> PAGE_SHIFT] = 1
-                buf.check_index(bad_idx)
-                raise AssertionError("unreachable: bad_idx was in bounds")
-        lane_steps += advanced
-        if stall:
-            serial_rounds += 1
-        rounds += 1
-    c.issues = issues
-    c.issue_cycles = issue_cycles
-    c.loads = loads
-    c.stores = stores
-    c.l1_hits = l1_hits
-    c.l1_misses = l1_misses
-    c.global_load_sectors = gl_sectors
-    c.global_store_sectors = gs_sectors
-    c.lsu_transactions = lsu
-    c.mem_cycles = mem_cycles
-    c.lane_steps = lane_steps
-    c.mem_serial_rounds = serial_rounds
-    c.rounds = rounds
+    rnd = script.round
+    fault = script.fault
+    if fault is None:
+        stop = done = rnd.size
+        rounds = int(rnd[-1]) + 1 if rnd.size else 0
+    else:
+        rounds = fault[0]
+        key = rnd * block.num_warps + script.warp
+        stop = int(np.searchsorted(key, rounds * block.num_warps + fault[1]))
+        done = int(np.searchsorted(rnd, rounds))
+    for step, buf, commits in script.stores:
+        if step >= stop:
+            break
+        mark = buf.mark_dirty_sel
+        data = buf.data
+        tracked = rec is not None and rec.tracks(buf)
+        for sel, values in commits:
+            if tracked:
+                rec.on_store_bulk(buf, sel, values)
+            data[sel] = values
+            mark(sel)
+    tag = script.tag[:stop]
+    load = tag == T_LOAD
+    store = tag == T_STORE
+    mem = load | store
+    offsets = script.offsets[:stop + 1]
+    stream = script.sectors[:offsets[-1]]
+    lens = np.diff(offsets)
+    l1 = block._l1
+    distinct, first = np.unique(stream, return_index=True)
+    if not len(l1) and distinct.size <= l1.cap:
+        seen = np.zeros(stream.size + 1, dtype=np.int64)
+        seen[first + 1] = 1
+        np.cumsum(seen, out=seen)
+        misses = np.diff(seen[offsets])
+    else:
+        access = l1.access
+        sectors = stream.tolist()
+        bounds = offsets.tolist()
+        misses = np.zeros(stop, dtype=np.int64)
+        for i in np.flatnonzero(mem).tolist():
+            misses[i] = access(sectors[bounds[i]:bounds[i + 1]])[1]
+    hits = lens - misses
+    transactions = script.transactions[:stop]
+    nelem = script.nelem[:stop]
+    c.issues += stop
+    c.issue_cycles = _fold(c.issue_cycles, script.issue[:stop])
+    c.loads += int(nelem[load].sum())
+    c.stores += int(nelem[store].sum())
+    c.l1_hits += int(hits.sum())
+    c.l1_misses += int(misses.sum())
+    c.global_load_sectors += int(misses[load].sum())
+    c.global_store_sectors += int(misses[store].sum())
+    c.lsu_transactions += int(transactions.sum())
+    c.mem_cycles = _fold(
+        c.mem_cycles,
+        misses[mem] * params.sector_cycles
+        + hits[mem] * params.l1_sector_cycles
+        + transactions[mem] * params.lsu_transaction_cycles,
+    )
+    c.lane_steps += int(script.nlanes[script.warp[:done]].sum())
+    stalled = (load & (misses > 0))[:done]
+    c.mem_serial_rounds += np.unique(rnd[:done][stalled]).size
+    c.rounds += rounds
+    if fault is not None:
+        # Commit the lane-major prefix, then fault.
+        _, _, buf, prefix, bad_idx = fault
+        tracked = rec is not None and rec.tracks(buf)
+        data = buf.data
+        dirty = buf.dirty
+        for i, v in prefix:
+            if tracked:
+                rec.on_store(buf, i, v)
+            data[i] = v
+            dirty[i >> PAGE_SHIFT] = 1
+        buf.check_index(bad_idx)
+        raise AssertionError("unreachable: bad_idx was in bounds")
     return c
+
+
+def _fold(total, terms: np.ndarray):
+    """``total + terms[0] + terms[1] + ...``, added left to right as the
+    interpreters add them, one step at a time."""
+    if not terms.size:
+        return total
+    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])

@@ -3,8 +3,8 @@
 What is cached — and, deliberately, what is *not*
 =================================================
 
-A compiled warp script embeds concrete data: gathered load values, the
-store values computed from them, precomputed sector lists.  Those are
+A compiled block script embeds concrete data: the store values computed
+from gathered loads, the precomputed sector stream.  Those are
 valid only for the exact memory contents at compile time, so **scripts
 are never reused across launches** — every launch re-traces.  What *is*
 stable across launches is the **verdict**: whether this kernel code, at

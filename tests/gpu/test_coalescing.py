@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.gpu.block import ThreadBlock
 from repro.gpu.coalescing import (
     NUMPY_MIN_LANES,
+    L1SectorCache,
     bank_passes,
     global_sectors,
     sector_footprint,
@@ -241,3 +242,36 @@ def test_block_accounting_of_ragged_groups_matches_oracles(group, tag):
             for k, pevs in enumerate(per_pos)
         )
         assert c.shared_passes == passes
+
+
+class _ReferenceLRU:
+    """A list in least- to most-recently-used order."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.order = []
+
+    def access(self, sectors):
+        hits = 0
+        for sec in sectors:
+            if sec in self.order:
+                self.order.remove(sec)
+                hits += 1
+            self.order.append(sec)
+        del self.order[:max(0, len(self.order) - self.cap)]
+        return hits, len(sectors) - hits
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 16),
+       st.lists(st.sets(st.integers(0, 40), max_size=12), max_size=40))
+def test_l1_cache_matches_reference_lru(cap, batches):
+    """Batches over more sectors than the cache holds evict exactly as a
+    reference LRU does: equal hits and misses, equal residents."""
+    cache = L1SectorCache(cap)
+    ref = _ReferenceLRU(cap)
+    for batch in batches:
+        secs = sorted(batch)
+        assert cache.access(secs) == ref.access(secs)
+        assert len(cache) == len(ref.order)
+        assert all(sec in cache for sec in ref.order)

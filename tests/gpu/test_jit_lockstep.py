@@ -4,9 +4,10 @@
 one lockstep pass and re-traces warp by warp only when that pass
 aborts.  The lockstep pass is legal only if, whenever it succeeds, the
 per-warp passes succeed too and produce the same steps.  This suite
-checks that directly — every warp's steps compared by value (tags,
-issue sizes, sector lists, transactions, compute charges with their
-type, committed ``(index, value)`` pairs with their dtype) — and checks
+checks that directly — the block script read back warp by warp and
+every warp's steps compared by value (tags, issue sizes and charges,
+sector lists, transactions, compute charges with their type, committed
+``(index, value)`` pairs with their dtype, the fault prefix) — and checks
 each launch's counters, memory and dirty pages against the fast
 interpreter.  Each case pins the ``kc.extra`` JIT telemetry the
 per-warp tracer reports, so a fallback keeps its deopt reason.
@@ -23,10 +24,12 @@ import pytest
 
 from repro import jit
 from repro.errors import MemoryFault
+from repro.exec import legs
 from repro.exec.engine import SerialExecutor
 from repro.gpu.block import ThreadBlock
 from repro.gpu.costmodel import amd_mi100, nvidia_a100
 from repro.gpu.device import Device
+from repro.gpu.events import T_COMPUTE, T_LOAD, T_STORE
 from repro.jit.compile import compile_block
 from repro.jit.stats import JitCounters, fold
 from repro.jit.trace import PER_WARP, TRACE_CACHE, trace_key
@@ -48,37 +51,66 @@ from test_fastpath_equiv import (
 # Step-by-step comparison
 
 
-def _commit_value(sel, values):
+_TAG_NAMES = {T_COMPUTE: "C", T_LOAD: "L", T_STORE: "S"}
+
+
+def _commit_values(sel, values, tid0, ws):
+    """One commit whose values start at thread ``tid0``, split by warp:
+    ``{warp: (indices, dtype, values)}``."""
     idx = np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
-    return (np.asarray(idx).tolist(), values.dtype.str, values.tolist())
+    idx = np.asarray(idx)
+    warp = (tid0 + np.arange(len(values))) // ws
+    return {
+        w: (idx[warp == w].tolist(), values.dtype.str,
+            values[warp == w].tolist())
+        for w in np.unique(warp).tolist()
+    }
 
 
-def _step_value(step):
-    tag = step[0]
-    if tag == "C":
-        return ("C", type(step[1]).__name__, step[1])
-    if tag == "L":
-        _, npos, nelem, secs, transactions = step
-        return ("L", npos, nelem, list(secs), transactions)
-    if tag == "S":
-        _, npos, nelem, secs, transactions, buf, commits = step
-        return ("S", npos, nelem, list(secs), transactions, buf.name,
-                [_commit_value(sel, vals) for sel, vals in commits])
-    _, buf, prefix, bad_idx = step
-    return ("F", buf.name, [(i, v.item()) for i, v in prefix], bad_idx)
+def _warp_steps(script, ws):
+    """A block script read back warp by warp: per warp, the list of its
+    step values in round order (``F`` last, for the faulting warp)."""
+    commits = {}
+    for step, buf, pairs in script.stores:
+        tid0 = int(script.warp[step]) * ws
+        rnd = int(script.round[step])
+        for sel, values in pairs:
+            for w, value in _commit_values(sel, values, tid0, ws).items():
+                entry = commits.setdefault((rnd, w), (buf.name, []))
+                entry[1].append(value)
+    steps = [[] for _ in script.nlanes]
+    for i in range(script.round.size):
+        w = int(script.warp[i])
+        tag = _TAG_NAMES[int(script.tag[i])]
+        charge = script.issue[i]
+        if tag == "C":
+            steps[w].append(("C", type(charge).__name__, charge))
+            continue
+        secs = script.sectors[script.offsets[i]:script.offsets[i + 1]]
+        value = (tag, int(script.npos[i]), int(script.nelem[i]), charge,
+                 secs.tolist(), int(script.transactions[i]))
+        if tag == "S":
+            value += commits.pop((int(script.round[i]), w))
+        steps[w].append(value)
+    assert not commits, "a commit outside every store step"
+    if script.fault is not None:
+        _, w, buf, prefix, bad_idx = script.fault
+        steps[w].append(("F", buf.name, [(i, v.item()) for i, v in prefix],
+                         bad_idx))
+    return steps
 
 
 def _compiled(block, lockstep):
     """``(verdict, lockstep_ok, scripts)``: verdict ``None`` or the deopt
-    reason, scripts as per-warp lists of step values."""
+    reason, scripts as per-warp ``(lanes, step values)``."""
     try:
-        scripts, ok = compile_block(block, lockstep)
+        script, ok = compile_block(block, lockstep)
     except JitAbort as abort:
         return abort.reason, False, None
     except Exception:
         return "error", False, None
-    return None, ok, [(s.nlanes, [_step_value(st) for st in s.steps])
-                      for s in scripts]
+    steps = _warp_steps(script, block.params.warp_size)
+    return None, ok, [(int(nl), st) for nl, st in zip(script.nlanes, steps)]
 
 
 def _blocks(dev, kernel, blocks, threads, args):
@@ -555,6 +587,58 @@ def test_concurrent_folds_lose_no_count():
     assert (snap["blocks_compiled"], snap["warps_compiled"],
             snap["lockstep_blocks"], snap["deopts"]["event"]) == (
         80000, 320000, 80000, 80000)
+
+
+# ---------------------------------------------------------------------------
+# Consumption: counters from the block script's columns
+
+
+def _stencil_launch(params, executor, engine, n):
+    dev = Device(params, executor=executor)
+    x = dev.from_array("x", np.linspace(0.0, 1.0, n + 2, dtype=np.float32))
+    y = dev.alloc("y", n, np.float32)
+    kc = dev.launch(_gate_stencil, 4, 128, args=(x, y, n), engine=engine)
+    telemetry = {k: v for k, v in kc.extra.items() if k.startswith("jit_")}
+    kc.extra = strip_launch_telemetry(kc.extra)
+    return kc, telemetry, y.to_numpy().copy(), bytes(y.dirty)
+
+
+@pytest.mark.parametrize("leg", sorted(legs.EXECUTORS))
+def test_evicting_block_matches_fast(leg):
+    """A block whose distinct sectors overflow its L1 can evict, so its
+    hits and misses come from a walk of the cache; every counter still
+    equals the fast engine's, on every executor."""
+    params = nvidia_a100().with_overrides(l1_size_bytes=256)
+    n = 2048
+    dev = Device(params)
+    x = dev.from_array("x", np.zeros(n + 2, dtype=np.float32))
+    y = dev.alloc("y", n, np.float32)
+    block = _blocks(dev, _gate_stencil, 4, 128, (x, y, n))[0]
+    script, _ = compile_block(block)
+    assert np.unique(script.sectors).size > params.l1_size_bytes // params.sector_bytes
+    kj, telemetry, mem_j, dirty_j = _stencil_launch(
+        params, legs.make_executor(leg), "jit", n)
+    kf, _, mem_f, dirty_f = _stencil_launch(
+        params, legs.make_executor(leg), "fast", n)
+    assert telemetry == {"jit_warps_compiled": 16.0}
+    assert kj.total("l1_hits") > 0
+    assert kj.identical(kf)
+    assert np.array_equal(mem_j, mem_f) and dirty_j == dirty_f
+
+
+def test_cycle_folds_are_sequential():
+    """``mem_cycles`` and ``issue_cycles`` add one step at a time in
+    consume order, as the interpreters do: with 0.4-cycle LSU
+    transactions a pairwise sum rounds differently."""
+    params = nvidia_a100()
+    assert params.lsu_transaction_cycles == 0.4
+    kj, telemetry, _, _ = _stencil_launch(params, SerialExecutor(), "jit", 8192)
+    kf, _, _, _ = _stencil_launch(params, SerialExecutor(), "fast", 8192)
+    assert telemetry == {"jit_warps_compiled": 16.0}
+    for bj, bf in zip(kj.blocks, kf.blocks):
+        assert bj.mem_cycles.hex() == bf.mem_cycles.hex()
+        assert bj.issue_cycles.hex() == bf.issue_cycles.hex()
+    assert kj.identical(kf)
 
 
 # ---------------------------------------------------------------------------
