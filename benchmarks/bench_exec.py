@@ -1,43 +1,34 @@
-"""Parallel launch engine: wall-clock speedup over the serial loop.
+"""Launch-executor gate legs: parallel speedup and the faults off-path.
 
 The simulator's cost model is deterministic, so the *only* thing the
 block-sharding engine may change is how long the simulation takes on the
-host.  This bench times one compute-heavy 64-block grid under the serial
-executor and under 4 forked workers, verifies the results are
-bit-identical, and records the speedup.
+host.  Both gates time one compute-heavy 64-block grid, and
+``benchmarks/bench_gates.py`` measures them:
 
-Run standalone (prints BENCH lines, used by the CI smoke leg)::
-
-    PYTHONPATH=src python benchmarks/bench_exec.py
-
-or under pytest-benchmark::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_exec.py --benchmark-only
-
-The ≥2× acceptance assertion only applies on hosts with at least 4 CPUs
-(a single-core container can demonstrate correctness but not speedup).
+* ``parallel`` — the serial executor against 4 forked workers, results
+  and counters bit-identical.  The ≥2× acceptance floor only applies on
+  hosts with at least 4 CPUs (a 2-CPU container can demonstrate
+  correctness but not speedup);
+* ``faults_off`` — no fault plan against an armed but spec-less
+  :class:`repro.faults.FaultPlan`: every hook is consulted and must
+  decline at hash-draw cost zero (specs are filtered per site before any
+  draw happens), so the inert plan costs under 2%.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
-import pytest
 
+from bench_substrate import launch_fields
 from repro.exec import ParallelExecutor, SerialExecutor
-from repro.exec.pool import fork_available
 from repro.gpu.device import Device
 
 #: Grid geometry: ≥64 blocks per the acceptance criterion.
 NUM_BLOCKS = 64
 THREADS = 64
 INNER = 64
-
-#: Host parallelism needed before asserting the speedup target.
-MIN_CPUS_FOR_SPEEDUP = 4
-TARGET_SPEEDUP = 2.0
 
 
 def _kernel(tc, x, y):
@@ -50,114 +41,47 @@ def _kernel(tc, x, y):
     yield from tc.store(y, i, v)
 
 
-def _run(executor):
-    dev = Device(executor=executor)
+def run_grid(executor=None, faults=None):
+    """Launch the grid on a fresh device; returns ``((y, counters),
+    seconds)`` with only the launch timed."""
+    dev = Device(executor=executor or SerialExecutor(), faults=faults)
     n = NUM_BLOCKS * THREADS
     x = dev.from_array("x", np.arange(n, dtype=np.float64))
     y = dev.alloc("y", n, np.float64)
     t0 = time.perf_counter()
     kc = dev.launch(_kernel, NUM_BLOCKS, THREADS, args=(x, y))
     elapsed = time.perf_counter() - t0
-    return dev.to_numpy(y), kc, elapsed
+    return (dev.to_numpy(y), kc), elapsed
 
 
-def compare(workers: int = 4):
-    """Run serial vs parallel once; return (speedup, serial_s, parallel_s)."""
-    y_s, kc_s, t_serial = _run(SerialExecutor())
-    y_p, kc_p, t_parallel = _run(ParallelExecutor(workers=workers, processes=True))
-    assert np.array_equal(y_s, y_p), "parallel result diverged from serial"
-    assert kc_s.identical(kc_p), "parallel counters diverged from serial"
-    return t_serial / t_parallel, t_serial, t_parallel
+def _identical_pair(a, b):
+    ((y_a, kc_a), t_a), ((y_b, kc_b), t_b) = a, b
+    assert np.array_equal(y_a, y_b), "results diverged between the legs"
+    assert kc_a.identical(kc_b), "counters diverged between the legs"
+    return t_a, t_b, launch_fields(kc_a)
 
 
-@pytest.mark.benchmark(group="exec")
-def test_parallel_speedup(benchmark):
-    if not fork_available():
-        pytest.skip("fork start method unavailable")
-    speedup, t_serial, t_parallel = benchmark.pedantic(
-        lambda: compare(workers=4), rounds=1, iterations=1
-    )
-    print(f"\nBENCH exec serial={t_serial:.3f}s parallel={t_parallel:.3f}s "
-          f"speedup={speedup:.2f}x workers=4 blocks={NUM_BLOCKS} "
-          f"cpus={os.cpu_count()}")
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["cpus"] = os.cpu_count()
-    if (os.cpu_count() or 1) >= MIN_CPUS_FOR_SPEEDUP:
-        assert speedup >= TARGET_SPEEDUP, (
-            f"expected >= {TARGET_SPEEDUP}x with 4 workers on "
-            f"{os.cpu_count()} CPUs, got {speedup:.2f}x"
-        )
+def parallel_legs():
+    """Legs of the ``parallel`` gate: serial (A), 4 forked workers (B).
+    Score ``speedup``: A's time over B's."""
+
+    def pair(serial, parallel):
+        t_serial, t_parallel, fields = _identical_pair(serial, parallel)
+        return {"speedup": t_serial / t_parallel}, fields
+
+    return (run_grid,
+            lambda: run_grid(ParallelExecutor(workers=4, processes=True)),
+            pair)
 
 
-#: Repeats for the off-path overhead measurement (min-of-k kills noise).
-OVERHEAD_ROUNDS = 5
-#: The resilience acceptance target: faults off-path costs < 2%.
-MAX_OFF_OVERHEAD_PCT = 2.0
-
-
-def _time_one(faults) -> float:
-    dev = Device(executor=SerialExecutor(), faults=faults)
-    n = NUM_BLOCKS * THREADS
-    x = dev.from_array("x", np.arange(n, dtype=np.float64))
-    y = dev.alloc("y", n, np.float64)
-    t0 = time.perf_counter()
-    dev.launch(_kernel, NUM_BLOCKS, THREADS, args=(x, y))
-    return time.perf_counter() - t0
-
-
-def faults_off_overhead():
-    """Return (overhead_pct, t_off, t_inert) for the fault hooks' off path.
-
-    ``t_off`` runs with no plan at all; ``t_inert`` with an armed but
-    spec-less :class:`repro.faults.FaultPlan` — every hook is consulted
-    and must decline at hash-draw cost zero (specs are filtered per site
-    before any draw happens).  The two legs are interleaved pairwise so
-    host-load drift between series cannot masquerade as overhead, and
-    min-of-k absorbs the remaining noise.
-    """
+def faults_off_legs():
+    """Legs of the ``faults_off`` gate: no plan (A), an inert plan (B).
+    Score ``overhead_pct``: B's time over A's, less one, in percent."""
     from repro.faults import FaultPlan
 
-    t_off = t_inert = float("inf")
-    for _ in range(OVERHEAD_ROUNDS):
-        t_off = min(t_off, _time_one(None))
-        t_inert = min(t_inert, _time_one(FaultPlan(seed=2023)))
-    return (t_inert / t_off - 1.0) * 100.0, t_off, t_inert
+    def pair(off, inert):
+        t_off, t_inert, fields = _identical_pair(off, inert)
+        return {"overhead_pct": (t_inert / t_off - 1.0) * 100.0}, fields
 
+    return run_grid, lambda: run_grid(faults=FaultPlan(seed=2023)), pair
 
-@pytest.mark.benchmark(group="exec")
-def test_faults_off_overhead(benchmark):
-    overhead, t_off, t_inert = benchmark.pedantic(
-        faults_off_overhead, rounds=1, iterations=1
-    )
-    print(f"\nBENCH faults-off off={t_off:.3f}s inert={t_inert:.3f}s "
-          f"overhead={overhead:+.2f}%")
-    benchmark.extra_info["overhead_pct"] = round(overhead, 2)
-    if t_off >= 0.05:  # too-short baselines are all noise
-        assert overhead < MAX_OFF_OVERHEAD_PCT, (
-            f"faults off-path costs {overhead:.2f}% "
-            f"(target < {MAX_OFF_OVERHEAD_PCT}%)"
-        )
-
-
-def main() -> int:
-    overhead, t_off, t_inert = faults_off_overhead()
-    print(f"BENCH faults-off off={t_off:.3f}s inert={t_inert:.3f}s "
-          f"overhead={overhead:+.2f}%")
-    if t_off >= 0.05 and overhead >= MAX_OFF_OVERHEAD_PCT:
-        print(f"BENCH faults-off FAIL: above the {MAX_OFF_OVERHEAD_PCT}% target")
-        return 1
-    if not fork_available():
-        print("BENCH exec SKIP (fork unavailable)")
-        return 0
-    speedup, t_serial, t_parallel = compare(workers=4)
-    cpus = os.cpu_count() or 1
-    print(f"BENCH exec serial={t_serial:.3f}s parallel={t_parallel:.3f}s "
-          f"speedup={speedup:.2f}x workers=4 blocks={NUM_BLOCKS} cpus={cpus}")
-    if cpus >= MIN_CPUS_FOR_SPEEDUP and speedup < TARGET_SPEEDUP:
-        print(f"BENCH exec FAIL: below the {TARGET_SPEEDUP}x target")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -6,44 +6,34 @@ cost-model outputs of canonical access patterns as a calibration record.
 
 All setup — :class:`~repro.gpu.device.Device` construction, host array
 allocation, buffer uploads — happens *outside* the benchmarked closures,
-so the metric is pure event-loop throughput (the pre-refactor version of
-this file timed device construction inside the closures, understating the
-interpreter's true rate).
+so the metric is pure event-loop throughput.
 
-The headline legs are the **engine speedup gates**: the streaming and
-generic-SIMD workloads run the block round loop hook-free (fused: side
-effects inline, accounting per warp) against the same loop under the
-identity schedule policy ``DirectedSchedule(())``, whose deferred-commit
-path holds every memory side effect to round end — and the ``jit_*``
-workloads run the trace-compiling JIT tier against the hook-free loop
-(see ``docs/PERF.md``) — all interleaved within one process and scored
-best-of-N so machine noise cancels out of the ratio.  The hook-free loop
-is the JIT's yardstick because it is also the JIT's deopt target.
-Counters are asserted bit-exact between the legs on every measurement
-(JIT telemetry keys stripped first) — the speedup claims are only
-meaningful because the semantics are identical.  The JIT legs carry a
-hard floor (:data:`JIT_MIN_SPEEDUP`) in ``--check`` on top of the
-baseline tolerance.  The ``sanitized_paper`` leg prices the sanitizer: a
-paper-kernel mix inside a report-mode session against the same mix
-hook-free, under a hard ceiling (:data:`SANITIZED_MAX_RATIO`).
+The module also holds the legs of five speed gates, which
+``benchmarks/bench_gates.py`` measures and checks (see ``docs/PERF.md``):
 
-Run standalone (prints BENCH lines, writes/checks ``BENCH_substrate.json``,
-used by the CI ``perf-smoke`` job)::
+* ``streaming`` / ``generic_simd`` — the block round loop hook-free
+  (fused: side effects inline, accounting per warp) against the same
+  loop under the identity schedule policy ``DirectedSchedule(())``, whose
+  deferred-commit path holds every memory side effect to round end;
+* ``jit_streaming`` / ``jit_stencil`` — the trace-compiling JIT tier
+  against the hook-free round loop, its deopt target;
+* ``sanitized_paper`` — a paper-kernel mix inside a report-mode
+  sanitizer session against the same mix hook-free;
+* ``snapshot_rollback`` — whole-arena against O(dirty-page) restores of
+  one re-armed snapshot.
 
-    PYTHONPATH=src python benchmarks/bench_substrate.py
-    PYTHONPATH=src python benchmarks/bench_substrate.py --check
-    PYTHONPATH=src python benchmarks/bench_substrate.py --write-baseline
+Each ``*_legs`` function builds its workload once and returns the two
+legs plus the pair check, which asserts the legs bit-identical (counters,
+outputs, restored memory) on every pair — a speedup is only meaningful
+because the semantics are identical.
 
-or under pytest-benchmark::
+Record the throughput legs under pytest-benchmark::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_substrate.py --benchmark-only
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import time
 
 import numpy as np
@@ -62,56 +52,27 @@ from repro.gpu.events import (
 )
 from repro.sanitizer.schedule import DirectedSchedule, strip_launch_telemetry
 
-#: Committed baseline that ``--check`` compares against.
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_substrate.json")
 
-#: Relative tolerance on the fused/deferred speedup ratio.  The ratio is
-#: machine-relative (both legs run in the same process), so it is far more
-#: stable across hosts than absolute lane-steps/s, which are recorded but
-#: not gated.
-TOLERANCE_PCT = 25
-
-#: Interleaved measurement pairs per workload; the score is best-of.
-DEFAULT_REPS = 7
-
-#: Hard floor on the JIT-vs-fast ratio for the ``jit_*`` gate workloads —
-#: the tier's acceptance bar, enforced by ``--check`` regardless of what
-#: the committed baseline says.  It was 4.8, the former ">= 10x over the
-#: instrumented engine" bar restated over the fast engine.  Since the
-#: JIT traces a block's warps in one lockstep pass, 10 ``--check`` runs
-#: on a 2-vCPU KVM guest read jit_streaming 9.04-11.72x (median 10.29x)
-#: and jit_stencil 8.49-12.72x (median 10.52x), and the floor went to
-#: 7.0.  Since a compiled block is one columnar script consumed in a few
-#: NumPy passes, 10 runs read jit_streaming 17.03-19.68x and jit_stencil
-#: 20.24-21.64x; every run clears 12.0.
-JIT_MIN_SPEEDUP = 12.0
-
-#: Hard floor on the incremental-vs-full snapshot ratio for the
-#: ``snapshot_rollback`` workload.  This gate is floor-only (never
-#: baseline-relative): the ratio scales with how sparse the writes are
-#: relative to the arena, so its absolute value is huge and
-#: machine-sensitive — a ±25% band around a committed value would flake,
-#: while the acceptance bar ("O(dirty) beats O(N) clearly") is stable.
-SNAPSHOT_MIN_SPEEDUP = 5.0
-
-#: Hard ceiling on the sanitized-to-fast time ratio of the
-#: ``sanitized_paper`` workload (lower is better): what a report-mode
-#: sanitizer session costs on the paper's kernels over the hook-free fast
-#: engine.  With O(1) event-site capture and per-event race checks, 10
-#: full ``--check`` runs read 1.58-1.94x (median 1.79x) on a 2-vCPU KVM
-#: guest; the monitor before them, which walked every event's generator
-#: chain and checked races element by element, read 3.00-3.92x in 10 runs.
-SANITIZED_MAX_RATIO = 2.4
+def launch_fields(counters) -> dict:
+    """The deterministic simulation outputs of one launch (or a list of
+    launches): the fields a gate pins exactly against its baseline."""
+    kcs = counters if isinstance(counters, list) else [counters]
+    return {
+        "lane_steps": int(sum(kc.total("lane_steps") for kc in kcs)),
+        "rounds": int(sum(kc.rounds for kc in kcs)),
+        "cycles": float(sum(kc.cycles for kc in kcs)),
+    }
 
 
 # ---------------------------------------------------------------------------
-# Gate workloads.
+# Round-loop gate workloads.
 #
 # Each maker builds the device and buffers once and returns a
-# ``run(engine, **hooks)`` closure that only launches — so a measurement
-# times the interpreter, not the setup.  The kernels drive the raw event
-# ISA with loop-invariant index tuples hoisted, keeping kernel-side Python
-# cost (paid identically by both legs) from diluting the comparison.
+# ``run(engine, **hooks)`` closure that only launches and returns
+# ``(counters, seconds)`` — so a leg times the interpreter, not the
+# setup.  The kernels drive the raw event ISA with loop-invariant index
+# tuples hoisted, keeping kernel-side Python cost (paid identically by
+# both legs) from diluting the comparison.
 
 
 def make_streaming():
@@ -205,10 +166,26 @@ def make_generic_simd():
     return run
 
 
-WORKLOADS = {
-    "streaming": make_streaming,
-    "generic_simd": make_generic_simd,
-}
+def fused_legs(make):
+    """Legs of a fused/deferred gate over the workload ``make`` builds:
+    the hook-free round loop (A) and the same loop under the identity
+    ``DirectedSchedule(())`` (B).  Score ``speedup``: B's time over A's."""
+
+    def legs():
+        run = make()
+
+        def pair(fused, deferred):
+            (kc, t_fused), (kc_deferred, t_deferred) = fused, deferred
+            assert kc.identical(kc_deferred), (
+                "fused/deferred counters diverged — speedup is void"
+            )
+            return {"speedup": t_deferred / t_fused}, launch_fields(kc)
+
+        return (lambda: run("auto"),
+                lambda: run("auto", schedule_policy=DirectedSchedule(())),
+                pair)
+
+    return legs
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +195,8 @@ WORKLOADS = {
 # grid-stride loops over global memory.  They use the portable ``tc``
 # API (not raw events) because the same kernel body must drive both the
 # scalar ThreadCtx and the JIT's vectorized VecThreadCtx.  Each maker
-# returns a ``run(engine)`` closure; measurements interleave
-# ``engine="jit"`` against ``engine="auto"`` (the hook-free round loop).
+# returns a ``run(engine)`` closure; the legs run ``engine="jit"`` and
+# ``engine="auto"`` (the hook-free round loop).
 
 
 def make_jit_streaming():
@@ -283,10 +260,34 @@ def make_jit_stencil():
     return run
 
 
-JIT_WORKLOADS = {
-    "jit_streaming": make_jit_streaming,
-    "jit_stencil": make_jit_stencil,
-}
+def jit_legs(make):
+    """Legs of a JIT gate over the workload ``make`` builds: the JIT tier
+    (A) and the hook-free round loop (B).  Score ``jit_speedup``: B's time
+    over A's.  Every pair requires that every warp compiled (a silently
+    deoptimizing workload would make the ratio meaningless) and that the
+    counters, telemetry keys stripped, are bit-identical."""
+
+    def legs():
+        run = make()
+
+        def pair(jit, fast):
+            (kc_jit, t_jit), (kc_fast, t_fast) = jit, fast
+            warps = kc_jit.extra.get("jit_warps_compiled", 0.0)
+            deopts = {k: v for k, v in kc_jit.extra.items()
+                      if k.startswith("jit_deopt_")}
+            assert warps > 0 and not deopts, (
+                f"gate workload did not stay compiled (warps={warps}, "
+                f"deopts={deopts}) — speedup is void"
+            )
+            kc_jit.extra = strip_launch_telemetry(kc_jit.extra)
+            assert kc_jit.identical(kc_fast), (
+                "jit/fast counters diverged — speedup is void"
+            )
+            return {"jit_speedup": t_fast / t_jit}, launch_fields(kc_fast)
+
+        return (lambda: run("jit"), lambda: run("auto"), pair)
+
+    return legs
 
 
 # ---------------------------------------------------------------------------
@@ -342,171 +343,78 @@ def make_sanitized_paper():
     return run
 
 
-def measure_sanitized_ratio(reps: int = DEFAULT_REPS) -> dict:
-    """Interleaved fast/sanitized measurement of the paper-kernel mix.
-
-    Same protocol as :func:`measure_speedup`: alternating legs, best-of
-    each, and bit-identical counters on every launch of the mix.
-    """
+def sanitized_legs():
+    """Legs of the ``sanitized_paper`` gate: the paper-kernel mix
+    hook-free (A) and inside a report-mode session (B), counters
+    bit-identical on every launch of the mix.  Score ``sanitized_ratio``:
+    B's time over A's (lower is better)."""
     run = make_sanitized_paper()
-    best_fast = best_san = float("inf")
-    kc_fast = kc_san = None
-    for _ in range(reps):
-        kcs, dt = run(False)
-        if dt < best_fast:
-            best_fast, kc_fast = dt, kcs
-        kcs, dt = run(True)
-        if dt < best_san:
-            best_san, kc_san = dt, kcs
-    assert all(a.identical(b) for a, b in zip(kc_fast, kc_san)), (
-        "sanitized_paper: fast/sanitized counters diverged — ratio is void"
-    )
-    steps = sum(kc.total("lane_steps") for kc in kc_fast)
-    return {
-        "lane_steps": int(steps),
-        "rounds": int(sum(kc.rounds for kc in kc_fast)),
-        "cycles": float(sum(kc.cycles for kc in kc_fast)),
-        "fast_steps_per_s": steps / best_fast,
-        "sanitized_steps_per_s": steps / best_san,
-        "sanitized_ratio": best_san / best_fast,
-    }
+
+    def pair(fast, sanitized):
+        (kcs_fast, t_fast), (kcs_san, t_san) = fast, sanitized
+        assert all(a.identical(b) for a, b in zip(kcs_fast, kcs_san)), (
+            "fast/sanitized counters diverged — ratio is void"
+        )
+        return {"sanitized_ratio": t_san / t_fast}, launch_fields(kcs_fast)
+
+    return (lambda: run(False), lambda: run(True), pair)
 
 
 # ---------------------------------------------------------------------------
 # Snapshot gate workload.
 #
-# The retry-ladder / serve-clone shape: a large device arena, a loop of
-# sparse kernel writes, and a snapshot + rollback per attempt.  The full
-# leg rebuilds an un-chained ``MemorySnapshot`` every iteration — the
-# pre-refactor cost model, O(arena) copy + checksum per attempt — while
-# the incremental leg chains ``base=`` snapshots exactly as
-# ``Device.launch``'s retry loop and the serve tier do, paying O(dirty
-# pages) per attempt.  Both legs restore to the identical pre-loop state
-# (asserted bit-exact), so the ratio compares equal work.
+# The retry-ladder shape: a large device arena, a loop of sparse kernel
+# writes, and a rollback per attempt from one snapshot, which each
+# restore re-arms, exactly as ``Device.launch``'s retry loop does.  The
+# incremental leg restores the dirty pages only; the full leg clears the
+# dirty bits before each restore, so the snapshot's epoch check must fall
+# back to copying the whole arena — the cost of a rollback without write
+# tracking.  Both legs restore to the identical pre-loop state (asserted
+# bit-exact), so the ratio compares equal work.
 
 
-def measure_snapshot_speedup(reps: int = DEFAULT_REPS) -> dict:
+def snapshot_legs():
+    """Legs of the ``snapshot_rollback`` gate: whole-arena restores (A)
+    and O(dirty-page) restores (B) of one snapshot.  Score
+    ``snapshot_speedup``: A's time over B's."""
     from repro.faults.scrub import MemorySnapshot
     from repro.gpu.memory import PAGE_SHIFT, GlobalMemory
 
-    n = 1 << 20  # 8 MiB arena: 4096 pages of 256 float64 elements
+    n = 1 << 22  # 32 MiB arena: 16384 pages of 256 float64 elements
     iters = 16
     # Sparse write pattern: a fixed stride walk dirties a handful of
     # pages per attempt, the regime snapshots exist for.
     idx = (np.arange(32, dtype=np.int64) * 12007) % n
-    dirty_per_iter = len(np.unique(idx >> PAGE_SHIFT))
-
     gmem = GlobalMemory()
     buf = gmem.from_array("state", np.zeros(n))
     baseline_state = buf.to_numpy()
-    pages_total = buf.npages
+    fields = {
+        "pages_total": int(buf.npages),
+        "dirty_pages_per_iter": len(np.unique(idx >> PAGE_SHIFT)),
+        "iters": iters,
+    }
 
-    def run_full():
-        t0 = time.perf_counter()
-        for it in range(iters):
-            snap = MemorySnapshot(gmem)
-            buf.scatter(idx, np.full(idx.size, float(it + 1)))
-            snap.restore()
-        return time.perf_counter() - t0
-
-    def run_incremental():
-        snap = MemorySnapshot(gmem)  # seed paid once, like the retry loop
+    def run(tracked):
+        snap = MemorySnapshot(gmem)  # taken once, like the retry loop
         t0 = time.perf_counter()
         for it in range(iters):
             buf.scatter(idx, np.full(idx.size, float(it + 1)))
+            if not tracked:
+                buf.clear_dirty()
             snap.restore()
-            snap = MemorySnapshot(gmem, base=snap)
-        return time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0
+        return np.array_equal(buf.data, baseline_state), elapsed
 
-    best_full = best_incr = float("inf")
-    for _ in range(reps):
-        best_full = min(best_full, run_full())
-        assert np.array_equal(buf.to_numpy(), baseline_state)
-        best_incr = min(best_incr, run_incremental())
-        assert np.array_equal(buf.to_numpy(), baseline_state)
-    return {
-        "pages_total": int(pages_total),
-        "dirty_pages_per_iter": int(dirty_per_iter),
-        "iters": int(iters),
-        "full_s_per_iter": best_full / iters,
-        "incr_s_per_iter": best_incr / iters,
-        "snapshot_speedup": best_full / best_incr,
-    }
+    def pair(full, incremental):
+        (restored_full, t_full), (restored_incr, t_incr) = full, incremental
+        assert restored_full and restored_incr, "a leg did not restore"
+        return {"snapshot_speedup": t_full / t_incr}, fields
 
-
-def measure_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
-    """Interleaved fused/deferred measurement of one gate workload.
-
-    Runs ``reps`` pairs alternating the hook-free round loop with the same
-    loop under the identity ``DirectedSchedule(())`` (so slow drift in
-    machine load hits both legs equally), scores each leg best-of, and
-    asserts the two legs produced bit-identical counters.
-    """
-    run = WORKLOADS[name]()
-    best_fast = best_deferred = float("inf")
-    kc_fast = kc_deferred = None
-    for _ in range(reps):
-        kc, dt = run("auto")
-        if dt < best_fast:
-            best_fast, kc_fast = dt, kc
-        kc, dt = run("auto", schedule_policy=DirectedSchedule(()))
-        if dt < best_deferred:
-            best_deferred, kc_deferred = dt, kc
-    assert kc_fast.identical(kc_deferred), (
-        f"{name}: fused/deferred counters diverged — speedup is void"
-    )
-    steps = kc_fast.total("lane_steps")
-    return {
-        "lane_steps": int(steps),
-        "rounds": int(kc_fast.rounds),
-        "cycles": float(kc_fast.cycles),
-        "fast_steps_per_s": steps / best_fast,
-        "deferred_steps_per_s": steps / best_deferred,
-        "speedup": best_deferred / best_fast,
-    }
-
-
-def measure_jit_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
-    """Interleaved jit/fast measurement of one JIT gate workload.
-
-    Same protocol as :func:`measure_speedup`; additionally requires that
-    every warp actually compiled (a silently deoptimizing workload would
-    make the ratio meaningless) and that the counters — after stripping
-    the telemetry keys — are bit-identical.
-    """
-    run = JIT_WORKLOADS[name]()
-    best_jit = best_fast = float("inf")
-    kc_jit = kc_fast = None
-    for _ in range(reps):
-        kc, dt = run("jit")
-        if dt < best_jit:
-            best_jit, kc_jit = dt, kc
-        kc, dt = run("auto")  # the hook-free round loop
-        if dt < best_fast:
-            best_fast, kc_fast = dt, kc
-    warps = kc_jit.extra.get("jit_warps_compiled", 0.0)
-    deopts = {k: v for k, v in kc_jit.extra.items() if k.startswith("jit_deopt_")}
-    assert warps > 0 and not deopts, (
-        f"{name}: gate workload did not stay compiled "
-        f"(warps={warps}, deopts={deopts}) — speedup is void"
-    )
-    kc_jit.extra = strip_launch_telemetry(kc_jit.extra)
-    assert kc_jit.identical(kc_fast), (
-        f"{name}: jit/fast counters diverged — speedup is void"
-    )
-    steps = kc_jit.total("lane_steps")
-    return {
-        "lane_steps": int(steps),
-        "rounds": int(kc_jit.rounds),
-        "cycles": float(kc_jit.cycles),
-        "jit_steps_per_s": steps / best_jit,
-        "fast_steps_per_s": steps / best_fast,
-        "jit_speedup": best_fast / best_jit,
-    }
+    return lambda: run(False), lambda: run(True), pair
 
 
 # ---------------------------------------------------------------------------
-# pytest-benchmark legs
+# pytest-benchmark throughput records
 
 
 @pytest.mark.benchmark(group="substrate")
@@ -528,64 +436,6 @@ def test_scheduler_throughput_generic_simd(benchmark):
     kc, _ = benchmark(run, "auto")
     benchmark.extra_info["rounds"] = kc.rounds
     benchmark.extra_info["lane_steps"] = kc.total("lane_steps")
-
-
-def test_fastpath_speedup_gate():
-    """The fused and deferred-commit legs agree bit-exactly and the fused
-    loop is faster.
-
-    A light version (few reps) for plain pytest runs; the CI ``perf-smoke``
-    job runs the full standalone measurement and compares the speedup
-    against the committed baseline with ±25% tolerance instead of a hard
-    threshold, so a loaded CI host cannot flake the suite.
-    """
-    for name in WORKLOADS:
-        r = measure_speedup(name, reps=3)
-        assert r["speedup"] > 1.0, f"{name}: fused loop slower than deferred"
-
-
-def test_jit_speedup_gate():
-    """The JIT gate workloads compile fully, agree bit-exactly with the
-    fast engine, and run clearly ahead of it.
-
-    The light pytest leg keeps a generous floor (about half the ratio
-    best-of-N measures) so loaded hosts cannot flake it; the hard
-    :data:`JIT_MIN_SPEEDUP` acceptance floor over the fast engine lives
-    in the CI ``perf-smoke`` ``--check`` run, measured best-of-N
-    interleaved.
-    """
-    for name in JIT_WORKLOADS:
-        r = measure_jit_speedup(name, reps=3)
-        assert r["jit_speedup"] > 3.0, (
-            f"{name}: jit speedup {r['jit_speedup']:.2f}x is not clearly "
-            "ahead of the fast interpreter"
-        )
-
-
-def test_snapshot_speedup_gate():
-    """Incremental (chained) snapshots clearly beat full-copy snapshots
-    on a sparse-write rollback loop, and both restore bit-exactly.
-
-    The light pytest leg keeps a generous floor; the hard ``>= 5x``
-    acceptance floor lives in the CI ``perf-smoke`` ``--check`` run.
-    """
-    r = measure_snapshot_speedup(reps=2)
-    assert r["snapshot_speedup"] > 2.0, (
-        f"snapshot_rollback: incremental snapshots only "
-        f"{r['snapshot_speedup']:.2f}x over full copies"
-    )
-
-
-def test_sanitized_ratio_gate():
-    """A sanitized pass of the paper-kernel mix agrees bit-exactly with
-    the fast engine and stays within a generous multiple of the hard
-    :data:`SANITIZED_MAX_RATIO` ceiling, which the CI ``--check`` runs
-    enforce."""
-    r = measure_sanitized_ratio(reps=2)
-    assert r["sanitized_ratio"] < 1.5 * SANITIZED_MAX_RATIO, (
-        f"sanitized_paper: sanitized launches cost "
-        f"{r['sanitized_ratio']:.2f}x the fast engine"
-    )
 
 
 @pytest.mark.benchmark(group="substrate")
@@ -705,176 +555,3 @@ def test_coalescing_cost_calibration(benchmark):
     ratio = out["scattered"] / out["coalesced"]
     benchmark.extra_info["scatter_penalty"] = round(ratio, 2)
     assert ratio > 1.0
-
-
-# ---------------------------------------------------------------------------
-# Standalone entry point (CI perf-smoke leg)
-
-
-def run_measurements(reps: int, only=None) -> dict:
-    from repro.jit import snapshot as jit_snapshot
-
-    def wanted(name):
-        return only is None or name in only
-
-    results = {}
-    for name in WORKLOADS:
-        if not wanted(name):
-            continue
-        r = measure_speedup(name, reps=reps)
-        results[name] = r
-        print(
-            f"BENCH substrate {name}: fast {r['fast_steps_per_s'] / 1e3:.1f}k "
-            f"steps/s  deferred {r['deferred_steps_per_s'] / 1e3:.1f}k steps/s  "
-            f"speedup {r['speedup']:.2f}x  (rounds={r['rounds']}, "
-            f"cycles={r['cycles']:.0f})"
-        )
-    for name in JIT_WORKLOADS:
-        if not wanted(name):
-            continue
-        r = measure_jit_speedup(name, reps=reps)
-        results[name] = r
-        print(
-            f"BENCH substrate {name}: jit {r['jit_steps_per_s'] / 1e3:.1f}k "
-            f"steps/s  fast {r['fast_steps_per_s'] / 1e3:.1f}k steps/s  "
-            f"speedup {r['jit_speedup']:.2f}x  (gate >= "
-            f"{JIT_MIN_SPEEDUP:.1f}x, rounds={r['rounds']}, "
-            f"cycles={r['cycles']:.0f})"
-        )
-    if wanted("sanitized_paper"):
-        r = measure_sanitized_ratio(reps=reps)
-        results["sanitized_paper"] = r
-        print(
-            f"BENCH substrate sanitized_paper: fast "
-            f"{r['fast_steps_per_s'] / 1e3:.1f}k steps/s  sanitized "
-            f"{r['sanitized_steps_per_s'] / 1e3:.1f}k steps/s  ratio "
-            f"{r['sanitized_ratio']:.2f}x  (gate <= "
-            f"{SANITIZED_MAX_RATIO:.2f}x, rounds={r['rounds']}, "
-            f"cycles={r['cycles']:.0f})"
-        )
-    if wanted("snapshot_rollback"):
-        r = measure_snapshot_speedup(reps=reps)
-        results["snapshot_rollback"] = r
-        print(
-            f"BENCH substrate snapshot_rollback: full "
-            f"{r['full_s_per_iter'] * 1e3:.2f}ms/iter  incremental "
-            f"{r['incr_s_per_iter'] * 1e3:.2f}ms/iter  speedup "
-            f"{r['snapshot_speedup']:.1f}x  (gate >= "
-            f"{SNAPSHOT_MIN_SPEEDUP:.0f}x, {r['dirty_pages_per_iter']}/"
-            f"{r['pages_total']} pages dirty per iter)"
-        )
-    return {
-        "schema": 1,
-        "metric": "lane_steps_per_second",
-        "tolerance_pct": TOLERANCE_PCT,
-        "jit_min_speedup": JIT_MIN_SPEEDUP,
-        "snapshot_min_speedup": SNAPSHOT_MIN_SPEEDUP,
-        "sanitized_max_ratio": SANITIZED_MAX_RATIO,
-        # Advisory process-global JIT totals for this bench run (trace
-        # cache temperature, deopt tallies); recorded, never gated.
-        "jit_stats": jit_snapshot(),
-        "workloads": results,
-    }
-
-
-def check_against_baseline(measured: dict, baseline_path: str,
-                           only=None) -> int:
-    with open(baseline_path) as f:
-        baseline = json.load(f)
-    rc = 0
-    tol = baseline.get("tolerance_pct", TOLERANCE_PCT) / 100.0
-    jit_min = baseline.get("jit_min_speedup", JIT_MIN_SPEEDUP)
-    snap_min = baseline.get("snapshot_min_speedup", SNAPSHOT_MIN_SPEEDUP)
-    san_max = baseline.get("sanitized_max_ratio", SANITIZED_MAX_RATIO)
-    for name, base in baseline["workloads"].items():
-        if only is not None and name not in only:
-            continue
-        got = measured["workloads"].get(name)
-        if got is None:
-            print(f"BENCH substrate FAIL: workload {name!r} missing")
-            rc = 1
-            continue
-        lo, hi = 0.0, float("inf")
-        if "sanitized_ratio" in base:
-            # Ceiling-only gate: a cost ratio, lower is better, and the
-            # bar is absolute.
-            ratio_key, hi = "sanitized_ratio", san_max
-        elif "snapshot_speedup" in base:
-            # Floor-only gate: the absolute ratio is sparsity- and
-            # machine-dependent, so no baseline-relative band.
-            ratio_key, lo = "snapshot_speedup", snap_min
-        elif "jit_speedup" in base:
-            ratio_key = "jit_speedup"
-            # The JIT tier's acceptance bar is absolute: >= JIT_MIN_SPEEDUP
-            # over the fast engine whatever the committed baseline
-            # drifted to.
-            lo = max(base[ratio_key] * (1.0 - tol), jit_min)
-        else:
-            ratio_key = "speedup"
-            lo = base[ratio_key] * (1.0 - tol)
-        if got[ratio_key] < lo:
-            print(
-                f"BENCH substrate FAIL: {name} {ratio_key} "
-                f"{got[ratio_key]:.2f}x below {lo:.2f}x (baseline "
-                f"{base[ratio_key]:.2f}x -{int(tol * 100)}%)"
-            )
-            rc = 1
-        elif got[ratio_key] > hi:
-            print(
-                f"BENCH substrate FAIL: {name} {ratio_key} "
-                f"{got[ratio_key]:.2f}x above the {hi:.2f}x ceiling "
-                f"(baseline {base[ratio_key]:.2f}x)"
-            )
-            rc = 1
-        else:
-            bound = f"floor {lo:.2f}x" if hi == float("inf") else f"ceiling {hi:.2f}x"
-            print(
-                f"BENCH substrate OK: {name} {ratio_key} {got[ratio_key]:.2f}x "
-                f"(baseline {base[ratio_key]:.2f}x, {bound})"
-            )
-        # Simulation outputs are deterministic and must never drift at all.
-        for field in ("lane_steps", "rounds", "cycles",
-                      "pages_total", "dirty_pages_per_iter", "iters"):
-            if field in base and got[field] != base[field]:
-                print(
-                    f"BENCH substrate FAIL: {name} {field} changed "
-                    f"{base[field]} -> {got[field]} (update the baseline "
-                    "deliberately if intended)"
-                )
-                rc = 1
-    return rc
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--reps", type=int, default=DEFAULT_REPS,
-                    help="interleaved measurement pairs per workload")
-    ap.add_argument("--json", metavar="PATH",
-                    help="write measured results to PATH")
-    ap.add_argument("--check", action="store_true",
-                    help=f"compare speedups against {BASELINE_PATH}")
-    ap.add_argument("--write-baseline", action="store_true",
-                    help=f"rewrite {BASELINE_PATH} from this run")
-    ap.add_argument("--only", action="append", metavar="WORKLOAD",
-                    help="measure (and check) only the named workload; "
-                    "repeatable")
-    args = ap.parse_args(argv)
-
-    measured = run_measurements(args.reps, only=args.only)
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(measured, f, indent=2, sort_keys=True)
-            f.write("\n")
-    if args.write_baseline:
-        with open(BASELINE_PATH, "w") as f:
-            json.dump(measured, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"BENCH substrate baseline written to {BASELINE_PATH}")
-    if args.check:
-        return check_against_baseline(measured, BASELINE_PATH,
-                                      only=args.only)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

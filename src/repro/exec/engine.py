@@ -62,7 +62,7 @@ from repro.errors import DeadlockError, LaunchError, LaunchTimeout
 from repro.gpu.atomics import apply_atomic
 from repro.gpu.block import DEFAULT_MAX_ROUNDS, ThreadBlock
 from repro.gpu.counters import BlockCounters
-from repro.exec.pool import RetryPolicy, fork_available, fork_map
+from repro.exec.pool import fork_available, fork_map
 from repro.exec.record import (
     OP_STORE,
     BlockRecord,
@@ -166,8 +166,6 @@ class LaunchPlan:
     #: raises :class:`~repro.errors.LaunchTimeout` (block granularity on
     #: the serial executor, chunk granularity on the pool).
     deadline: Optional[float] = None
-    #: Optional worker-pool :class:`~repro.exec.pool.RetryPolicy`.
-    retry: object = None
     #: Resolved round-engine name (``"fast"``/``"jit"``; None means the
     #: block round loop), set by :meth:`resolve_engine`.
     engine: Optional[str] = None
@@ -432,7 +430,6 @@ class ParallelExecutor:
                     return [run_block(device, plan, watermark, b)
                             for b in ids]
 
-                retry = plan.retry if plan.retry is not None else RetryPolicy()
                 shard_err = None
                 for status, payload in fork_map(
                     run_shard,
@@ -440,7 +437,6 @@ class ParallelExecutor:
                     workers=workers,
                     processes=processes,
                     faults=plan.faults,
-                    retry=retry,
                     deadline=plan.deadline,
                     stats=stats,
                     partial=harvest,

@@ -19,8 +19,7 @@ error propagates, and the next attempt re-executes only the remainder —
 
 Checkpoints also persist: :meth:`save`/:meth:`load` write the records
 through an atomic tmp-rename with fsync, so a launch killed by process
-death can resume in a fresh process (the serve tier's crash-recovery
-path).  Only ``completed=True`` records are ever checkpointed — a
+death can resume in a fresh process.  Only ``completed=True`` records are ever checkpointed — a
 partial or erroring block re-executes from scratch.
 """
 

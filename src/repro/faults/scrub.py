@@ -27,20 +27,20 @@ copy.
 Cost model
 ==========
 
-Construction and restore are **O(dirty pages)**, not O(live bytes):
+Construction is one full copy; restore is **O(dirty pages)**, not
+O(live bytes):
 
 * A snapshot *clears* every tracked buffer's dirty bitmap, opening a
   tracking window; each buffer's ``snap_epoch`` is recorded so the
   snapshot can later prove the bits still describe its own window.
 * ``restore()`` re-copies only pages whose dirty bit is set.  If some
   other snapshot cleared the bitmap in between (epoch mismatch) it
-  falls back to a full-buffer copy — correct either way, fast in the
-  intended single-owner chains.
-* ``MemorySnapshot(gmem, base=prev)`` *advances* a previous snapshot:
-  it steals ``prev``'s copies/checksum storage and refreshes only the
-  pages dirtied since, which is what makes the retry ladder's
-  per-attempt snapshot and the serve tier's per-request cloning cheap.
-  ``prev`` is consumed — using it afterwards raises.
+  falls back to a full-buffer copy — correct either way, fast for the
+  intended single owner.
+* ``restore()`` also *re-arms* the snapshot: memory equals the copy
+  again, so it clears the dirty bits and re-records the epochs.  The
+  retry ladder takes one snapshot before its first attempt and restores
+  that same snapshot after each failed one, O(dirty pages) per attempt.
 
 Corruption *detection* (``dirty_pages``/``scrub``) intentionally stays
 a full checksum scan: a bit-flip is modelled as a physical upset the
@@ -67,30 +67,12 @@ def _page_checksums(data: np.ndarray) -> List[int]:
             for off in range(0, max(raw.nbytes, 1), max(page_bytes, 1))]
 
 
-def _page_crc(data: np.ndarray, lo: int, hi: int) -> int:
-    """CRC32 of one page's element span — matches :func:`_page_checksums`
-    for the same page (both hash the identical raw byte window)."""
-    return zlib.crc32(np.ascontiguousarray(data[lo:hi]).view(np.uint8)
-                      .tobytes())
-
-
 class MemorySnapshot:
-    """Copy-plus-checksums of all live global buffers at one instant.
+    """Copy-plus-checksums of all live global buffers at one instant."""
 
-    ``base`` chains snapshots: pass the previous attempt's (or previous
-    request's) snapshot to pay only for pages dirtied since it was
-    taken.  The base is consumed by the handoff.
-    """
-
-    def __init__(self, gmem, base: "MemorySnapshot | None" = None) -> None:
+    def __init__(self, gmem) -> None:
         self.gmem = gmem
         self.mark = gmem.mark()
-        self._consumed = False
-        if base is not None and (base._consumed or base.gmem is not gmem):
-            raise ValueError("base snapshot already consumed or foreign")
-        prev_copies = base._copies if base is not None else {}
-        prev_sums = base._checksums if base is not None else {}
-        prev_epochs = base._epochs if base is not None else {}
         self._copies: Dict[int, np.ndarray] = {}
         self._checksums: Dict[int, List[int]] = {}
         self._names: Dict[int, str] = {}
@@ -99,38 +81,15 @@ class MemorySnapshot:
             if buf.space != "global":
                 continue
             handle = buf.handle
-            copy = prev_copies.get(handle)
-            if copy is not None and buf.snap_epoch == prev_epochs.get(handle):
-                # The dirty bits describe exactly the window since
-                # ``base`` — refresh only those pages in place.
-                sums = prev_sums[handle]
-                for page in buf.dirty_page_indices():
-                    lo, hi = buf.page_span(page)
-                    copy[lo:hi] = buf.data[lo:hi]
-                    sums[page] = _page_crc(buf.data, lo, hi)
-            else:
-                copy = buf.data.copy()
-                sums = _page_checksums(buf.data)
             buf.clear_dirty()
-            self._copies[handle] = copy
-            self._checksums[handle] = sums
+            self._copies[handle] = buf.data.copy()
+            self._checksums[handle] = _page_checksums(buf.data)
             self._names[handle] = buf.name
             self._epochs[handle] = buf.snap_epoch
-        if base is not None:
-            # The storage moved; a restore through the stale base would
-            # silently resurrect refreshed pages.  Fail loudly instead.
-            base._consumed = True
-
-    def _check_live(self) -> None:
-        if self._consumed:
-            raise RuntimeError(
-                "snapshot was consumed as the base of a newer snapshot"
-            )
 
     # -- detection ---------------------------------------------------------
     def dirty_pages(self) -> List[Tuple[int, int]]:
         """``(handle, page)`` rows whose checksum no longer matches."""
-        self._check_live()
         dirty = []
         for handle, sums in self._checksums.items():
             try:
@@ -177,7 +136,6 @@ class MemorySnapshot:
         back; an epoch mismatch (another snapshot cleared the bits in
         between) downgrades that buffer to a full copy.
         """
-        self._check_live()
         for buf in list(self.gmem.allocated_since(self.mark)):
             if buf.space == "global":
                 self.gmem.free(buf)
@@ -195,8 +153,7 @@ class MemorySnapshot:
             else:
                 buf.data[:] = copy
             # Post-restore the buffer equals this snapshot again: reopen
-            # the window so a follow-up restore (or a chained snapshot)
-            # stays O(dirty).
+            # the window so a follow-up restore stays O(dirty).
             buf.clear_dirty()
             self._epochs[handle] = buf.snap_epoch
 

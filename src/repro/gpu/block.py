@@ -771,7 +771,9 @@ class ThreadBlock:
             ops = evs[0].ops
         else:
             ops = max(ev.ops for ev in evs)
-        self.counters.issue_cycles += self._op_cost.get(sig[1], 1.0) * ops
+        # float(): a narrower ``ops`` (float32) must not turn the running
+        # sum into its own type for the rest of the block.
+        self.counters.issue_cycles += self._op_cost.get(sig[1], 1.0) * float(ops)
 
     def _acct_mem(self, sig, evs, uniform) -> None:
         """Charge one load/store issue group through the shared cost model.

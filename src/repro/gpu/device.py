@@ -314,15 +314,15 @@ class Device:
         attempt = 0
         leak_mark = self.gmem.mark()
         snapshot = None
-        while True:
-            if need_snapshot:
-                from repro.faults.scrub import MemorySnapshot
+        if need_snapshot:
+            from repro.faults.scrub import MemorySnapshot
 
-                # Chained: attempt 0 pays the full copy; every retry
-                # advances the previous snapshot for O(dirty pages)
-                # (the failed attempt was rolled back through marked
-                # write paths, so the bitmap covers all divergence).
-                snapshot = MemorySnapshot(self.gmem, base=snapshot)
+            # One snapshot for every attempt: restoring it after a failed
+            # attempt re-arms it for O(dirty pages) the next time (the
+            # attempt wrote through marked paths, so the bitmap covers
+            # all divergence).
+            snapshot = MemorySnapshot(self.gmem)
+        while True:
             if faults_ is not None:
                 faults_.launch_attempt = attempt
             plan.deadline = (

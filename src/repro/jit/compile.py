@@ -465,14 +465,11 @@ def _trace(block, first_warp: int, nwarps: int, track: dict) -> _Pass:
             cost = cost_of(ev.kind, 1.0)
             ops = ev.ops
             if isinstance(ops, LaneVec):
-                charge = cost * np.maximum.reduceat(ops.materialize(), starts)
-                p.vec_charges.append((e, charge))
+                peak = np.maximum.reduceat(ops.materialize(), starts)
+                p.vec_charges.append((e, cost * peak.astype(np.float64)))
             else:
-                charge = cost * ops
                 p.charge_ev.append(e)
-                p.charge.append(charge)
-            if charge.__class__ is not float and not _float64_exact(charge):
-                raise JitAbort("event", "compute charge is not float64")
+                p.charge.append(cost * float(ops))
             nposs.append(0)
         elif tag == T_LOAD or tag == T_STORE:
             buf = ev.buf
@@ -597,13 +594,3 @@ def _trace(block, first_warp: int, nwarps: int, track: dict) -> _Pass:
             # SimulationError; let it.
             raise JitAbort("error", "trace exceeds max_rounds")
     return p.close(block)
-
-
-def _float64_exact(charge) -> bool:
-    """Whether a compute charge adds into ``issue_cycles`` exactly as a
-    float64 does.  A narrower float (a float32 ``ops``) would turn the
-    interpreters' running sum into its own type."""
-    dtype = getattr(charge, "dtype", None)
-    if dtype is None:
-        return charge.__class__ in (float, int, bool)
-    return dtype == np.float64 or dtype.kind in "biu"

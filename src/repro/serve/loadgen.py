@@ -2,8 +2,9 @@
 
 Two transports, one workload model: ``drive_service`` submits straight
 into an in-process :class:`~repro.serve.server.LaunchService` (what the
-tests and benchmarks use), ``drive_tcp`` opens real sockets against a
-running server (what the CI smoke job uses).  Each simulated client is
+tests and the serve gate legs use), ``drive_tcp`` opens real sockets
+against a running server (what ``python -m repro.serve --selftest``
+uses).  Each simulated client is
 an asyncio task that issues requests back-to-back on its own stream —
 so per-stream ordering is continuously exercised — retrying typed
 backpressure rejects after the server's ``retry_after`` hint.
@@ -11,8 +12,8 @@ backpressure rejects after the server's ``retry_after`` hint.
 Every response is checked against the NumPy oracle in
 :data:`repro.serve.demo.REFERENCE`; a single wrong element fails the
 run.  The returned metrics dict (latency percentiles, launches/sec,
-reject/retry counts) is the payload ``benchmarks/bench_serve.py``
-snapshots into ``BENCH_serve.json`` and CI gates on.
+reject/retry counts) is what a serve leg of ``benchmarks/bench_serve.py``
+returns; ``benchmarks/bench_gates.py`` gates ratios of those legs.
 """
 
 from __future__ import annotations

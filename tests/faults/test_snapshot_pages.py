@@ -1,10 +1,10 @@
-"""O(dirty-page) MemorySnapshot semantics: chaining, epochs, restore.
+"""O(dirty-page) MemorySnapshot semantics: restore, re-arm, epochs.
 
-The snapshot's cost model changed (construction/restore proportional to
-dirtied pages, ``base=`` chaining for retry ladders and serve cloning);
-these tests pin the *semantics* that must not have changed with it —
-restore is bit-exact, interleaved snapshots stay correct via the epoch
-fallback, and a consumed base refuses further use.
+The snapshot's cost model is restore proportional to dirtied pages, and
+one snapshot serves every attempt of a launch's retry ladder; these
+tests pin the *semantics* that must hold with it — restore is
+bit-exact, a restore re-arms the snapshot for the next attempt, and
+interleaved snapshots stay correct via the epoch fallback.
 """
 
 import numpy as np
@@ -61,58 +61,29 @@ class TestRestore:
             snap.restore()
             np.testing.assert_array_equal(buf.to_numpy(), before)
 
-
-class TestChaining:
-    def test_chained_snapshot_equals_fresh(self):
+    def test_restore_rearms_for_o_dirty_restore(self):
         gmem, buf = make_gmem()
-        s1 = MemorySnapshot(gmem)
-        buf.write(5, -1.0)
-        after_write = buf.to_numpy()
-        s2 = MemorySnapshot(gmem, base=s1)
-        buf.write(5, -2.0)
-        buf.write(2 * PAGE_ELEMS, -3.0)
-        s2.restore()
-        np.testing.assert_array_equal(buf.to_numpy(), after_write)
-
-    def test_chained_scrub_detects_and_repairs(self):
-        gmem, buf = make_gmem()
-        s1 = MemorySnapshot(gmem)
-        buf.write(0, 42.0)
-        s2 = MemorySnapshot(gmem, base=s1)
-        want = buf.to_numpy()
-        buf.flip_bit(PAGE_ELEMS + 1, 3)
-        assert s2.scrub() == 1
-        np.testing.assert_array_equal(buf.to_numpy(), want)
-
-    def test_consumed_base_refuses_use(self):
-        gmem, buf = make_gmem()
-        s1 = MemorySnapshot(gmem)
-        MemorySnapshot(gmem, base=s1)
-        with pytest.raises(RuntimeError, match="consumed"):
-            s1.restore()
-        with pytest.raises(ValueError, match="consumed"):
-            MemorySnapshot(gmem, base=s1)
-
-    def test_chain_across_new_allocations(self):
-        gmem, buf = make_gmem()
-        s1 = MemorySnapshot(gmem)
-        extra = gmem.from_array("extra", np.ones(PAGE_ELEMS))
-        s2 = MemorySnapshot(gmem, base=s1)
-        extra.write(0, -1.0)
+        snap = MemorySnapshot(gmem)
         buf.write(0, -1.0)
-        s2.restore()
-        assert extra.data[0] == 1.0
+        snap.restore()
+        # The restore reopened the window and re-recorded the epoch, so
+        # the next restore copies only marked pages, not the whole buffer.
+        buf.data[1] = -7.0
+        buf.write(PAGE_ELEMS, -8.0)
+        snap.restore()
+        assert buf.data[PAGE_ELEMS] == float(PAGE_ELEMS)
+        assert buf.data[1] == -7.0
         assert buf.data[0] == 0.0
 
-    def test_chain_after_restore_is_o_dirty_and_correct(self):
+    def test_scrub_after_restore_detects_and_repairs(self):
         gmem, buf = make_gmem()
         want = buf.to_numpy()
         snap = MemorySnapshot(gmem)
-        for attempt in range(3):
-            buf.write(attempt, -float(attempt + 1))
-            snap.restore()
-            snap = MemorySnapshot(gmem, base=snap)
-            np.testing.assert_array_equal(buf.to_numpy(), want)
+        buf.write(0, 42.0)
+        snap.restore()
+        buf.flip_bit(PAGE_ELEMS + 1, 3)
+        assert snap.scrub() == 1
+        np.testing.assert_array_equal(buf.to_numpy(), want)
 
 
 class TestEpochFallback:

@@ -748,6 +748,21 @@ def test_thread_id_lanes_promote_like_python_ints(executor, build, compiles):
     assert kj.identical(ki)
 
 
+@pytest.mark.parametrize("engine", ["fast", "jit"])
+def test_float32_ops_accumulate_in_float64(executor, engine):
+    """A float32 ``ops`` charges in float64: the running ``issue_cycles``
+    sum must not narrow to float32, where 2**24 + 1 rounds back to 2**24.
+    The JIT compiles the block rather than deoptimizing it."""
+    def k(tc):
+        yield from tc.compute("alu", np.float32(16777216.0))
+        yield from tc.compute("alu", 1)
+
+    dev = Device(nvidia_a100(), executor=executor)
+    kc = dev.launch(k, 1, 32, engine=engine)
+    assert kc.total("issue_cycles") == 16777217.0
+    assert kc.extra.get("jit_warps_compiled", 1.0) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Engine selection and validation
 
